@@ -2,9 +2,9 @@
 // foundation-layer event core, one end-to-end experiment, and the
 // checkpoint/restore layer (snapshot_roundtrip and warmstart_fork) — and
 // writes the result as JSON, so the repository's perf trajectory is a
-// committed artifact rather than folklore. `make bench` runs it (for
-// both queue implementations) and emits BENCH_sim.json; `make
-// bench-check` replays a short run and fails on regression.
+// committed artifact rather than folklore. `make bench` runs it and
+// emits BENCH_sim.json; `make bench-check` replays a short run and
+// fails on regression.
 //
 // Usage:
 //
@@ -12,8 +12,8 @@
 //	cdnabench -out BENCH_sim.json # write to a file
 //	cdnabench -benchtime 2s       # longer micro-benchmark windows
 //	cdnabench -short              # quick windows (CI's bench-check)
-//	cdnabench -ref heap.json      # embed another run's rows as the
-//	                              # reference block (wheel vs heap)
+//	cdnabench -ref other.json     # embed another build's rows as the
+//	                              # reference block (side by side)
 //	cdnabench -compare old.json   # diff this run against a committed
 //	                              # BENCH_sim.json; exit 1 when any
 //	                              # ns/event metric regressed >15%
@@ -23,10 +23,7 @@
 //	cdnabench -run 'model\.'      # measure only matching rows (local
 //	                              # iteration; skipped rows report zero)
 //
-// The binary reports which event queue it was compiled with
-// ("scheduler": wheel by default, heap under -tags simheap); the
-// committed artifact carries the heap build's rows in "reference" so
-// the wheel-vs-heap comparison travels with the repo.
+// The binary reports the engine's event queue ("scheduler": wheel).
 //
 // The seed_baseline block records the pre-refactor engine (heap
 // allocation per event through container/heap) measured on the same
@@ -141,8 +138,7 @@ type Report struct {
 	// reports were measured at different core counts.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 
-	// Scheduler is the compiled-in event queue: "wheel" (default) or
-	// "heap" (-tags simheap).
+	// Scheduler is the engine's event queue (sim.SchedulerName).
 	Scheduler string `json:"scheduler"`
 
 	Engine EngineRows `json:"engine"`
@@ -202,9 +198,8 @@ type Report struct {
 	// warmup simulation is saved.
 	WarmstartFork WarmstartFork `json:"warmstart_fork"`
 
-	// Reference carries another build's rows for side-by-side reading —
-	// `make bench` embeds the heap build's measurement here, so the
-	// committed artifact always shows wheel vs. heap.
+	// Reference carries another build's rows for side-by-side reading
+	// (cdnabench -ref).
 	Reference *Reference `json:"reference,omitempty"`
 
 	// The seed engine measured immediately before the zero-allocation

@@ -87,7 +87,7 @@ func buildCluster(cfg Config) (*Machine, error) {
 	nshards := clampShards(cfg.Shards, cfg.Hosts)
 	engines := make([]*sim.Engine, nshards)
 	for s := range engines {
-		engines[s] = sim.NewWithResolution(cal.EventResolution())
+		engines[s] = sim.New()
 	}
 	fabEng := engines[nshards-1]
 	m := &Machine{Eng: engines[0], engines: engines}

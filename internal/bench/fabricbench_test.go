@@ -12,9 +12,7 @@ import (
 // The multi-tier fabric determinism contract: a leaf-spine or fat-tree
 // configuration is byte-identical at any shard count (trunks live on
 // one engine and are never seams; ECMP hashes only frame addresses),
-// and its rendered tables replay exactly. The CI suite re-runs these
-// under -tags simheap and -tags simwheel, extending the pins across
-// all three event-queue implementations.
+// and its rendered tables replay exactly.
 
 // TestFabricShardDifferential runs leaf-spine and fat-tree racks —
 // closed- and open-loop workloads, with and without oversubscription —

@@ -276,7 +276,7 @@ func Build(cfg Config) (*Machine, error) {
 		return buildCluster(cfg)
 	}
 	cal := cfg.Cal
-	eng := sim.NewWithResolution(cal.EventResolution())
+	eng := sim.New()
 	h := &Host{Index: 0, CPU: cpu.New(eng, cal.CPU), Mem: mem.New()}
 	m := &Machine{Eng: eng, CPU: h.CPU, Mem: h.Mem, Hosts: []*Host{h}}
 	// The workload generator drives whatever connections the topology

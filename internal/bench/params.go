@@ -168,32 +168,3 @@ func Default() Calibration {
 	c.Rice.RxCoalescePkts = 64
 	return c
 }
-
-// EventResolution returns the finest recurring event-time quantum in
-// the calibration: the smallest nonzero per-packet / per-descriptor /
-// per-transfer cost. Build hands it to sim.NewWithResolution so the
-// engine's timing-wheel granularity is auto-sized to the model's time
-// scale — long-range timers (RTOs, coalescer delays, ticks) then sit
-// fewer radix levels away, with zero effect on simulated results (the
-// wheel fires bucketed events in exact (time, sequence) order at any
-// granularity).
-func (c Calibration) EventResolution() sim.Time {
-	res := sim.Time(0)
-	consider := func(t sim.Time) {
-		if t > 0 && (res == 0 || t < res) {
-			res = t
-		}
-	}
-	consider(c.StackTSO.UserPerData)
-	consider(c.StackNoTSO.UserPerData)
-	consider(c.StackNative.UserPerData)
-	consider(c.DirectPerDesc)
-	consider(c.Hyp.CDNAPerDesc)
-	consider(c.Hyp.CDNAPerPage)
-	consider(c.Bus.PerTransfer)
-	consider(c.CPU.SwitchCost)
-	if res == 0 {
-		res = 1
-	}
-	return res
-}

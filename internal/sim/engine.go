@@ -12,9 +12,9 @@
 // repeatedly use a Timer — one persistent event re-armed in place —
 // instead of scheduling fresh events. The event queue is a hierarchical
 // timing wheel (sched_wheel.go) with O(1) amortized schedule, cancel
-// and same-timestamp batch dispatch; the PR 2 binary heap remains the
-// build-selectable reference implementation (-tags simheap). See
-// DESIGN.md ("Foundation").
+// and same-timestamp batch dispatch; it is the only queue, and a
+// sorted-slice oracle in the tests pins its exact (time, sequence)
+// order. See DESIGN.md ("Foundation", "Scheduler").
 package sim
 
 import "fmt"
@@ -57,9 +57,9 @@ type Event struct {
 	name  string
 	fn    func()
 	eng   *Engine
-	next  *Event // intrusive wheel-slot list links (nil when unqueued
-	prev  *Event // or when queued in the reference heap)
-	index int32  // queue position: heap index or wheel slot; -1 when not queued
+	next  *Event // intrusive wheel-slot list links (nil when unqueued)
+	prev  *Event
+	index int32  // wheel slot (or overflowIdx); -1 when not queued
 	fnID  int32  // callback registry identity (see fn.go); -1 raw, 0 none
 	tm    int32  // owning Timer's registry index (meaningful iff timer)
 	gen   uint32 // bumped on every recycle; stale Handles mismatch
@@ -112,7 +112,7 @@ type Engine struct {
 	running bool
 	fired   uint64
 	tracer  *Tracer
-	q       queueImpl // the event queue; concrete type, see sched_select_*.go
+	q       wheelSched // the event queue
 
 	// Checkpoint registries (fn.go, snapshot.go): callbacks bound and
 	// timers created during machine construction, in construction
@@ -122,36 +122,11 @@ type Engine struct {
 	timers []*Timer
 }
 
-// New returns an Engine with the clock at zero and the finest (1 ns)
-// queue granularity.
-func New() *Engine { return NewWithResolution(1) }
-
-// NewWithResolution returns an Engine whose timing-wheel granularity is
-// auto-sized to the given event-time scale: res should be the typical
-// smallest spacing between distinct event timestamps (a calibrated
-// per-task cost, a per-packet wire time, ...). The granularity is the
-// largest power of two not exceeding res, clamped to [1 ns, 4096 ns].
-// Resolution is purely a performance knob — coarser granularity shortens
-// the radix distance long-range timers (retransmit timeouts, ticks)
-// travel through the wheel — and never affects simulated results:
-// events bucketed into one slot still fire in exact (time, sequence)
-// order, so any resolution produces byte-identical output. (The
-// reference heap ignores it.)
-func NewWithResolution(res Time) *Engine {
+// New returns an Engine with the clock at zero.
+func New() *Engine {
 	e := &Engine{}
-	e.q.init(granularityShift(res))
+	e.q.init(tickShift)
 	return e
-}
-
-// granularityShift converts an event-time scale to log2 of the wheel
-// granularity, clamped to [1, 4096] ns.
-func granularityShift(res Time) uint {
-	var shift uint
-	for res >= 2 && shift < 12 {
-		res >>= 1
-		shift++
-	}
-	return shift
 }
 
 // Now returns the current simulated time.

@@ -160,3 +160,34 @@ func TestFIFOGrowPreservesOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestDoubleBufSwapsBuffers: Drain hands over the burst and the next
+// burst reuses the spare backing array, so alternating append/drain
+// never allocates.
+func TestDoubleBufSwapsBuffers(t *testing.T) {
+	var b DoubleBuf[int]
+	b.Append(1)
+	b.Append(2)
+	if b.Len() != 2 || b.At(1) != 2 {
+		t.Fatalf("len=%d at(1)=%d", b.Len(), b.At(1))
+	}
+	first := b.Drain()
+	if len(first) != 2 || first[0] != 1 || b.Len() != 0 {
+		t.Fatalf("drained %v, len after %d", first, b.Len())
+	}
+	b.Append(3)
+	b.Drain()
+	allocs := testing.AllocsPerRun(100, func() {
+		b.Append(4)
+		b.Append(5)
+		b.Drain()
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state append/drain allocates %.1f/op", allocs)
+	}
+	b.Append(6)
+	b.Reset()
+	if b.Len() != 0 {
+		t.Fatalf("len %d after Reset", b.Len())
+	}
+}

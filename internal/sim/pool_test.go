@@ -291,3 +291,25 @@ func TestHeapStressWithCancels(t *testing.T) {
 		t.Fatalf("Pending = %d after drain", e.Pending())
 	}
 }
+
+// TestTimerArmKeyed: a keyed re-arm moves the timer like Arm, but its
+// key — not the arming moment — orders it after the counter events at
+// its instant.
+func TestTimerArmKeyed(t *testing.T) {
+	e := New()
+	var order []string
+	tm := e.NewTimer("fault", func() { order = append(order, "timer") })
+	tm.ArmKeyed(20, SeqBand|7)
+	tm.ArmKeyed(10, SeqBand|7) // re-arm an armed timer in place
+	e.At(10, "ev", func() { order = append(order, "ev") })
+	e.Run(100)
+	if len(order) != 2 || order[0] != "ev" || order[1] != "timer" {
+		t.Fatalf("order = %v, want [ev timer]", order)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("keyless ArmKeyed did not panic")
+		}
+	}()
+	tm.ArmKeyed(200, 7)
+}

@@ -1,61 +1,20 @@
 package sim
 
-// The event queue sits behind a small scheduler seam so the engine can
-// carry either implementation as a concrete type (no interface value in
-// the hot path — `queueImpl` is a build-tag-selected type alias, see
-// sched_select_*.go):
-//
-//   - hybridSched (default): a near/far split — a small binary-heap
-//     run for the wheel clock's current window fronting the timing
-//     wheel for everything farther out (sched_hybrid.go);
-//   - wheelSched (-tags simwheel): the pure hierarchical timing wheel
-//     with O(1) amortized schedule/cancel;
-//   - heapSched (-tags simheap): the PR 2 binary min-heap, kept as the
-//     reference implementation the differential test replays against.
-//
-// The interface itself is only ever used by tests (the randomized
-// differential test drives both implementations through it) and as the
-// compile-time contract both types must satisfy.
-type scheduler interface {
-	// init prepares the queue; gshift is log2 of the wheel granularity
-	// in nanoseconds (ignored by the heap).
-	init(gshift uint)
-	// push inserts a queued event (at, seq, index maintained).
-	push(ev *Event)
-	// peek returns the minimum (at, seq) event without removing it, or
-	// nil when empty.
-	peek() *Event
-	// pop removes ev, which must be the event peek just returned, and
-	// commits simulated time to ev's timestamp.
-	pop(ev *Event)
-	// popAt removes and returns the minimum event if it fires exactly
-	// at t, else nil. Used for same-timestamp batch dispatch: after a
-	// pop at time t, all remaining events at t are reachable in O(1).
-	popAt(t Time) *Event
-	// remove deletes a queued event (cancellation).
-	remove(ev *Event)
-	// reschedule re-keys a queued event after its at/seq changed
-	// (Timer re-arm).
-	reschedule(ev *Event)
-	// len returns the number of queued events.
-	len() int
-	// each visits every queued event in unspecified order (checkpoint
-	// capture; the caller sorts by (at, seq)).
-	each(f func(*Event))
-	// reset empties the queue structurally without touching the
-	// events' link fields — callers detach events via each first —
-	// and re-seats the clock at t, which must not exceed any event
-	// subsequently pushed (checkpoint restore).
-	reset(t Time)
-}
+// SchedulerName identifies the engine's event queue; cdnabench records
+// it in BENCH_sim.json so reports from different queue designs stay
+// distinguishable artifacts.
+const SchedulerName = "wheel"
 
-// Compile-time checks: both implementations satisfy the seam, so the
-// build-tag alias can select either.
-var (
-	_ scheduler = (*wheelSched)(nil)
-	_ scheduler = (*heapSched)(nil)
-	_ scheduler = (*hybridSched)(nil)
-)
+// tickShift is log2 of the wheel tick in nanoseconds: every engine's
+// wheel buckets time into 32 ns ticks. The tick is purely a performance
+// choice — a coarser tick shortens the radix distance long-range timers
+// (retransmit timeouts, coalescer delays) travel through the levels, a
+// finer one keeps fewer distinct timestamps per level-0 slot — and never
+// affects simulated results, because same-slot events still fire in
+// exact (time, sequence) order. 32 ns sits just under the calibration's
+// finest recurring cost quantum (45 ns); a 1 ns or a 256 ns tick ran
+// the 16-host rack benchmark no faster (4-8% slower in median).
+const tickShift = 5
 
 func eventLess(a, b *Event) bool {
 	if a.at != b.at {

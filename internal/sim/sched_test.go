@@ -2,190 +2,249 @@ package sim
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 )
 
-// --- Randomized differential test: the timing wheel and the hybrid
-// near/far queue must replay any schedule / fire / cancel / timer-re-arm
-// sequence in exactly the order the reference heap produces. This is the
-// equivalence proof behind swapping the engine's queue implementation:
-// a three-way heap-vs-wheel-vs-hybrid replay. ---
+// --- Oracle replay: the timing wheel must replay any schedule / fire /
+// batch-drain / cancel / re-arm sequence, counter- and key-sequenced,
+// in exactly the order a plain sorted slice produces. This is the proof
+// behind the engine's determinism contract: (at, seq) order is exact at
+// every wheel tick. ---
 
-// schedEvent is one logical event mirrored across every queue: evs[i]
-// is its copy in the i'th implementation (heap first — the oracle).
-type schedEvent struct {
-	id  int
-	evs []*Event
+// sortedQueue is the reference queue: the pending events in a slice
+// kept sorted by (at, seq), with its own comparison so a wheel ordering
+// bug cannot hide behind a shared helper.
+type sortedQueue struct{ evs []*Event }
+
+func (o *sortedQueue) push(ev *Event) {
+	i := sort.Search(len(o.evs), func(i int) bool {
+		x := o.evs[i]
+		return x.at > ev.at || (x.at == ev.at && x.seq > ev.seq)
+	})
+	o.evs = slices.Insert(o.evs, i, ev)
+}
+
+func (o *sortedQueue) remove(ev *Event) {
+	i := slices.Index(o.evs, ev)
+	o.evs = slices.Delete(o.evs, i, i+1)
+}
+
+func (o *sortedQueue) peek() *Event {
+	if len(o.evs) == 0 {
+		return nil
+	}
+	return o.evs[0]
+}
+
+// popAt removes and returns the minimum event if it fires exactly at t.
+func (o *sortedQueue) popAt(t Time) *Event {
+	ev := o.peek()
+	if ev == nil || ev.at != t {
+		return nil
+	}
+	o.evs = o.evs[1:]
+	return ev
+}
+
+// opSource supplies the op stream's choices, each in [0, n): an RNG
+// for the randomized test, a byteSource for the fuzz target.
+type opSource interface{ Intn(n int) int }
+
+// byteSource decodes choices from a fuzz input, one byte per 8 bits of
+// range; an exhausted input draws zeros.
+type byteSource struct{ b []byte }
+
+func (s *byteSource) Intn(n int) int {
+	v := 0
+	for m := n - 1; m > 0; m >>= 8 {
+		v <<= 8
+		if len(s.b) > 0 {
+			v |= int(s.b[0])
+			s.b = s.b[1:]
+		}
+	}
+	return v % n
+}
+
+// oracleRun drives one wheel and the sorted-slice oracle through the
+// same op stream, failing on the first divergence in pop order, popped
+// keys or queue length. The same *Event is queued in both: the wheel
+// owns its link fields, the oracle reads only (at, seq).
+type oracleRun struct {
+	t       testing.TB
+	src     opSource
+	w       wheelSched
+	o       sortedQueue
+	horizon Time // the wheel's horizon in nanoseconds
+	now     Time
+	seq     uint64
+	keys    uint64
+	fired   int
+}
+
+func newOracleRun(t testing.TB, gshift uint, src opSource) *oracleRun {
+	r := &oracleRun{t: t, src: src, horizon: Time(1) << (wheelBits*wheelLevels + gshift)}
+	r.w.init(gshift)
+	return r
+}
+
+// delay spans the current slot, every wheel level, and the overflow
+// list beyond the horizon.
+func (r *oracleRun) delay() Time {
+	switch r.src.Intn(10) {
+	case 0:
+		return 0 // same timestamp as now
+	case 1, 2, 3:
+		return Time(r.src.Intn(100)) // level 0 neighbourhood
+	case 4, 5:
+		return Time(r.src.Intn(100_000)) // levels 1-2
+	case 6, 7:
+		return Time(r.src.Intn(50_000_000)) // levels 3-4
+	case 8:
+		return Time(r.src.Intn(int(r.horizon))) // anywhere in the wheel
+	default:
+		return r.horizon + Time(r.src.Intn(int(r.horizon))) // overflow
+	}
+}
+
+// key returns a fresh sequence: the engine counter, or — like
+// AtFnKeyed and Timer.ArmKeyed — a SeqBand key that is unique but
+// unordered against the keys issued before it.
+func (r *oracleRun) key(keyed bool) uint64 {
+	if keyed {
+		r.keys++
+		return SeqBand | uint64(r.src.Intn(1<<16))<<32 | r.keys
+	}
+	r.seq++
+	return r.seq
+}
+
+// pop fires the minimum event from both queues; with batch set it then
+// drains every remaining same-timestamp event through popAt, the way
+// Engine.Run dispatches. It reports whether anything fired.
+func (r *oracleRun) pop(op string, batch bool) bool {
+	want, got := r.o.peek(), r.w.peek()
+	if want != got {
+		r.t.Fatalf("%s after %d fired: wheel min %s, oracle min %s", op, r.fired, desc(got), desc(want))
+	}
+	if want == nil {
+		return false
+	}
+	r.o.popAt(want.at)
+	r.w.pop(got)
+	r.now = got.at
+	r.fired++
+	for batch {
+		want, got := r.o.popAt(r.now), r.w.popAt(r.now)
+		if want != got {
+			r.t.Fatalf("popAt(%d) after %d fired: wheel %s, oracle %s", r.now, r.fired, desc(got), desc(want))
+		}
+		if got == nil {
+			break
+		}
+		r.fired++
+	}
+	return true
+}
+
+func desc(ev *Event) string {
+	if ev == nil {
+		return "<empty>"
+	}
+	return fmt.Sprintf("(%d, %#x)", ev.at, ev.seq)
+}
+
+// step applies one op from the stream.
+func (r *oracleRun) step() {
+	switch r.src.Intn(10) {
+	case 0, 1, 2: // schedule
+		ev := &Event{at: r.now + r.delay(), index: -1}
+		ev.seq = r.key(false)
+		r.w.push(ev)
+		r.o.push(ev)
+	case 3: // schedule keyed
+		ev := &Event{at: r.now + r.delay(), index: -1}
+		ev.seq = r.key(true)
+		r.w.push(ev)
+		r.o.push(ev)
+	case 4, 5: // fire
+		r.pop("pop", false)
+	case 6: // fire + same-timestamp batch drain
+		r.pop("pop", true)
+	case 7: // cancel
+		if n := len(r.o.evs); n > 0 {
+			ev := r.o.evs[r.src.Intn(n)]
+			r.o.remove(ev)
+			r.w.remove(ev)
+			if ev.index != -1 {
+				r.t.Fatalf("cancelled event still indexed at %d", ev.index)
+			}
+		}
+	case 8, 9: // timer re-arm: new (at, seq) re-keyed in place
+		if n := len(r.o.evs); n > 0 {
+			ev := r.o.evs[r.src.Intn(n)]
+			r.o.remove(ev)
+			ev.at = r.now + r.delay()
+			ev.seq = r.key(r.src.Intn(4) == 0)
+			r.o.push(ev)
+			r.w.reschedule(ev)
+		}
+	}
+	if r.w.len() != len(r.o.evs) {
+		r.t.Fatalf("len: wheel %d, oracle %d", r.w.len(), len(r.o.evs))
+	}
+}
+
+// drain fires everything left; the full remaining order must agree.
+func (r *oracleRun) drain() {
+	for r.pop("drain", r.src.Intn(2) == 0) {
+	}
+	if r.w.len() != 0 {
+		r.t.Fatalf("wheel not empty after drain: %d", r.w.len())
+	}
 }
 
 func TestSchedulerDifferential(t *testing.T) {
-	for _, gshift := range []uint{0, 5, 12} {
-		gshift := gshift
+	for _, gshift := range []uint{0, tickShift, 12} {
 		t.Run(fmt.Sprintf("gshift=%d", gshift), func(t *testing.T) {
-			testSchedulerDifferential(t, gshift)
+			r := newOracleRun(t, gshift, NewRNG(20260729+uint64(gshift)))
+			for i := 0; i < 20000; i++ {
+				r.step()
+			}
+			r.drain()
 		})
 	}
 }
 
-func testSchedulerDifferential(t *testing.T, gshift uint) {
-	rng := NewRNG(20260729 + uint64(gshift))
-	impls := []scheduler{&heapSched{}, &wheelSched{}, &hybridSched{}}
-	names := []string{"heap", "wheel", "hybrid"}
-	h := impls[0]
-	for _, q := range impls {
-		q.init(gshift)
-	}
-
-	// Delay mix spanning every wheel level plus the overflow list
-	// (64^6 ticks at gshift 0 is ~68.7 simulated seconds).
-	delay := func() Time {
-		switch rng.Intn(10) {
-		case 0:
-			return 0 // same timestamp as now
-		case 1, 2, 3:
-			return Time(rng.Intn(100)) // level 0 neighbourhood
-		case 4, 5:
-			return Time(rng.Intn(100_000)) // levels 1-2
-		case 6, 7:
-			return Time(rng.Intn(50_000_000)) // levels 3-4
-		case 8:
-			return Time(rng.Intn(2_000_000_000)) // level 5 / seconds
-		default:
-			return Time(100_000_000_000) + Time(rng.Intn(1_000_000_000)) // overflow
+// FuzzWheelOracle decodes an input into the same op stream: the first
+// byte picks the tick, the rest feed the op choices.
+func FuzzWheelOracle(f *testing.F) {
+	f.Add([]byte{0})
+	f.Add([]byte{1, 0, 0, 0, 4, 6, 0, 1, 2, 3, 7, 0, 8, 1, 9})
+	f.Add([]byte{2, 3, 9, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 6, 6, 6, 8, 0, 1, 4, 4, 4})
+	f.Add([]byte("\x01schedule, fire, cancel and re-arm across every wheel level"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		if len(in) == 0 {
+			return
 		}
-	}
-
-	var (
-		now  Time
-		seq  uint64
-		next int
-		live []*schedEvent
-	)
-	check := func(op string) []*Event {
-		mins := make([]*Event, len(impls))
-		for i, q := range impls {
-			mins[i] = q.peek()
+		gshift := []uint{0, tickShift, 12}[int(in[0])%3]
+		src := &byteSource{b: in[1:]}
+		r := newOracleRun(t, gshift, src)
+		// The step cap keeps the clock far from int64 overflow even if
+		// every step fires an event beyond the horizon.
+		for i := 0; i < 4096 && len(src.b) > 0; i++ {
+			r.step()
 		}
-		hev := mins[0]
-		for i, ev := range mins[1:] {
-			switch {
-			case (hev == nil) != (ev == nil):
-				t.Fatalf("%s: heap peek %v vs %s peek %v (heap len %d, %s len %d)",
-					op, hev, names[i+1], ev, h.len(), names[i+1], impls[i+1].len())
-			case hev == nil:
-			case hev.at != ev.at || hev.seq != ev.seq || hev.name != ev.name:
-				t.Fatalf("%s: heap min (%d,%d,%s) != %s min (%d,%d,%s)",
-					op, hev.at, hev.seq, hev.name, names[i+1], ev.at, ev.seq, ev.name)
-			}
-		}
-		if hev == nil {
-			return nil
-		}
-		return mins
-	}
-	popMin := func(op string) bool {
-		mins := check(op)
-		if mins == nil {
-			return false
-		}
-		for i, q := range impls {
-			q.pop(mins[i])
-		}
-		now = mins[0].at
-		for i, ev := range live {
-			if ev.evs[0] == mins[0] {
-				live = append(live[:i], live[i+1:]...)
-				break
-			}
-		}
-		return true
-	}
-
-	const ops = 20000
-	for i := 0; i < ops; i++ {
-		switch rng.Intn(10) {
-		case 0, 1, 2, 3: // schedule
-			at := now + delay()
-			seq++
-			se := &schedEvent{id: next, evs: make([]*Event, len(impls))}
-			name := fmt.Sprint(next)
-			next++
-			for j, q := range impls {
-				se.evs[j] = &Event{at: at, seq: seq, name: name, index: -1}
-				q.push(se.evs[j])
-			}
-			live = append(live, se)
-		case 4, 5: // fire
-			popMin("pop")
-		case 6: // fire + same-timestamp batch drain through popAt
-			if popMin("pop") {
-				for {
-					got := make([]*Event, len(impls))
-					for j, q := range impls {
-						got[j] = q.popAt(now)
-					}
-					hev := got[0]
-					for j, ev := range got[1:] {
-						if (hev == nil) != (ev == nil) {
-							t.Fatalf("popAt(%d): heap %v vs %s %v", now, hev, names[j+1], ev)
-						}
-						if hev != nil && (hev.at != ev.at || hev.seq != ev.seq || hev.name != ev.name) {
-							t.Fatalf("popAt(%d): heap (%d,%d,%s) != %s (%d,%d,%s)",
-								now, hev.at, hev.seq, hev.name, names[j+1], ev.at, ev.seq, ev.name)
-						}
-					}
-					if hev == nil {
-						break
-					}
-					for i, ev := range live {
-						if ev.evs[0] == hev {
-							live = append(live[:i], live[i+1:]...)
-							break
-						}
-					}
-				}
-			}
-		case 7: // cancel
-			if len(live) > 0 {
-				j := rng.Intn(len(live))
-				se := live[j]
-				for k, q := range impls {
-					q.remove(se.evs[k])
-				}
-				live = append(live[:j], live[j+1:]...)
-			}
-		case 8: // timer re-arm: new (at, seq) re-keyed in place
-			if len(live) > 0 {
-				se := live[rng.Intn(len(live))]
-				at := now + delay()
-				seq++
-				for k, q := range impls {
-					se.evs[k].at, se.evs[k].seq = at, seq
-					q.reschedule(se.evs[k])
-				}
-			}
-		case 9: // consistency probe
-			check("probe")
-			for j, q := range impls[1:] {
-				if h.len() != q.len() {
-					t.Fatalf("len mismatch: heap %d %s %d", h.len(), names[j+1], q.len())
-				}
-			}
-		}
-	}
-	// Drain completely: the full remaining fire order must agree.
-	for popMin("drain") {
-	}
-	for j, q := range impls {
-		if q.len() != 0 {
-			t.Fatalf("%s not empty after drain: %d", names[j], q.len())
-		}
-	}
+		r.drain()
+	})
 }
 
-// --- Wheel edge cases through the public Engine API (the default build
-// runs these on the wheel; -tags simheap runs them on the heap, where
-// they must hold just the same). ---
+// --- Wheel edge cases through the public Engine API. Times are whole
+// ticks (tick ns each), so boundaries sit exactly on wheel digits. ---
+
+const tick = Time(1) << tickShift
 
 // TestWheelCascadeBoundary schedules events exactly at level rollovers
 // (64^l ticks) and one tick either side: the points where an event's
@@ -193,14 +252,14 @@ func testSchedulerDifferential(t *testing.T, gshift uint) {
 // would file it into a stale slot.
 func TestWheelCascadeBoundary(t *testing.T) {
 	boundaries := []Time{
-		wheelSlots,                           // level 0→1 rollover
-		wheelSlots * wheelSlots,              // level 1→2
-		wheelSlots * wheelSlots * wheelSlots, // level 2→3
+		wheelSlots * tick,                           // level 0→1 rollover
+		wheelSlots * wheelSlots * tick,              // level 1→2
+		wheelSlots * wheelSlots * wheelSlots * tick, // level 2→3
 	}
 	e := New()
 	var want []Time
 	for _, b := range boundaries {
-		for _, at := range []Time{b - 1, b, b + 1} {
+		for _, at := range []Time{b - tick, b - 1, b, b + 1, b + tick} {
 			want = append(want, at)
 		}
 	}
@@ -209,24 +268,19 @@ func TestWheelCascadeBoundary(t *testing.T) {
 		e.At(at, "edge", func() { got = append(got, e.Now()) })
 	}
 	e.Run(boundaries[len(boundaries)-1] * 2)
-	if len(got) != len(want) {
-		t.Fatalf("fired %d events, want %d", len(got), len(want))
-	}
-	for i, at := range want {
-		if got[i] != at {
-			t.Fatalf("firing %d at %v, want %v (all: %v)", i, got[i], at, got)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
 	}
 }
 
 // TestWheelFarFutureOverflow exercises the overflow list: events beyond
-// the wheel horizon (64^6 ns ≈ 68.7 s at 1 ns granularity) in two
-// different top-level epochs, interleaved with near events. The far
-// events must re-file into the wheel when the clock crosses into their
-// epoch and still fire in exact order.
+// the wheel horizon (64^6 ticks) in two different top-level epochs,
+// interleaved with near events. The far events must re-file into the
+// wheel when the clock crosses into their epoch and still fire in exact
+// order.
 func TestWheelFarFutureOverflow(t *testing.T) {
 	e := New()
-	const horizon = Time(1) << (wheelBits * wheelLevels) // in ns at gshift 0
+	const horizon = tick << (wheelBits * wheelLevels)
 	ats := []Time{
 		Second,             // in-wheel
 		horizon + Second,   // first overflow epoch
@@ -239,22 +293,17 @@ func TestWheelFarFutureOverflow(t *testing.T) {
 	}
 	// A near chain keeps the wheel busy while the far events wait.
 	count := 0
-	var tick func()
-	tick = func() {
+	var next func()
+	next = func() {
 		count++
 		if count < 100 {
-			e.After(10*Millisecond, "tick", tick)
+			e.After(10*Millisecond, "tick", next)
 		}
 	}
-	e.After(10*Millisecond, "tick", tick)
+	e.After(10*Millisecond, "tick", next)
 	e.Run(3 * horizon)
-	if len(got) != len(ats) {
-		t.Fatalf("fired %d far events, want %d", len(got), len(ats))
-	}
-	for i, at := range ats {
-		if got[i] != at {
-			t.Fatalf("far firing %d at %v, want %v", i, got[i], at)
-		}
+	if !slices.Equal(got, ats) {
+		t.Fatalf("far firings %v, want %v", got, ats)
 	}
 	if count != 100 {
 		t.Fatalf("near chain fired %d, want 100", count)
@@ -271,10 +320,10 @@ func TestWheelCancelAfterCascade(t *testing.T) {
 	// Ticks 70, 100, 101 share level-1 slot 1 (all have digit 1 at
 	// level 1 from time 0). Firing 70 advances the clock into the slot
 	// and cascades 100 and 101 down to level 0.
-	e.At(70, "a", rec)
-	h := e.At(100, "b", func() { t.Fatal("cancelled event fired") })
-	e.At(101, "c", rec)
-	e.Run(71) // fire 70 only; 100 and 101 have cascaded
+	e.At(70*tick, "a", rec)
+	h := e.At(100*tick, "b", func() { t.Fatal("cancelled event fired") })
+	e.At(101*tick, "c", rec)
+	e.Run(71 * tick) // fire 70 only; 100 and 101 have cascaded
 	if !h.Scheduled() {
 		t.Fatal("cascaded event lost its scheduled state")
 	}
@@ -283,8 +332,8 @@ func TestWheelCancelAfterCascade(t *testing.T) {
 		t.Fatalf("after cancel: Scheduled=%v Pending=%d", h.Scheduled(), e.Pending())
 	}
 	e.Run(Second)
-	if len(got) != 2 || got[0] != 70 || got[1] != 101 {
-		t.Fatalf("fired %v, want [70 101]", got)
+	if want := []Time{70 * tick, 101 * tick}; !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
 	}
 }
 
@@ -308,26 +357,21 @@ func TestWheelTimerRearmCurrentSlot(t *testing.T) {
 	tm.Arm(50)
 	e.At(50, "after-timer", func() { order = append(order, "after") })
 	e.Run(100)
-	want := []string{"first", "timer", "after", "timer"}
-	if len(order) != len(want) {
+	if want := []string{"first", "timer", "after", "timer"}; !slices.Equal(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
 	}
 	if e.Now() != 100 || e.Pending() != 0 {
 		t.Fatalf("now=%v pending=%d", e.Now(), e.Pending())
 	}
 }
 
-// TestWheelCoarseGranularityOrder verifies that a coarse wheel
-// granularity (many distinct timestamps per slot) cannot perturb
-// ordering: same-slot events with different timestamps fire at their
-// own times in exact (time, sequence) order.
+// TestWheelCoarseGranularityOrder verifies that a coarse wheel tick
+// (many distinct timestamps per slot) cannot perturb ordering: same-slot
+// events with different timestamps fire at their own times in exact
+// (time, sequence) order.
 func TestWheelCoarseGranularityOrder(t *testing.T) {
-	e := NewWithResolution(4096) // gshift 12: 4096 ns per level-0 slot
+	e := &Engine{}
+	e.q.init(12) // 4096 ns per level-0 slot
 	rng := NewRNG(99)
 	var got []Time
 	for i := 0; i < 500; i++ {
@@ -337,10 +381,8 @@ func TestWheelCoarseGranularityOrder(t *testing.T) {
 	if len(got) != 500 {
 		t.Fatalf("fired %d, want 500", len(got))
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i] < got[i-1] {
-			t.Fatalf("out of order at %d: %v after %v", i, got[i], got[i-1])
-		}
+	if !slices.IsSorted(got) {
+		t.Fatalf("fired out of order: %v", got)
 	}
 }
 
@@ -357,114 +399,7 @@ func TestEngineSameTimestampBatchWithInsertions(t *testing.T) {
 	e.At(10, "b", func() { order = append(order, 2) })
 	e.At(20, "d", func() { order = append(order, 4) })
 	e.Run(100)
-	want := []int{1, 2, 3, 4}
-	if len(order) != len(want) {
+	if want := []int{1, 2, 3, 4}; !slices.Equal(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
-	}
-}
-
-// --- Hybrid near/far seam edge cases (driven on the concrete type so
-// they hold under any build tag). ---
-
-// TestHybridHorizonBoundary places events exactly at the near/far
-// boundary: the last tick of the wheel clock's current window is near,
-// the first tick of the next window is far, and popping across the
-// boundary promotes the new window into the run.
-func TestHybridHorizonBoundary(t *testing.T) {
-	h := &hybridSched{}
-	h.init(0)
-	mk := func(at Time, seq uint64) *Event {
-		ev := &Event{at: at, seq: seq, name: "ev", index: -1}
-		h.push(ev)
-		return ev
-	}
-	mk(0, 1)
-	last := mk(wheelSlots-1, 2) // tick 63: last near tick of window 0
-	mk(wheelSlots, 3)           // tick 64: first far tick (window 1)
-	mk(wheelSlots+1, 4)
-	if len(h.run) != 2 || h.w.len() != 2 {
-		t.Fatalf("near/far split: run %d wheel %d, want 2/2", len(h.run), h.w.len())
-	}
-	if last.index < nearBase {
-		t.Fatalf("boundary-1 event not in near run (index %d)", last.index)
-	}
-	var got []Time
-	for {
-		ev := h.peek()
-		if ev == nil {
-			break
-		}
-		h.pop(ev)
-		got = append(got, ev.at)
-		if ev.at == wheelSlots && len(h.run) != 1 {
-			// Popping into window 1 must promote tick 65 to the run.
-			t.Fatalf("after boundary pop: run %d, want 1", len(h.run))
-		}
-	}
-	want := []Time{0, wheelSlots - 1, wheelSlots, wheelSlots + 1}
-	if len(got) != len(want) {
-		t.Fatalf("popped %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("popped %v, want %v", got, want)
-		}
-	}
-}
-
-// TestHybridCancelRearmPromoted cancels and re-arms events that were
-// promoted into the near run by a cascade: membership bookkeeping must
-// track an event across far→near promotion and near↔far re-arms.
-func TestHybridCancelRearmPromoted(t *testing.T) {
-	h := &hybridSched{}
-	h.init(0)
-	a := &Event{at: 70, seq: 1, name: "a", index: -1}
-	b := &Event{at: 100, seq: 2, name: "b", index: -1}
-	c := &Event{at: 101, seq: 3, name: "c", index: -1}
-	for _, ev := range []*Event{a, b, c} {
-		h.push(ev)
-	}
-	// Ticks 70, 100, 101 are all in window 1 (far from window 0): the
-	// run starts empty.
-	if len(h.run) != 0 || h.w.len() != 3 {
-		t.Fatalf("initial split: run %d wheel %d, want 0/3", len(h.run), h.w.len())
-	}
-	if ev := h.peek(); ev != a {
-		t.Fatalf("peek %v, want a", ev)
-	}
-	h.pop(a)
-	// Popping 70 advanced the clock into window 1: 100 and 101 must now
-	// be promoted into the run.
-	if len(h.run) != 2 || h.w.len() != 0 {
-		t.Fatalf("after promote: run %d wheel %d, want 2/0", len(h.run), h.w.len())
-	}
-	if b.index < nearBase || c.index < nearBase {
-		t.Fatalf("promoted events not indexed into run: b=%d c=%d", b.index, c.index)
-	}
-	// Cancel the promoted b.
-	h.remove(b)
-	if b.index != -1 || h.len() != 1 || h.peek() != c {
-		t.Fatalf("after cancel: index=%d len=%d peek=%v", b.index, h.len(), h.peek())
-	}
-	// Re-arm c far (near→far): it must leave the run for the wheel.
-	c.at, c.seq = 200, 4
-	h.reschedule(c)
-	if len(h.run) != 0 || h.w.len() != 1 || h.peek() != c {
-		t.Fatalf("after far re-arm: run %d wheel %d peek %v", len(h.run), h.w.len(), h.peek())
-	}
-	// Re-arm c near again (far→near).
-	c.at, c.seq = 75, 5
-	h.reschedule(c)
-	if len(h.run) != 1 || h.w.len() != 0 {
-		t.Fatalf("after near re-arm: run %d wheel %d", len(h.run), h.w.len())
-	}
-	h.pop(h.peek())
-	if h.len() != 0 {
-		t.Fatalf("len %d after draining", h.len())
 	}
 }

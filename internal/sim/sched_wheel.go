@@ -37,7 +37,7 @@ const (
 	wheelBits   = 6
 	wheelSlots  = 1 << wheelBits // 64: one occupancy word per level
 	wheelMask   = wheelSlots - 1
-	wheelLevels = 6 // horizon: 64^6 ticks (~68 s at 1 ns granularity)
+	wheelLevels = 6 // horizon: 64^6 ticks (~2199 s at the 32 ns tick)
 
 	// overflowIdx is the Event.index marker for the overflow list; slot
 	// indices are level*wheelSlots+slot in [0, overflowIdx).

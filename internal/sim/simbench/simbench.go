@@ -41,7 +41,7 @@ func ScheduleFireClosure(b *testing.B) {
 	}
 }
 
-// ScheduleFireDepth64 exercises the heap at a realistic standing depth
+// ScheduleFireDepth64 exercises the queue at a realistic standing depth
 // (a loaded machine keeps tens of events queued).
 func ScheduleFireDepth64(b *testing.B) {
 	e := sim.New()

@@ -57,21 +57,24 @@ func (e *Engine) Snapshot() (EngineState, error) {
 	if err != nil {
 		return EngineState{}, err
 	}
-	// The queue walk order is implementation-defined (wheel slots vs
-	// heap layout); sort by the total event order so the same machine
-	// state always snapshots identically.
-	sort.Slice(s.Events, func(i, j int) bool {
-		return s.Events[i].At < s.Events[j].At ||
-			(s.Events[i].At == s.Events[j].At && s.Events[i].Seq < s.Events[j].Seq)
-	})
+	// The wheel walk visits slots, not the total event order; sort by
+	// (at, seq) so the same machine state always snapshots identically.
+	sort.Slice(s.Events, func(i, j int) bool { return recordLess(s.Events[i], s.Events[j]) })
 	return s, nil
+}
+
+func recordLess(a, b EventRecord) bool {
+	return a.At < b.At || (a.At == b.At && a.Seq < b.Seq)
 }
 
 // Restore replaces the engine's clock, counters and event queue with a
 // checkpoint's. The engine must come from the same deterministic
 // construction as the snapshot donor (same config ⇒ same bind and
-// timer registries); Restore verifies the registry sizes and resolves
-// every recorded callback before touching the queue.
+// timer registries). Before touching the queue, Restore verifies the
+// registry sizes, resolves every recorded callback, and checks that the
+// records form a queue the engine could have held: strictly increasing
+// in (At, Seq) as Snapshot writes them, none before the clock, each
+// timer armed at most once, and every counter sequence already issued.
 func (e *Engine) Restore(s EngineState) error {
 	if e.running {
 		return fmt.Errorf("sim: Restore during Run")
@@ -81,11 +84,25 @@ func (e *Engine) Restore(s EngineState) error {
 			len(e.binds), len(e.timers), s.Binds, s.Timers)
 	}
 	fns := make([]Fn, len(s.Events))
+	armed := make([]bool, len(e.timers))
 	for i, rec := range s.Events {
+		switch {
+		case rec.At < s.Now:
+			return fmt.Errorf("sim: event %q at %v precedes the snapshot clock %v", rec.Name, rec.At, s.Now)
+		case rec.Seq&SeqBand == 0 && rec.Seq > s.Seq:
+			return fmt.Errorf("sim: event %q has sequence %d beyond the snapshot counter %d", rec.Name, rec.Seq, s.Seq)
+		case i > 0 && !recordLess(s.Events[i-1], rec):
+			return fmt.Errorf("sim: event %q (at %v, seq %d) does not follow (at %v, seq %d): records must be strictly increasing",
+				rec.Name, rec.At, rec.Seq, s.Events[i-1].At, s.Events[i-1].Seq)
+		}
 		if rec.Timer >= 0 {
 			if int(rec.Timer) >= len(e.timers) {
 				return fmt.Errorf("sim: snapshot references timer %d of %d", rec.Timer, len(e.timers))
 			}
+			if armed[rec.Timer] {
+				return fmt.Errorf("sim: snapshot arms timer %d twice", rec.Timer)
+			}
+			armed[rec.Timer] = true
 			continue
 		}
 		fn, err := e.ResolveFn(rec.Fn)

@@ -148,49 +148,94 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	}
 }
 
-// TestSnapshotRestoreAcrossSchedulers pins the queue-walk contract both
-// implementations share: each visits every queued event, reset empties
-// the queue and re-bases its clock. The compiled-in queue is covered by
-// the engine tests; this drives both concrete types directly.
-func TestSchedulerEachAndReset(t *testing.T) {
+// TestRestoreRejectsCorruptQueue feeds Restore images whose event
+// records no engine could have held. Each must fail before the queue is
+// touched: a timer armed twice would be pushed into the wheel twice
+// (its list links then loop and Run never returns), and an event before
+// the clock or out of (at, seq) order would fire after later events,
+// running the clock backwards.
+func TestRestoreRejectsCorruptQueue(t *testing.T) {
+	valid := func() EngineState {
+		return EngineState{Now: 10, Seq: 5, Binds: 2, Timers: 1, Events: []EventRecord{
+			{At: 10, Seq: 3, Name: "a", Fn: 1, Timer: -1},
+			{At: 12, Seq: 5, Name: "tick", Timer: 0},
+			{At: 12, Seq: SeqBand | 99, Name: "keyed", Fn: 2, Timer: -1},
+		}}
+	}
 	for _, tc := range []struct {
 		name string
-		q    scheduler
+		edit func(s *EngineState)
+		ok   bool
 	}{
-		{"heap", &heapSched{}},
-		{"wheel", &wheelSched{}},
+		{"valid", func(s *EngineState) {}, true},
+		{"timer twice", func(s *EngineState) {
+			s.Events = append(s.Events, EventRecord{At: 20, Seq: 4, Name: "tick", Timer: 0})
+		}, false},
+		{"before clock", func(s *EngineState) { s.Events[0].At = 9 }, false},
+		{"out of order", func(s *EngineState) { s.Events[0], s.Events[1] = s.Events[1], s.Events[0] }, false},
+		{"duplicate key", func(s *EngineState) { s.Events[1].At, s.Events[1].Seq = 10, 3 }, false},
+		{"unissued sequence", func(s *EngineState) { s.Events[1].Seq = 6 }, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			tc.q.init(0)
-			evs := make([]*Event, 5)
-			for i := range evs {
-				evs[i] = &Event{at: Time(100 - 10*i), seq: uint64(i + 1), index: -1}
-				tc.q.push(evs[i])
-			}
-			seen := map[*Event]bool{}
-			tc.q.each(func(ev *Event) { seen[ev] = true })
-			if len(seen) != len(evs) {
-				t.Fatalf("each visited %d of %d events", len(seen), len(evs))
-			}
-			for _, ev := range evs {
-				if !seen[ev] {
-					t.Fatalf("each missed event at %d", ev.at)
+			st := valid()
+			tc.edit(&st)
+			r := newSnapRig()
+			r.eng.AtFn(50, "before", r.a)
+			err := r.eng.Restore(st)
+			if tc.ok {
+				if err != nil {
+					t.Fatal(err)
 				}
+				r.eng.Run(100)
+				if want := []string{"a@10", "t@12", "b@12", "t@19"}; !reflect.DeepEqual(r.log[:4], want) {
+					t.Fatalf("fired %v, want prefix %v", r.log, want)
+				}
+				return
 			}
-			for _, ev := range evs {
-				ev.next, ev.prev, ev.index = nil, nil, -1
+			if err == nil {
+				t.Fatal("Restore accepted a corrupt image")
 			}
-			tc.q.reset(1000)
-			if tc.q.len() != 0 {
-				t.Fatalf("reset left %d events queued", tc.q.len())
-			}
-			// The reset queue accepts events at its new epoch.
-			ev := &Event{at: 1005, seq: 99, index: -1}
-			tc.q.push(ev)
-			if got := tc.q.peek(); got != ev {
-				t.Fatalf("post-reset peek = %v", got)
+			// A rejected image leaves the engine as it was.
+			if r.eng.Now() != 0 || r.eng.Pending() != 1 {
+				t.Fatalf("rejected Restore touched the engine: now=%v pending=%d", r.eng.Now(), r.eng.Pending())
 			}
 		})
+	}
+}
+
+// TestSchedulerEachAndReset pins the queue-walk contract checkpoints
+// rely on: each visits every queued event, reset empties the queue and
+// re-bases its clock.
+func TestSchedulerEachAndReset(t *testing.T) {
+	var q wheelSched
+	q.init(tickShift)
+	evs := make([]*Event, 5)
+	for i := range evs {
+		evs[i] = &Event{at: Time(100 - 10*i), seq: uint64(i + 1), index: -1}
+		q.push(evs[i])
+	}
+	seen := map[*Event]bool{}
+	q.each(func(ev *Event) { seen[ev] = true })
+	if len(seen) != len(evs) {
+		t.Fatalf("each visited %d of %d events", len(seen), len(evs))
+	}
+	for _, ev := range evs {
+		if !seen[ev] {
+			t.Fatalf("each missed event at %d", ev.at)
+		}
+	}
+	for _, ev := range evs {
+		ev.next, ev.prev, ev.index = nil, nil, -1
+	}
+	q.reset(1000)
+	if q.len() != 0 {
+		t.Fatalf("reset left %d events queued", q.len())
+	}
+	// The reset queue accepts events at its new epoch.
+	ev := &Event{at: 1005, seq: 99, index: -1}
+	q.push(ev)
+	if got := q.peek(); got != ev {
+		t.Fatalf("post-reset peek = %v", got)
 	}
 }
 

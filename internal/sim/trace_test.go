@@ -85,3 +85,14 @@ func TestTracerStep(t *testing.T) {
 		t.Fatal("Step not traced")
 	}
 }
+
+func TestTraced(t *testing.T) {
+	e := New()
+	if e.Traced() {
+		t.Fatal("fresh engine reports a tracer")
+	}
+	e.Attach(4)
+	if !e.Traced() {
+		t.Fatal("Attach did not install a tracer")
+	}
+}
