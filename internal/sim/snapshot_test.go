@@ -207,36 +207,38 @@ func TestRestoreRejectsCorruptQueue(t *testing.T) {
 // rely on: each visits every queued event, reset empties the queue and
 // re-bases its clock.
 func TestSchedulerEachAndReset(t *testing.T) {
-	var q wheelSched
-	q.init(tickShift)
-	evs := make([]*Event, 5)
-	for i := range evs {
-		evs[i] = &Event{at: Time(100 - 10*i), seq: uint64(i + 1), index: -1}
-		q.push(evs[i])
-	}
-	seen := map[*Event]bool{}
-	q.each(func(ev *Event) { seen[ev] = true })
-	if len(seen) != len(evs) {
-		t.Fatalf("each visited %d of %d events", len(seen), len(evs))
-	}
-	for _, ev := range evs {
-		if !seen[ev] {
-			t.Fatalf("each missed event at %d", ev.at)
+	t.Run("wheel", func(t *testing.T) {
+		var q wheelSched
+		q.init(tickShift)
+		evs := make([]*Event, 5)
+		for i := range evs {
+			evs[i] = &Event{at: Time(100 - 10*i), seq: uint64(i + 1), index: -1}
+			q.push(evs[i])
 		}
-	}
-	for _, ev := range evs {
-		ev.next, ev.prev, ev.index = nil, nil, -1
-	}
-	q.reset(1000)
-	if q.len() != 0 {
-		t.Fatalf("reset left %d events queued", q.len())
-	}
-	// The reset queue accepts events at its new epoch.
-	ev := &Event{at: 1005, seq: 99, index: -1}
-	q.push(ev)
-	if got := q.peek(); got != ev {
-		t.Fatalf("post-reset peek = %v", got)
-	}
+		seen := map[*Event]bool{}
+		q.each(func(ev *Event) { seen[ev] = true })
+		if len(seen) != len(evs) {
+			t.Fatalf("each visited %d of %d events", len(seen), len(evs))
+		}
+		for _, ev := range evs {
+			if !seen[ev] {
+				t.Fatalf("each missed event at %d", ev.at)
+			}
+		}
+		for _, ev := range evs {
+			ev.next, ev.prev, ev.index = nil, nil, -1
+		}
+		q.reset(1000)
+		if q.len() != 0 {
+			t.Fatalf("reset left %d events queued", q.len())
+		}
+		// The reset queue accepts events at its new epoch.
+		ev := &Event{at: 1005, seq: 99, index: -1}
+		q.push(ev)
+		if got := q.peek(); got != ev {
+			t.Fatalf("post-reset peek = %v", got)
+		}
+	})
 }
 
 func TestFnIdentity(t *testing.T) {
