@@ -115,13 +115,13 @@ BENCH_TOL ?= 15
 bench-check:
 	$(GO) run ./cmd/cdnabench -short -compare BENCH_sim.json -tol $(BENCH_TOL)
 
-# pprof captures CPU and allocation profiles of the heaviest end-to-end
-# scenario (4-host incast, sharded) into prof/. Inspect with
+# pprof captures CPU and allocation profiles of the canned end-to-end
+# hot-path scenario (4-host CDNA incast) into prof/. Inspect with
 # `go tool pprof prof/cpu.out` / `go tool pprof prof/allocs.out`;
 # EXPERIMENTS.md documents the workflow.
 pprof:
 	mkdir -p prof
-	$(GO) run ./cmd/cdnasim -mode cdna -hosts 4 -pattern incast -shards 4 \
+	$(GO) run ./cmd/cdnasim -mode cdna -hosts 4 -pattern incast \
 		-warmup 0.1 -duration 0.4 -cpuprofile prof/cpu.out -memprofile prof/allocs.out
 	@echo "profiles written: prof/cpu.out prof/allocs.out"
 

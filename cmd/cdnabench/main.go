@@ -12,8 +12,6 @@
 //	cdnabench -out BENCH_sim.json # write to a file
 //	cdnabench -benchtime 2s       # longer micro-benchmark windows
 //	cdnabench -short              # quick windows (CI's bench-check)
-//	cdnabench -ref other.json     # embed another build's rows as the
-//	                              # reference block (side by side)
 //	cdnabench -compare old.json   # diff this run against a committed
 //	                              # BENCH_sim.json; exit 1 when any
 //	                              # ns/event metric regressed >15%
@@ -37,6 +35,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"runtime"
@@ -132,10 +131,7 @@ type Report struct {
 	GoVersion string `json:"go_version"`
 	GOARCH    string `json:"goarch"`
 
-	// GOMAXPROCS records the core count of the measuring machine. The
-	// sharded multi-host rows depend on it directly (shards execute in
-	// parallel), so -compare skips their regression gate when the two
-	// reports were measured at different core counts.
+	// GOMAXPROCS records the core count of the measuring machine.
 	GOMAXPROCS int `json:"gomaxprocs,omitempty"`
 
 	// Scheduler is the engine's event queue (sim.SchedulerName).
@@ -164,16 +160,6 @@ type Report struct {
 	// worth of model per simulated second through one engine.
 	MultiHost EndToEnd `json:"multi_host_end_to_end"`
 
-	// MultiHostShards{2,4} rerun the multi-host row with the machine
-	// partitioned over 2 and 4 engine shards (Config.Shards). Results
-	// are byte-identical to the single-engine row by contract; the wall
-	// clock measures what the sharded executor costs or buys. On a
-	// single-core machine the shards execute sequentially, so these rows
-	// carry the barrier/seam overhead, not a parallel speedup — see
-	// EXPERIMENTS.md.
-	MultiHostShards2 EndToEnd `json:"multi_host_end_to_end_shards2"`
-	MultiHostShards4 EndToEnd `json:"multi_host_end_to_end_shards4"`
-
 	// FabricLeafSpine reruns the multi-host incast over a two-tier
 	// leaf-spine fabric (internal/topo multi-switch path: ECMP hashing,
 	// trunk pipes, valley-free forwarding on every cross-leaf frame).
@@ -197,10 +183,6 @@ type Report struct {
 	// results are byte-identical to the cold ones; only the redundant
 	// warmup simulation is saved.
 	WarmstartFork WarmstartFork `json:"warmstart_fork"`
-
-	// Reference carries another build's rows for side-by-side reading
-	// (cdnabench -ref).
-	Reference *Reference `json:"reference,omitempty"`
 
 	// The seed engine measured immediately before the zero-allocation
 	// refactor (BenchmarkBaselineScheduleFire on the reference builder:
@@ -246,20 +228,6 @@ type WarmstartFork struct {
 	ColdSeconds   float64 `json:"cold_wall_seconds"`
 	ForkedSeconds float64 `json:"forked_wall_seconds"`
 	Speedup       float64 `json:"speedup"`
-}
-
-// Reference is an embedded secondary measurement (see Report.Reference).
-type Reference struct {
-	Scheduler        string     `json:"scheduler"`
-	Engine           EngineRows `json:"engine"`
-	Model            ModelRows  `json:"model"`
-	Fabric           Row        `json:"fabric_forward"`
-	EndToEnd         EndToEnd   `json:"end_to_end"`
-	MultiHost        EndToEnd   `json:"multi_host_end_to_end"`
-	MultiHostShards2 EndToEnd   `json:"multi_host_end_to_end_shards2"`
-	MultiHostShards4 EndToEnd   `json:"multi_host_end_to_end_shards4"`
-	FabricLeafSpine  EndToEnd   `json:"fabric_leafspine_end_to_end"`
-	OpenLoop         EndToEnd   `json:"open_loop_end_to_end"`
 }
 
 func measure(benchtime time.Duration, match func(string) bool) (*Report, error) {
@@ -349,17 +317,6 @@ func measure(benchtime time.Duration, match func(string) bool) (*Report, error) 
 	mh.Pattern = bench.PatternIncast
 	if err := endToEnd("multi_host", mh, &rep.MultiHost); err != nil {
 		return nil, err
-	}
-	for _, s := range []struct {
-		name string
-		n    int
-		out  *EndToEnd
-	}{{"multi_host_shards2", 2, &rep.MultiHostShards2}, {"multi_host_shards4", 4, &rep.MultiHostShards4}} {
-		cfg := mh
-		cfg.Shards = s.n
-		if err := endToEnd(s.name, cfg, s.out); err != nil {
-			return nil, err
-		}
 	}
 	ls := mh
 	ls.Fabric = topo.FabricSpec{Kind: topo.KindLeafSpine, HostsPerLeaf: 2, Spines: 2}
@@ -498,79 +455,55 @@ func load(path string) (*Report, error) {
 	return &rep, nil
 }
 
-// metric is one comparable ns/event figure extracted from a report.
-// procs is nonzero only for rows whose timing depends on the measuring
-// machine's core count (the sharded multi-host rows); compare() skips
-// the regression gate on those when the two reports disagree. spread is
-// the row's recorded measurement scatter (SpreadPct / WallSpreadPct),
-// which widens the per-row regression gate.
+// metric is one comparable ns/event figure extracted from a report,
+// identified by name. spread is the row's recorded measurement scatter
+// (SpreadPct / WallSpreadPct), which widens the per-row regression
+// gate.
 type metric struct {
 	name   string
 	ns     float64
 	allocs int64
-	procs  int
 	spread float64
 }
 
+// perEvent converts an events/sec figure to ns/event (0 when absent).
+func perEvent(eventsPerSec float64) float64 {
+	if eventsPerSec <= 0 {
+		return 0
+	}
+	return 1e9 / eventsPerSec
+}
+
 func metrics(r *Report) []metric {
-	e2eNs := 0.0
-	if r.EndToEnd.EventsPerSec > 0 {
-		e2eNs = 1e9 / r.EndToEnd.EventsPerSec
+	micro := func(name string, row Row) metric {
+		return metric{name, row.NsPerEvent, row.AllocsPerOp, row.SpreadPct}
 	}
-	mhNs := 0.0
-	if r.MultiHost.EventsPerSec > 0 {
-		mhNs = 1e9 / r.MultiHost.EventsPerSec
+	wall := func(name string, e EndToEnd) metric {
+		return metric{name, perEvent(e.EventsPerSec), 0, e.WallSpreadPct}
 	}
-	snapNs := (r.SnapRoundTrip.SnapshotSeconds + r.SnapRoundTrip.RestoreSeconds) * 1e9
 	forkNs := 0.0
 	if r.WarmstartFork.Runs > 0 {
 		forkNs = r.WarmstartFork.ForkedSeconds / float64(r.WarmstartFork.Runs) * 1e9
 	}
-	mh2Ns, mh4Ns := 0.0, 0.0
-	if r.MultiHostShards2.EventsPerSec > 0 {
-		mh2Ns = 1e9 / r.MultiHostShards2.EventsPerSec
-	}
-	if r.MultiHostShards4.EventsPerSec > 0 {
-		mh4Ns = 1e9 / r.MultiHostShards4.EventsPerSec
-	}
-	flsNs, olNs := 0.0, 0.0
-	if r.FabricLeafSpine.EventsPerSec > 0 {
-		flsNs = 1e9 / r.FabricLeafSpine.EventsPerSec
-	}
-	if r.OpenLoop.EventsPerSec > 0 {
-		olNs = 1e9 / r.OpenLoop.EventsPerSec
-	}
 	return []metric{
-		{"engine.schedule_fire", r.Engine.ScheduleFire.NsPerEvent, r.Engine.ScheduleFire.AllocsPerOp, 0, r.Engine.ScheduleFire.SpreadPct},
-		{"engine.schedule_fire_closure", r.Engine.ScheduleFireClosure.NsPerEvent, r.Engine.ScheduleFireClosure.AllocsPerOp, 0, r.Engine.ScheduleFireClosure.SpreadPct},
-		{"engine.schedule_fire_depth64", r.Engine.ScheduleFireDepth64.NsPerEvent, r.Engine.ScheduleFireDepth64.AllocsPerOp, 0, r.Engine.ScheduleFireDepth64.SpreadPct},
-		{"engine.timer_rearm", r.Engine.TimerRearm.NsPerEvent, r.Engine.TimerRearm.AllocsPerOp, 0, r.Engine.TimerRearm.SpreadPct},
-		{"engine.cancel", r.Engine.Cancel.NsPerEvent, r.Engine.Cancel.AllocsPerOp, 0, r.Engine.Cancel.SpreadPct},
-		{"engine.cancel_heavy", r.Engine.CancelHeavy.NsPerEvent, r.Engine.CancelHeavy.AllocsPerOp, 0, r.Engine.CancelHeavy.SpreadPct},
-		{"engine.rto_churn", r.Engine.RTOChurn.NsPerEvent, r.Engine.RTOChurn.AllocsPerOp, 0, r.Engine.RTOChurn.SpreadPct},
-		{"fabric.forward", r.Fabric.NsPerEvent, r.Fabric.AllocsPerOp, 0, r.Fabric.SpreadPct},
-		{"end_to_end.ns_per_event", e2eNs, 0, 0, r.EndToEnd.WallSpreadPct},
-		{"multi_host.ns_per_event", mhNs, 0, 0, r.MultiHost.WallSpreadPct},
-		// Snapshot+restore round trip and per-run forked wall: absent
-		// (zero) in pre-checkpoint artifacts, where they report as n/a.
-		{"snapshot_roundtrip.ns", snapNs, 0, 0, 0},
-		{"warmstart_fork.ns_per_run", forkNs, 0, 0, 0},
-		// compare() walks the OLD report's metric list by index, so new
-		// metrics must only ever be added at the end to stay comparable
-		// with committed artifacts. The sharded rows carry the report's
-		// GOMAXPROCS: their wall clock depends on how many shards actually
-		// run in parallel, so cross-machine comparisons skip their gate.
-		{"multi_host_shards2.ns_per_event", mh2Ns, 0, r.GOMAXPROCS, r.MultiHostShards2.WallSpreadPct},
-		{"multi_host_shards4.ns_per_event", mh4Ns, 0, r.GOMAXPROCS, r.MultiHostShards4.WallSpreadPct},
-		// Model-layer rows (added at the end per the rule above).
-		{"model.nic_tx_pipeline", r.Model.NicTxPipeline.NsPerEvent, r.Model.NicTxPipeline.AllocsPerOp, 0, r.Model.NicTxPipeline.SpreadPct},
-		{"model.guest_dma", r.Model.GuestDMA.NsPerEvent, r.Model.GuestDMA.AllocsPerOp, 0, r.Model.GuestDMA.SpreadPct},
-		{"model.transport_segment", r.Model.TransportSegment.NsPerEvent, r.Model.TransportSegment.AllocsPerOp, 0, r.Model.TransportSegment.SpreadPct},
-		{"model.frame_arena", r.Model.FrameArena.NsPerEvent, r.Model.FrameArena.AllocsPerOp, 0, r.Model.FrameArena.SpreadPct},
-		// Multi-tier fabric and open-loop workload rows (this PR's
-		// additions, at the end per the rule above).
-		{"fabric_leafspine.ns_per_event", flsNs, 0, 0, r.FabricLeafSpine.WallSpreadPct},
-		{"open_loop.ns_per_event", olNs, 0, 0, r.OpenLoop.WallSpreadPct},
+		micro("engine.schedule_fire", r.Engine.ScheduleFire),
+		micro("engine.schedule_fire_closure", r.Engine.ScheduleFireClosure),
+		micro("engine.schedule_fire_depth64", r.Engine.ScheduleFireDepth64),
+		micro("engine.timer_rearm", r.Engine.TimerRearm),
+		micro("engine.cancel", r.Engine.Cancel),
+		micro("engine.cancel_heavy", r.Engine.CancelHeavy),
+		micro("engine.rto_churn", r.Engine.RTOChurn),
+		micro("fabric.forward", r.Fabric),
+		micro("model.nic_tx_pipeline", r.Model.NicTxPipeline),
+		micro("model.guest_dma", r.Model.GuestDMA),
+		micro("model.transport_segment", r.Model.TransportSegment),
+		micro("model.frame_arena", r.Model.FrameArena),
+		wall("end_to_end.ns_per_event", r.EndToEnd),
+		wall("multi_host.ns_per_event", r.MultiHost),
+		wall("fabric_leafspine.ns_per_event", r.FabricLeafSpine),
+		wall("open_loop.ns_per_event", r.OpenLoop),
+		{"snapshot_roundtrip.ns", (r.SnapRoundTrip.SnapshotSeconds + r.SnapRoundTrip.RestoreSeconds) * 1e9, 0, 0},
+		{"warmstart_fork.ns_per_run", forkNs, 0, 0},
 	}
 }
 
@@ -596,36 +529,44 @@ func effectiveTol(tol float64, old, cur metric) float64 {
 }
 
 // compare prints per-metric deltas of cur vs old and reports whether
-// any ns/event metric regressed by more than its per-row tolerance
-// (the -tol floor widened by the row's recorded measurement spread —
-// see effectiveTol), or any engine benchmark started allocating.
+// any metric regressed (see compareMetrics).
 func compare(old, cur *Report, tol float64) (failed bool) {
 	fmt.Printf("comparing against committed baseline (%s scheduler, %s):\n",
 		old.Scheduler, old.GoVersion)
-	fmt.Printf("  %-30s %12s %12s %9s\n", "metric", "old ns/ev", "new ns/ev", "delta")
-	om, cm := metrics(old), metrics(cur)
-	for i, o := range om {
-		c := cm[i]
-		// The alloc gate holds regardless of timing comparability.
+	return compareMetrics(os.Stdout, metrics(old), metrics(cur), tol)
+}
+
+// compareMetrics matches rows by name and reports whether any ns/event
+// metric regressed by more than its per-row tolerance (the -tol floor
+// widened by the row's recorded measurement spread — see effectiveTol),
+// or any benchmark started allocating. A row that only one side has —
+// missing from the list, or measured as zero in the baseline — prints
+// n/a and is not gated; a row the baseline has but the current run
+// measured as zero is a silently broken benchmark and fails as MISSING.
+func compareMetrics(w io.Writer, om, cm []metric, tol float64) (failed bool) {
+	fmt.Fprintf(w, "  %-30s %12s %12s %9s\n", "metric", "old ns/ev", "new ns/ev", "delta")
+	cur := make(map[string]metric, len(cm))
+	for _, c := range cm {
+		cur[c.name] = c
+	}
+	seen := make(map[string]bool, len(om))
+	for _, o := range om {
+		seen[o.name] = true
+		c, ok := cur[o.name]
+		if !ok {
+			fmt.Fprintf(w, "  %-30s %12.2f %12s %9s\n", o.name, o.ns, "-", "n/a")
+			continue
+		}
 		if c.allocs > o.allocs {
-			fmt.Printf("  %-30s allocs/op %d -> %d  << REGRESSION\n", o.name, o.allocs, c.allocs)
+			fmt.Fprintf(w, "  %-30s allocs/op %d -> %d  << REGRESSION\n", o.name, o.allocs, c.allocs)
 			failed = true
 		}
 		switch {
 		case o.ns <= 0:
-			// Metric absent from an older artifact: reported, not gated.
-			fmt.Printf("  %-30s %12.2f %12.2f %9s\n", o.name, o.ns, c.ns, "n/a")
+			fmt.Fprintf(w, "  %-30s %12.2f %12.2f %9s\n", o.name, o.ns, c.ns, "n/a")
 		case c.ns <= 0:
-			// The current run failed to measure a metric the baseline
-			// has — a silently broken benchmark, not a speedup.
-			fmt.Printf("  %-30s %12.2f %12.2f %9s  << MISSING\n", o.name, o.ns, c.ns, "n/a")
+			fmt.Fprintf(w, "  %-30s %12.2f %12.2f %9s  << MISSING\n", o.name, o.ns, c.ns, "n/a")
 			failed = true
-		case o.procs != 0 && c.procs != 0 && o.procs != c.procs:
-			// Core-count-sensitive row measured on machines with different
-			// parallelism: the delta is hardware, not a code regression.
-			delta := (c.ns - o.ns) / o.ns * 100
-			fmt.Printf("  %-30s %12.2f %12.2f %+8.1f%%  (skipped: %d vs %d cores)\n",
-				o.name, o.ns, c.ns, delta, o.procs, c.procs)
 		default:
 			delta := (c.ns - o.ns) / o.ns * 100
 			rowTol := effectiveTol(tol, o, c)
@@ -639,13 +580,18 @@ func compare(old, cur *Report, tol float64) (failed bool) {
 				// the widening so a quiet machine's run still reads clean.
 				mark = fmt.Sprintf("  (within spread-widened gate %.0f%%)", rowTol)
 			}
-			fmt.Printf("  %-30s %12.2f %12.2f %+8.1f%%%s\n", o.name, o.ns, c.ns, delta, mark)
+			fmt.Fprintf(w, "  %-30s %12.2f %12.2f %+8.1f%%%s\n", o.name, o.ns, c.ns, delta, mark)
+		}
+	}
+	for _, c := range cm {
+		if !seen[c.name] {
+			fmt.Fprintf(w, "  %-30s %12s %12.2f %9s\n", c.name, "-", c.ns, "n/a")
 		}
 	}
 	if failed {
-		fmt.Printf("FAIL: a metric regressed beyond its tolerance (floor %.0f%%, widened per row by recorded spread)\n", tol)
+		fmt.Fprintf(w, "FAIL: a metric regressed beyond its tolerance (floor %.0f%%, widened per row by recorded spread)\n", tol)
 	} else {
-		fmt.Printf("ok: all metrics within tolerance (floor %.0f%%, widened per row by recorded spread)\n", tol)
+		fmt.Fprintf(w, "ok: all metrics within tolerance (floor %.0f%%, widened per row by recorded spread)\n", tol)
 	}
 	return failed
 }
@@ -660,7 +606,6 @@ func main() {
 	out := flag.String("out", "", "write JSON here (default stdout)")
 	benchtime := flag.Duration("benchtime", time.Second, "per-micro-benchmark measurement time")
 	short := flag.Bool("short", false, "quick measurement windows (CI bench-check)")
-	refPath := flag.String("ref", "", "embed this report's rows as the reference block")
 	comparePath := flag.String("compare", "", "diff against this BENCH_sim.json; exit 1 on regression")
 	withPath := flag.String("with", "", "with -compare: diff this file instead of measuring")
 	tol := flag.Float64("tol", 15, "regression tolerance on ns/event metrics, percent")
@@ -692,20 +637,6 @@ func main() {
 		}
 	} else if rep, err = measure(bt, match); err != nil {
 		fatal(err)
-	}
-
-	if *refPath != "" {
-		other, err := load(*refPath)
-		if err != nil {
-			fatal(err)
-		}
-		rep.Reference = &Reference{Scheduler: other.Scheduler, Engine: other.Engine, Model: other.Model, Fabric: other.Fabric}
-		rep.Reference.EndToEnd = other.EndToEnd
-		rep.Reference.MultiHost = other.MultiHost
-		rep.Reference.MultiHostShards2 = other.MultiHostShards2
-		rep.Reference.MultiHostShards4 = other.MultiHostShards4
-		rep.Reference.FabricLeafSpine = other.FabricLeafSpine
-		rep.Reference.OpenLoop = other.OpenLoop
 	}
 
 	if *out != "" || *comparePath == "" {

@@ -60,7 +60,6 @@ func main() {
 	faultTarget := flag.Int("fault-target", 0, "victim link (linkflap) or switch port (portfail)")
 	duration := flag.Float64("duration", 1.0, "measurement window, simulated seconds")
 	warmup := flag.Float64("warmup", 0.3, "warmup, simulated seconds")
-	shards := flag.Int("shards", 0, "engine shards for a multi-host run (0/1 = single engine; results are byte-identical at any value)")
 	verbose := flag.Bool("v", false, "print extra diagnostics")
 	trace := flag.Int("trace", 0, "print the last N simulator events")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -144,7 +143,6 @@ func main() {
 	if *hosts > 1 {
 		cfg.Hosts = *hosts
 		cfg.Pattern = pat
-		cfg.Shards = *shards
 		if fbKind != topo.KindToR {
 			cfg.Fabric = topo.FabricSpec{
 				Kind:         fbKind,
@@ -154,9 +152,6 @@ func main() {
 				Seed:         *fabricSeed,
 			}
 		}
-	} else if *shards > 1 {
-		fmt.Fprintf(os.Stderr, "-shards requires -hosts > 1 (a single host runs on a single engine)\n")
-		os.Exit(2)
 	}
 	if *conns > 0 {
 		cfg.ConnsPerGuestPerNIC = *conns

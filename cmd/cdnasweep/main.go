@@ -128,7 +128,6 @@ func main() {
 	hosts := flag.String("hosts", "", "comma list of fabric host counts (1 = classic host+peer; also overrides a preset's host axis)")
 	patterns := flag.String("patterns", "", "comma list: pairs | incast | all2all (cross-host scenarios, hosts > 1)")
 	fabrics := flag.String("fabrics", "", "comma list: tor | leafspine | fattree (switching topologies, hosts > 1; defaults per kind, use -spec for knobs)")
-	shards := flag.String("shards", "", "comma list of engine shard counts for multi-host points (wall-clock only; results are byte-identical at any value)")
 	faults := flag.String("faults", "", "comma list: none | linkflap | portfail | blackout (default quarter-window schedule; use -spec for exact timing)")
 	conns := flag.Int("conns", 0, "connections per guest per NIC (0 = balanced default)")
 	window := flag.Int("window", 0, "transport window in segments (0 = default)")
@@ -229,10 +228,9 @@ func main() {
 
 	// Axis flags define an ad-hoc grid; they cannot constrain a canned
 	// preset or a spec file, so reject the combination instead of
-	// silently ignoring them. -hosts and -shards are the exceptions:
-	// they override the matching axis of a preset/spec grid too (so
-	// `-hosts 8 -preset topology` re-scales the whole canned campaign to
-	// one rack size, and `-shards 4` re-shards it).
+	// silently ignoring them. -hosts is the exception: it overrides the
+	// host axis of a preset/spec grid too (so `-hosts 8 -preset
+	// topology` re-scales the whole canned campaign to one rack size).
 	axisFlags := map[string]bool{
 		"modes": true, "nics": true, "dirs": true, "guests": true,
 		"niccounts": true, "protections": true, "batches": true,
@@ -284,7 +282,6 @@ func main() {
 				k, err := topo.ParseFabricKind(s)
 				return topo.FabricSpec{Kind: k}, err
 			}),
-			Shards: splitList("shards", *shards, strconv.Atoi),
 			Faults: splitList("faults", *faults, func(s string) (bench.FaultSpec, error) {
 				k, err := bench.ParseFaultKind(s)
 				return bench.FaultSpec{Kind: k}, err
@@ -310,15 +307,6 @@ func main() {
 		hs := splitList("hosts", *hosts, strconv.Atoi)
 		for i := range grids {
 			grids[i].Hosts = hs
-		}
-	}
-	// -shards, like -hosts, composes with a preset/spec: sharding is a
-	// wall-clock knob with no effect on results, so re-sharding a canned
-	// campaign is always sound.
-	if *shards != "" {
-		ss := splitList("shards", *shards, strconv.Atoi)
-		for i := range grids {
-			grids[i].Shards = ss
 		}
 	}
 

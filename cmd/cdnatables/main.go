@@ -46,7 +46,6 @@ func main() {
 	topology := flag.Bool("topology", false, "run only the cross-host fabric scenarios (incast, all-to-all)")
 	fabrics := flag.Bool("fabrics", false, "run only the multi-tier fabric scenarios (cross-rack incast, oversubscription, open-loop load)")
 	workers := flag.Int("workers", 0, "concurrent experiments per table (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "engine shards per multi-host experiment (wall-clock only; tables are byte-identical at any value)")
 	csvDir := flag.String("csvdir", "", "also write each table as CSV into this directory")
 	storeDir := flag.String("store", "", "durable result-store directory (shared with cdnasweep/the daemon); rows already stored are not re-simulated")
 	flag.Parse()
@@ -63,7 +62,6 @@ func main() {
 		opts = bench.Quick()
 	}
 	opts.Runner = campaign.Runner(*workers)
-	opts.Shards = *shards
 	var cacheStats campaign.CacheStats
 	if *storeDir != "" {
 		s, err := store.Open(*storeDir)

@@ -74,42 +74,18 @@ type slot struct {
 // through a top-of-rack switch (internal/topo), then wires the
 // configured cross-host traffic pattern. Every host is built by the
 // same per-mode builder the single-host path uses; only the fabric
-// behind newLink differs.
-//
-// The cluster is partitioned over clampShards(cfg.Shards, cfg.Hosts)
-// engine shards: contiguous host blocks map to shards, the switch runs
-// on the last shard, and the access links become cross-shard seams
-// (shards.go). Every fabric pipe uses keyed delivery sequencing even at
-// one shard, so same-instant delivery order is a pure function of
-// traffic and results are byte-identical at any shard count.
+// behind newLink differs. Every fabric pipe uses keyed delivery
+// sequencing (ether.Pipe.EnableKeyed), so same-instant delivery order
+// is a pure function of traffic, not of scheduling order.
 func buildCluster(cfg Config) (*Machine, error) {
-	cal := cfg.Cal
-	nshards := clampShards(cfg.Shards, cfg.Hosts)
-	engines := make([]*sim.Engine, nshards)
-	for s := range engines {
-		engines[s] = sim.New()
-	}
-	fabEng := engines[nshards-1]
-	m := &Machine{Eng: engines[0], engines: engines}
-	m.arenas = make([]*ether.Arena, nshards)
-	m.segPools = make([]*transport.SegPool, nshards)
-	for s := range m.arenas {
-		m.arenas[s] = ether.NewArena()
-		m.segPools[s] = transport.NewSegPool()
-	}
-	m.shardOf = make([]int, cfg.Hosts)
-	for hi := range m.shardOf {
-		m.shardOf[hi] = hi * nshards / cfg.Hosts
-	}
-	spec := cfg.Workload.Resolved(cfg.Dir == Tx || cfg.Dir == Both, cfg.Dir == Rx || cfg.Dir == Both)
-	var err error
-	m.Work, err = workload.NewFleet(engines, spec)
+	m, err := newMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
+	eng := m.Eng
 	// Access links claim keyed-pipe IDs [0, 2*Hosts*NICs); the fabric's
-	// trunks start above them, so IDs are disjoint at any shard count.
-	m.Fabric, err = topo.NewFabric(fabEng, topo.DefaultParams(), cfg.Fabric,
+	// trunks start above them, so IDs are disjoint.
+	m.Fabric, err = topo.NewFabric(eng, topo.DefaultParams(), cfg.Fabric,
 		cfg.Hosts, cfg.NICs, 2*cfg.Hosts*cfg.NICs)
 	if err != nil {
 		return nil, err
@@ -123,21 +99,17 @@ func buildCluster(cfg Config) (*Machine, error) {
 
 	pipeID := 0
 	for hi := 0; hi < cfg.Hosts; hi++ {
-		shard := m.shardOf[hi]
-		hostEng := engines[shard]
-		h := &Host{Index: hi, CPU: cpu.New(hostEng, cal.CPU), Mem: mem.New()}
+		h := &Host{Index: hi, CPU: cpu.New(eng, cfg.Cal.CPU), Mem: mem.New()}
 		prefix := fmt.Sprintf("h%d.", hi)
 		env := hostEnv{
-			eng: hostEng,
+			eng: eng,
 			h:   h,
 			newLink: func() (*ether.Pipe, *ether.Pipe) {
 				p := m.Fabric.Params()
-				l := ether.NewDuplexOn(hostEng, fabEng, p.LinkGbps, p.PropDelay)
+				l := ether.NewDuplex(eng, p.LinkGbps, p.PropDelay)
 				l.AtoB.EnableKeyed(pipeID)
 				l.BtoA.EnableKeyed(pipeID + 1)
 				pipeID += 2
-				m.recordSeam(l.AtoB, shard, nshards-1)
-				m.recordSeam(l.BtoA, nshards-1, shard)
 				m.Fabric.AddPort(l.AtoB, l.BtoA)
 				h.Links = append(h.Links, l.AtoB, l.BtoA)
 				return l.AtoB, l.BtoA
@@ -149,9 +121,6 @@ func buildCluster(cfg Config) (*Machine, error) {
 		if err := buildHost(cfg, env); err != nil {
 			return nil, err
 		}
-		for _, st := range h.Stacks {
-			st.Arena = m.arenas[shard]
-		}
 		m.Hosts = append(m.Hosts, h)
 		m.adoptHost(h)
 	}
@@ -160,7 +129,6 @@ func buildCluster(cfg Config) (*Machine, error) {
 	if err := m.wirePattern(cfg); err != nil {
 		return nil, err
 	}
-	m.cfg = cfg
 	m.faults = newFaultInjector(m)
 	return m, nil
 }
@@ -225,31 +193,25 @@ func (m *Machine) wirePattern(cfg Config) error {
 // acks (and RPC responses) consume remote CPU and fabric capacity.
 func (m *Machine) wireCross(cfg Config, src, dst slot) error {
 	// wire creates a data connection a→b; frames ride each side's own
-	// NIC onto the fabric, addressed by the remote device's MAC. The
-	// connection lives on the sender's shard — its pump and RTO timer
-	// run there — and knows the receiver's shard for delivery-side
-	// clock reads.
+	// NIC onto the fabric, addressed by the remote device's MAC.
 	wire := func(a, b slot) *transport.Conn {
-		conn := transport.NewConn(m.hostEngine(a.addr.Host), len(m.Conns.Conns), transport.DefaultSegSize, cfg.Window)
+		conn := transport.NewConn(m.Eng, len(m.Conns.Conns), transport.DefaultSegSize, cfg.Window)
 		conn.RTO = 200 * sim.Millisecond
-		conn.SetPools(m.segPools[m.shardOf[a.addr.Host]], m.segPools[m.shardOf[b.addr.Host]])
+		conn.SetPool(m.segPool)
 		conn.Local, conn.Remote = a.addr, b.addr
 		conn.AttachSender(a.st.Sender(a.dev, b.dev.MAC()))
 		conn.AttachReceiver(b.st.Sender(b.dev, a.dev.MAC()))
-		conn.SetReceiverEngine(m.hostEngine(b.addr.Host))
 		m.Conns.Add(conn)
 		return conn
 	}
 	if m.Work.NeedsReverse() {
 		// RPC: the wiring guest is the client, the remote guest serves.
-		// The endpoint lives on the client's shard, where its issue and
-		// completion callbacks fire.
 		ep := workload.Endpoint{
 			Fwd: wire(src, dst), Rev: wire(dst, src),
 			Local: src.addr, Remote: dst.addr,
 			OnFlowSetup: src.st.ChargeFlowSetup, OnFlowTeardown: src.st.ChargeFlowTeardown,
 		}
-		return m.Work.AddOn(m.hostEngine(src.addr.Host), ep)
+		return m.Work.Add(ep)
 	}
 	dirs := []Direction{cfg.Dir}
 	if cfg.Dir == Both {
@@ -261,17 +223,16 @@ func (m *Machine) wireCross(cfg Config, src, dst slot) error {
 			a, b = dst, src
 		}
 		// Endpoint identity stays with the wiring guest (Local/Remote),
-		// but the endpoint lives on the shard that runs its callbacks —
-		// the forward sender's host — and its flow hooks charge that
-		// same stack: flow setup/teardown is driven by, and billed to,
-		// the side that opens the flow.
+		// but the flow hooks charge the forward sender's stack: flow
+		// setup/teardown is driven by, and billed to, the side that
+		// opens the flow.
 		ep := workload.Endpoint{
 			Fwd:         wire(a, b),
 			Local:       src.addr,
 			Remote:      dst.addr,
 			OnFlowSetup: a.st.ChargeFlowSetup, OnFlowTeardown: a.st.ChargeFlowTeardown,
 		}
-		if err := m.Work.AddOn(m.hostEngine(a.addr.Host), ep); err != nil {
+		if err := m.Work.Add(ep); err != nil {
 			return err
 		}
 	}

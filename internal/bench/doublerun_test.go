@@ -26,22 +26,18 @@ func TestMultiGuestDoubleRunByteIdentical(t *testing.T) {
 		hosts   int
 		pattern Pattern
 		fault   FaultKind
-		shards  int
 	}{
-		{"Xen/RiceNIC", ModeXen, NICRice, 0, PatternPairs, FaultNone, 0},
-		{"Xen/Intel", ModeXen, NICIntel, 0, PatternPairs, FaultNone, 0},
-		{"CDNA", ModeCDNA, NICRice, 0, PatternPairs, FaultNone, 0},
+		{"Xen/RiceNIC", ModeXen, NICRice, 0, PatternPairs, FaultNone},
+		{"Xen/Intel", ModeXen, NICIntel, 0, PatternPairs, FaultNone},
+		{"CDNA", ModeCDNA, NICRice, 0, PatternPairs, FaultNone},
 		// Multi-host: the switched fabric (per-port egress FIFOs, drops,
 		// cross-host acks) must be just as byte-deterministic.
-		{"CDNA/3h-incast", ModeCDNA, NICRice, 3, PatternIncast, FaultNone, 0},
-		{"Xen/4h-all2all", ModeXen, NICIntel, 4, PatternAllToAll, FaultNone, 0},
+		{"CDNA/3h-incast", ModeCDNA, NICRice, 3, PatternIncast, FaultNone},
+		{"Xen/4h-all2all", ModeXen, NICIntel, 4, PatternAllToAll, FaultNone},
 		// Fault injection mid-window (link flap under incast): the
 		// outage, the drops it forces, and the recovery must all replay
 		// bit-for-bit.
-		{"CDNA/3h-incast-flap", ModeCDNA, NICRice, 3, PatternIncast, FaultLinkFlap, 0},
-		// Sharded execution (shards.go): rerunning the partitioned
-		// machine must be just as reproducible as the single engine.
-		{"CDNA/4h-incast-4shards", ModeCDNA, NICRice, 4, PatternIncast, FaultNone, 4},
+		{"CDNA/3h-incast-flap", ModeCDNA, NICRice, 3, PatternIncast, FaultLinkFlap},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig(tc.mode, tc.nic, Tx)
@@ -50,7 +46,6 @@ func TestMultiGuestDoubleRunByteIdentical(t *testing.T) {
 				cfg.Hosts = tc.hosts
 				cfg.Pattern = tc.pattern
 				cfg.Guests = 2 // clusters multiply hosts; keep the run tight
-				cfg.Shards = tc.shards
 			}
 			cfg.ConnsPerGuestPerNIC = connsFor(cfg.Guests)
 			if tc.mode == ModeCDNA {

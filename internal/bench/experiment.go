@@ -36,12 +36,6 @@ type Config struct {
 	// multiple switches with ECMP-hashed trunks (internal/topo).
 	// Requires Hosts > 1 for any non-ToR kind.
 	Fabric topo.FabricSpec `json:"fabric,omitzero"`
-	// Shards partitions a multi-host machine into per-host engine
-	// shards advancing in barrier-synchronized rounds (shards.go). It
-	// is purely a wall-clock knob: results are byte-identical at any
-	// value, so it is excluded from the JSON schema and the config
-	// name. Clamped to [1, Hosts]; ignored for single-host machines.
-	Shards int `json:"-"`
 
 	ConnsPerGuestPerNIC int `json:"conns_per_guest_per_nic"`
 	Window              int `json:"window"`
@@ -309,16 +303,8 @@ func (m *Machine) Config() Config { return m.cfg }
 // schedule).
 func (m *Machine) Launch() { m.Work.Launch(m.cfg.Warmup) }
 
-// RunTo advances the simulation to absolute time t: directly on the
-// single engine, or in barrier-synchronized rounds across the engine
-// shards (shards.go).
-func (m *Machine) RunTo(t sim.Time) {
-	if len(m.engines) > 1 {
-		m.runShards(t)
-		return
-	}
-	m.Eng.Run(t)
-}
+// RunTo advances the simulation to absolute time t.
+func (m *Machine) RunTo(t sim.Time) { m.Eng.Run(t) }
 
 // OpenWindow opens the measurement window: per-host components are
 // reset in host order (single-host configurations take exactly the
@@ -369,17 +355,17 @@ func (m *Machine) Collect() Result {
 		Profile:     m.profile(),
 		Retransmits: m.Conns.Retransmits(),
 		Fairness:    m.Conns.FairnessIndex(),
-		Events:      m.TotalFired(),
+		Events:      m.Eng.Fired(),
 	}
 	res.PktPerSec = float64(m.Conns.DeliveredBytes()) / 1448 / cfg.Duration.Seconds()
 	res.LatencyP50us = m.Conns.LatencyQuantile(0.5)
 	res.LatencyP90us = m.Conns.LatencyQuantile(0.9)
-	res.RPCPerSec = m.Work.RequestsRate(cfg.Duration)
-	res.FlowsPerSec = m.Work.FlowsRate(cfg.Duration)
-	res.ArrivalsPerSec = m.Work.ArrivalsRate(cfg.Duration)
+	res.RPCPerSec = m.Work.Requests.Rate(cfg.Duration)
+	res.FlowsPerSec = m.Work.Flows.Rate(cfg.Duration)
+	res.ArrivalsPerSec = m.Work.Arrivals.Rate(cfg.Duration)
 	res.TraceSkipped = m.Work.TraceSkipped()
-	res.MsgLatP50us = m.Work.LatencyQuantile(0.5)
-	res.MsgLatP99us = m.Work.LatencyQuantile(0.99)
+	res.MsgLatP50us = m.Work.Latency.Quantile(0.5)
+	res.MsgLatP99us = m.Work.Latency.Quantile(0.99)
 	for _, h := range m.Hosts {
 		if h.Hyp != nil {
 			res.PhysIRQPerSec += h.Hyp.PhysIRQs.Rate(cfg.Duration)

@@ -10,100 +10,8 @@ import (
 )
 
 // The multi-tier fabric determinism contract: a leaf-spine or fat-tree
-// configuration is byte-identical at any shard count (trunks live on
-// one engine and are never seams; ECMP hashes only frame addresses),
-// and its rendered tables replay exactly.
-
-// TestFabricShardDifferential runs leaf-spine and fat-tree racks —
-// closed- and open-loop workloads, with and without oversubscription —
-// across the shard ladder.
-func TestFabricShardDifferential(t *testing.T) {
-	cases := []struct {
-		name string
-		spec topo.FabricSpec
-		pat  Pattern
-		work workload.Spec
-	}{
-		{
-			name: "leafspine-incast-bulk",
-			spec: topo.FabricSpec{Kind: topo.KindLeafSpine, HostsPerLeaf: 2, Spines: 2},
-			pat:  PatternIncast,
-		},
-		{
-			name: "leafspine-all2all-oversub",
-			spec: topo.FabricSpec{Kind: topo.KindLeafSpine, HostsPerLeaf: 2, Spines: 3, Oversub: 4},
-			pat:  PatternAllToAll,
-		},
-		{
-			name: "fattree-all2all-bulk",
-			spec: topo.FabricSpec{Kind: topo.KindFatTree, HostsPerLeaf: 1, Spines: 2},
-			pat:  PatternAllToAll,
-		},
-		{
-			name: "leafspine-pairs-poisson",
-			spec: topo.FabricSpec{Kind: topo.KindLeafSpine, HostsPerLeaf: 2, Spines: 2},
-			pat:  PatternPairs,
-			work: workload.Spec{Kind: workload.Poisson, FlowRate: 3000, SizeDist: workload.SizeWebSearch},
-		},
-		{
-			name: "fattree-incast-pareto",
-			spec: topo.FabricSpec{Kind: topo.KindFatTree, HostsPerLeaf: 2, Spines: 2},
-			pat:  PatternIncast,
-			work: workload.Spec{Kind: workload.Pareto, FlowRate: 2000},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig(ModeCDNA, NICRice, Tx)
-			cfg.Hosts = 4
-			cfg.Pattern = tc.pat
-			cfg.Fabric = tc.spec
-			cfg.Workload = tc.work
-			cfg.Warmup = 10 * sim.Millisecond
-			cfg.Duration = 30 * sim.Millisecond
-			shardDiff(t, cfg, 2, 4)
-		})
-	}
-}
-
-// TestFabricTraceShardDifferential pins the trace-driven generator's
-// shard invariance: events are assigned against the machine-global
-// roster, so the same flow lands on the same endpoint at any shard
-// count.
-func TestFabricTraceShardDifferential(t *testing.T) {
-	var tr workload.FlowTrace
-	for i := 0; i < 60; i++ {
-		tr.Events = append(tr.Events, workload.TraceEvent{
-			At:   sim.Time(i) * 400 * sim.Microsecond,
-			Src:  1 + i%3, // spokes 1..3
-			Dst:  0,       // incast root
-			Segs: 1 + i%7,
-		})
-	}
-	workload.RegisterTrace("benchshard", &tr)
-	cfg := DefaultConfig(ModeCDNA, NICRice, Tx)
-	cfg.Hosts = 4
-	cfg.Pattern = PatternIncast
-	cfg.Fabric = topo.FabricSpec{Kind: topo.KindLeafSpine, HostsPerLeaf: 2, Spines: 2}
-	cfg.Workload = workload.Spec{Kind: workload.Trace, TracePath: workload.MemPrefix + "benchshard"}
-	cfg.Warmup = 10 * sim.Millisecond
-	cfg.Duration = 40 * sim.Millisecond
-	shardDiff(t, cfg, 2, 4)
-}
-
-// TestFabricPortFailShardDifferential pins the headline bugfix's
-// semantics across shards: a failed fabric port drops ingress frames
-// identically at any shard count, through injection and healing.
-func TestFabricPortFailShardDifferential(t *testing.T) {
-	cfg := DefaultConfig(ModeCDNA, NICRice, Tx)
-	cfg.Hosts = 4
-	cfg.Pattern = PatternIncast
-	cfg.Fabric = topo.FabricSpec{Kind: topo.KindLeafSpine, HostsPerLeaf: 2, Spines: 2}
-	cfg.Warmup = 10 * sim.Millisecond
-	cfg.Duration = 40 * sim.Millisecond
-	cfg.Fault = FaultSpec{Kind: FaultPortFail, After: 10 * sim.Millisecond, Outage: 10 * sim.Millisecond}
-	shardDiff(t, cfg, 2, 4)
-}
+// configuration replays byte-identically (ECMP hashes only frame
+// addresses), and so do its rendered tables.
 
 // TestFabricGoldenDeterminism pins byte-identical rendered output for
 // the three fabric scenario tables, and that each scenario actually
@@ -162,29 +70,6 @@ func TestFabricGoldenDeterminism(t *testing.T) {
 	}
 	if !strings.Contains(first, "leafspine") || !strings.Contains(first, "fattree") {
 		t.Fatalf("rendered fabric tables look wrong:\n%s", first)
-	}
-}
-
-// TestFabricTablesShardByteIdentical renders the fabric scenario tables
-// with and without sharding: the formatted artifacts must match byte
-// for byte.
-func TestFabricTablesShardByteIdentical(t *testing.T) {
-	render := func(shards int) string {
-		o := topoOpts()
-		o.Shards = shards
-		it, _, err := FabricIncast(o, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lt, _, err := ScenarioOpenLoop(o, []float64{400})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return it.String() + "\n" + lt.String()
-	}
-	ref := render(1)
-	if got := render(4); got != ref {
-		t.Fatalf("sharded fabric tables diverge:\n--- shards=1 ---\n%s\n--- shards=4 ---\n%s", ref, got)
 	}
 }
 
@@ -248,7 +133,6 @@ func TestFabricSnapshotRoundTripBench(t *testing.T) {
 	cfg.Workload = workload.Spec{Kind: workload.Poisson, FlowRate: 2000, SizeDist: workload.SizeWebSearch}
 	cfg.Warmup = 10 * sim.Millisecond
 	cfg.Duration = 30 * sim.Millisecond
-	cfg.Shards = 2
 
 	snapAt := cfg.Warmup + 11*sim.Millisecond
 	cold, img := runWithSnapshot(t, cfg, snapAt)

@@ -197,39 +197,18 @@ func (fi *faultInjector) arm(spec FaultSpec) {
 	}
 	fi.phase = 1
 	fi.armAfter(spec.After)
-	fi.m.solos = fi.soloTimes(fi.m.Eng.Now())
 }
 
 // armAfter arms the fault timer d from now. Multi-host machines use a
 // keyed sequence so the fault orders after every ordinary event at its
-// instant — the order the shard coordinator's solo round reproduces,
-// which is what lets a fault mutate other shards' state (links, fabric
-// ports) while they are parked.
+// instant, keyed fabric deliveries included: a link or port fails only
+// once everything already due at that instant has happened.
 func (fi *faultInjector) armAfter(d sim.Time) {
 	if fi.m.cfg.Hosts > 1 {
 		fi.tm.ArmKeyed(fi.m.Eng.Now()+d, sim.SeqBand|faultKeyBand|uint64(fi.phase))
 		return
 	}
 	fi.tm.ArmAfter(d)
-}
-
-// soloTimes returns the absolute instants at which the injector still
-// fires, given its phase. OpenWindow arms at the window-open instant,
-// so the schedule is static — which also lets Restore recompute it
-// from the snapshot's phase alone.
-func (fi *faultInjector) soloTimes(windowOpen sim.Time) []sim.Time {
-	if fi.spec.Kind == FaultNone {
-		return nil
-	}
-	inject := windowOpen + fi.spec.After
-	heal := inject + fi.spec.Outage
-	switch fi.phase {
-	case 1:
-		return []sim.Time{inject, heal}
-	case 2:
-		return []sim.Time{heal}
-	}
-	return nil
 }
 
 func (fi *faultInjector) fire() {

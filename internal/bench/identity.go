@@ -31,15 +31,11 @@ func Normalize(cfg Config) (Config, error) {
 }
 
 // Fingerprint returns the machine's engine registry fingerprint: the
-// total bound-callback and timer counts across all shards — the same
-// totals snapshot headers carry (internal/snap), and therefore the
-// same cheap proxy for "this model build".
+// bound-callback and timer counts — the same counts snapshot headers
+// carry (internal/snap), and therefore the same cheap proxy for "this
+// model build".
 func (m *Machine) Fingerprint() (binds, timers int) {
-	for _, e := range m.engines {
-		binds += e.Binds()
-		timers += e.Timers()
-	}
-	return binds, timers
+	return m.Eng.Binds(), m.Eng.Timers()
 }
 
 // Fingerprint builds the configuration's machine (without running it)

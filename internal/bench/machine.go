@@ -131,9 +131,8 @@ type Machine struct {
 	Hyp   *xen.Hypervisor // host 0's hypervisor; nil in native mode
 	Conns transport.Group
 	// Work drives traffic over the connections according to the
-	// configuration's workload spec: one generator per engine shard
-	// (classic machines run a fleet of one).
-	Work *workload.Fleet
+	// configuration's workload spec.
+	Work *workload.Generator
 
 	// Hosts are the machines under test, in index order. Single-host
 	// configurations have exactly one.
@@ -151,23 +150,10 @@ type Machine struct {
 	// Tracer is attached by RunTraced (cdnasim -trace).
 	Tracer *sim.Tracer
 
-	// Shard runtime (shards.go). engines holds the per-shard engines in
-	// shard-index order — Eng aliases engines[0]; classic machines have
-	// exactly one. shardOf maps host index to shard (nil for
-	// single-host), seams are the cross-shard pipe directions, and solos
-	// are pending fault instants the coordinator must serialize.
-	engines []*sim.Engine
-	shardOf []int
-	seams   []seam
-	solos   []sim.Time
-
-	// arenas/segPools recycle frames and transport segments, one pair
-	// per engine shard (index = shard): every stack, peer and
-	// connection endpoint draws from its own shard's pool, and seam
-	// pipes clone anything that crosses shards, so pooled objects never
-	// leave their shard.
-	arenas   []*ether.Arena
-	segPools []*transport.SegPool
+	// arena and segPool recycle frames and transport segments for every
+	// stack, peer and connection endpoint on the machine's engine.
+	arena   *ether.Arena
+	segPool *transport.SegPool
 
 	cfg    Config
 	faults *faultInjector
@@ -275,23 +261,14 @@ func Build(cfg Config) (*Machine, error) {
 	if cfg.Hosts > 1 {
 		return buildCluster(cfg)
 	}
-	cal := cfg.Cal
-	eng := sim.New()
-	h := &Host{Index: 0, CPU: cpu.New(eng, cal.CPU), Mem: mem.New()}
-	m := &Machine{Eng: eng, CPU: h.CPU, Mem: h.Mem, Hosts: []*Host{h}}
-	// The workload generator drives whatever connections the topology
-	// builders wire below; direction decides which RPC message is
-	// payload-heavy.
-	spec := cfg.Workload.Resolved(cfg.Dir == Tx || cfg.Dir == Both, cfg.Dir == Rx || cfg.Dir == Both)
-	m.engines = []*sim.Engine{eng}
-	var err error
-	m.Work, err = workload.NewFleet(m.engines, spec)
+	m, err := newMachine(cfg)
 	if err != nil {
 		return nil, err
 	}
-	m.arenas = []*ether.Arena{ether.NewArena()}
-	m.segPools = []*transport.SegPool{transport.NewSegPool()}
-	pr := &peer{arena: m.arenas[0]}
+	eng := m.Eng
+	h := &Host{Index: 0, CPU: cpu.New(eng, cfg.Cal.CPU), Mem: mem.New()}
+	m.CPU, m.Mem, m.Hosts = h.CPU, h.Mem, []*Host{h}
+	pr := &peer{arena: m.arena}
 
 	// Pre-size every builder-filled slice: the topology's final counts
 	// are implied by the configuration, so the assembly loops below
@@ -333,13 +310,29 @@ func Build(cfg Config) (*Machine, error) {
 	if err := buildHost(cfg, env); err != nil {
 		return nil, err
 	}
-	for _, st := range h.Stacks {
-		st.Arena = m.arenas[0]
-	}
 	m.adoptHost(h)
-	m.cfg = cfg
 	m.faults = newFaultInjector(m)
 	return m, nil
+}
+
+// newMachine creates the machine shell both topologies assemble into:
+// the engine, the frame and segment pools, and the workload generator
+// that drives whatever connections the builders wire (direction decides
+// which RPC message is payload-heavy).
+func newMachine(cfg Config) (*Machine, error) {
+	eng := sim.New()
+	spec := cfg.Workload.Resolved(cfg.Dir == Tx || cfg.Dir == Both, cfg.Dir == Rx || cfg.Dir == Both)
+	work, err := workload.NewGenerator(eng, spec)
+	if err != nil {
+		return nil, err
+	}
+	return &Machine{
+		Eng:     eng,
+		Work:    work,
+		arena:   ether.NewArena(),
+		segPool: transport.NewSegPool(),
+		cfg:     cfg,
+	}, nil
 }
 
 // buildHost assembles one host in the environment's fabric according to
@@ -358,8 +351,12 @@ func buildHost(cfg Config, env hostEnv) error {
 }
 
 // adoptHost folds a built host's components into the machine's
-// aggregate views (and the host-0 convenience aliases).
+// aggregate views (and the host-0 convenience aliases), and points its
+// guest stacks at the machine's frame arena.
 func (m *Machine) adoptHost(h *Host) {
+	for _, st := range h.Stacks {
+		st.Arena = m.arena
+	}
 	if h.Index == 0 {
 		m.Hyp = h.Hyp
 	}
@@ -380,7 +377,7 @@ func (m *Machine) wireConns(cfg Config, pr *peer, st *guest.Stack, guestIdx, nic
 	wire := func(dir Direction) *transport.Conn {
 		conn := transport.NewConn(m.Eng, len(m.Conns.Conns), transport.DefaultSegSize, cfg.Window)
 		conn.RTO = 200 * sim.Millisecond
-		conn.SetPools(m.segPools[0], m.segPools[0])
+		conn.SetPool(m.segPool)
 		if dir == Tx {
 			conn.Local, conn.Remote = local, remote
 			conn.AttachSender(st.Sender(dev, pr.macs[nicIdx]))
@@ -403,7 +400,7 @@ func (m *Machine) wireConns(cfg Config, pr *peer, st *guest.Stack, guestIdx, nic
 				Local: local, Remote: remote,
 				OnFlowSetup: st.ChargeFlowSetup, OnFlowTeardown: st.ChargeFlowTeardown,
 			}
-			if err := m.Work.AddOn(m.Eng, ep); err != nil {
+			if err := m.Work.Add(ep); err != nil {
 				return err
 			}
 			continue
@@ -419,7 +416,7 @@ func (m *Machine) wireConns(cfg Config, pr *peer, st *guest.Stack, guestIdx, nic
 				Remote:      remote,
 				OnFlowSetup: st.ChargeFlowSetup, OnFlowTeardown: st.ChargeFlowTeardown,
 			}
-			if err := m.Work.AddOn(m.Eng, ep); err != nil {
+			if err := m.Work.Add(ep); err != nil {
 				return err
 			}
 		}

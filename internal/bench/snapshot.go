@@ -79,19 +79,18 @@ type hostState struct {
 	Stacks     []guest.StackState
 }
 
-// machineState is the whole testbed's checkpoint image: every engine
-// shard's queue (in shard-index order; classic machines have one),
-// every host, the fabric (multi-host only), every benchmark
-// connection, the workload fleet (one generator per shard), and the
-// fault injector's phase. The injector's spec is deliberately absent —
-// it is re-derived from the restoring configuration, which is what
-// lets a fault variant restore its fault-free base's warmup snapshot.
+// machineState is the whole testbed's checkpoint image: the engine's
+// queue, every host, the fabric (multi-host only), every benchmark
+// connection, the workload generator, and the fault injector's phase.
+// The injector's spec is deliberately absent — it is re-derived from
+// the restoring configuration, which is what lets a fault variant
+// restore its fault-free base's warmup snapshot.
 type machineState struct {
-	Engines    []sim.EngineState
+	Engine     sim.EngineState
 	Hosts      []hostState
 	Fabric     *topo.FabricState // nil for single-host
 	Conns      []transport.ConnState
-	Work       []workload.GeneratorState
+	Work       workload.GeneratorState
 	FaultPhase int
 }
 
@@ -240,26 +239,17 @@ func (h *Host) setState(hs hostState, codec ether.PayloadCodec) error {
 // mid-Run would miss the event being fired.
 func (m *Machine) Snapshot() ([]byte, error) {
 	codec := segCodec{conns: &m.Conns}
+	es, err := m.Eng.Snapshot()
+	if err != nil {
+		return nil, err
+	}
 	st := machineState{
-		Engines:    make([]sim.EngineState, len(m.engines)),
+		Engine:     es,
 		Hosts:      make([]hostState, len(m.Hosts)),
 		Conns:      make([]transport.ConnState, len(m.Conns.Conns)),
 		Work:       m.Work.State(),
 		FaultPhase: m.faults.phase,
 	}
-	// The header's registry counts are machine totals, so they are
-	// independent of how hosts are partitioned over shards.
-	var binds, timers int
-	for i, e := range m.engines {
-		es, err := e.Snapshot()
-		if err != nil {
-			return nil, err
-		}
-		st.Engines[i] = es
-		binds += es.Binds
-		timers += es.Timers
-	}
-	var err error
 	for i, h := range m.Hosts {
 		if st.Hosts[i], err = h.state(codec); err != nil {
 			return nil, err
@@ -277,8 +267,8 @@ func (m *Machine) Snapshot() ([]byte, error) {
 	}
 	return snap.Encode(snap.Header{
 		Config: m.cfg.Name(),
-		Binds:  binds,
-		Timers: timers,
+		Binds:  es.Binds,
+		Timers: es.Timers,
 	}, st)
 }
 
@@ -289,21 +279,20 @@ func (m *Machine) Snapshot() ([]byte, error) {
 // builds an identical machine because the injector exists either way
 // and only arms at window open.
 func (m *Machine) Restore(b []byte) error {
-	var st machineState
-	h, err := snap.Decode(b, &st)
+	// The header is checked before the state is decoded, so an image of
+	// another format version fails with a version error rather than a
+	// gob type mismatch.
+	h, err := snap.DecodeHeader(b)
 	if err != nil {
 		return err
 	}
-	var binds, timers int
-	for _, e := range m.engines {
-		binds += e.Binds()
-		timers += e.Timers()
-	}
+	binds, timers := m.Fingerprint()
 	if err := h.Compatible(binds, timers, m.cfg.Name(), warmBase(m.cfg).Name()); err != nil {
 		return err
 	}
-	if len(st.Engines) != len(m.engines) {
-		return fmt.Errorf("bench: snapshot has %d engine shards, machine has %d", len(st.Engines), len(m.engines))
+	var st machineState
+	if _, err := snap.Decode(b, &st); err != nil {
+		return err
 	}
 	codec := segCodec{conns: &m.Conns}
 	if len(st.Hosts) != len(m.Hosts) {
@@ -334,22 +323,13 @@ func (m *Machine) Restore(b []byte) error {
 	// Re-derive the injector's spec from this machine's configuration
 	// (the image deliberately omits it); the phase is the image's. A
 	// warm base image carries phase 0, so a fault variant restoring it
-	// arms its own spec at window open. The shard coordinator's solo
-	// schedule is a pure function of spec and phase (the injector arms
-	// at the window-open instant), so it is recomputed, not stored.
+	// arms its own spec at window open.
 	m.faults.spec = m.cfg.Fault
 	m.faults.phase = st.FaultPhase
-	m.solos = m.faults.soloTimes(m.cfg.Warmup)
-	// The engines go last: restoring their queues re-arms every timer
-	// the layer restores above rely on, and their registry checks are
-	// the final word on whether this machine really is the snapshot's
-	// twin.
-	for i, e := range m.engines {
-		if err := e.Restore(st.Engines[i]); err != nil {
-			return err
-		}
-	}
-	return nil
+	// The engine goes last: restoring its queue re-arms every timer the
+	// layer restores above rely on, and its registry checks are the
+	// final word on whether this machine really is the snapshot's twin.
+	return m.Eng.Restore(st.Engine)
 }
 
 // warmBase returns the warm-start base of a configuration: the same

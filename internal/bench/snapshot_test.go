@@ -1,11 +1,17 @@
 package bench
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"cdna/internal/sim"
+	"cdna/internal/snap"
+	"cdna/internal/topo"
+	"cdna/internal/transport"
 	"cdna/internal/workload"
 )
 
@@ -263,5 +269,70 @@ func TestSnapshotRejectsMismatch(t *testing.T) {
 	// the fresh machine's ability to accept it).
 	if err := m2.Restore(img); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// machineStateV1 is the version-1 machine image: one engine and one
+// workload generator image per engine of the machine.
+type machineStateV1 struct {
+	Engines    []sim.EngineState
+	Hosts      []hostState
+	Fabric     *topo.FabricState
+	Conns      []transport.ConnState
+	Work       []workload.GeneratorState
+	FaultPhase int
+}
+
+// TestSnapshotRejectsVersion1Image: an image in the old list-per-engine
+// format must fail on its version, naming both versions, before its
+// state is decoded into the one-engine layout.
+func TestSnapshotRejectsVersion1Image(t *testing.T) {
+	cfg := DefaultConfig(ModeCDNA, NICRice, Tx)
+	cfg.Hosts = 2
+	cfg.Pattern = PatternPairs
+	cfg.Warmup = 5 * sim.Millisecond
+	cfg.Duration = 10 * sim.Millisecond
+	m, err := Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Launch()
+	m.RunTo(2 * sim.Millisecond)
+	img, err := m.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st machineState
+	h, err := snap.Decode(img, &st)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Re-encode the same machine in the version-1 envelope and layout.
+	h.Version = 1
+	var buf bytes.Buffer
+	buf.WriteString("CDNASNAP")
+	enc := gob.NewEncoder(&buf)
+	if err := enc.Encode(h); err != nil {
+		t.Fatal(err)
+	}
+	v1 := machineStateV1{
+		Engines: []sim.EngineState{st.Engine}, Hosts: st.Hosts, Fabric: st.Fabric,
+		Conns: st.Conns, Work: []workload.GeneratorState{st.Work}, FaultPhase: st.FaultPhase,
+	}
+	if err := enc.Encode(v1); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh, err := Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = fresh.Restore(buf.Bytes())
+	if err == nil || !strings.Contains(err.Error(), "v1") || !strings.Contains(err.Error(), fmt.Sprintf("v%d", snap.Version)) {
+		t.Fatalf("restore of a v1 image: error = %v, want a version error naming v1 and v%d", err, snap.Version)
+	}
+	if err := fresh.Restore(img); err != nil {
+		t.Fatalf("current image rejected after the v1 attempt: %v", err)
 	}
 }

@@ -16,11 +16,6 @@ type Opts struct {
 	Warmup   sim.Time
 	Duration sim.Time
 
-	// Shards partitions each multi-host experiment into engine shards
-	// (Config.Shards). A wall-clock knob only: tables are byte-identical
-	// at any value.
-	Shards int
-
 	// Runner executes the experiment batches behind every table and
 	// figure; nil means the sequential RunAll. cmd/cdnatables injects
 	// campaign.Runner here to fan a table's rows across CPU cores.
@@ -36,7 +31,6 @@ func Quick() Opts { return Opts{Warmup: 150 * sim.Millisecond, Duration: 300 * s
 func (o Opts) apply(cfg Config) Config {
 	cfg.Warmup = o.Warmup
 	cfg.Duration = o.Duration
-	cfg.Shards = o.Shards
 	return cfg
 }
 

@@ -89,7 +89,7 @@ func warmupImage(base Config) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	return img, m.TotalFired(), nil
+	return img, m.Eng.Fired(), nil
 }
 
 // runForked runs one configuration's measurement window from a warmup

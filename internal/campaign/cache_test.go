@@ -86,9 +86,8 @@ func TestOverlappingSweepRunsOnlyDelta(t *testing.T) {
 }
 
 // TestResultKeyIdentity pins what is — and is not — experiment
-// identity: the key is stable across recomputation and across the
-// shard axis (a pure wall-clock knob), and distinct along every
-// result-changing axis.
+// identity: the key is stable across recomputation and distinct along
+// every result-changing axis.
 func TestResultKeyIdentity(t *testing.T) {
 	base := bench.DefaultConfig(bench.ModeCDNA, bench.NICRice, bench.Tx)
 	k1, err := ResultKey(base)
@@ -114,22 +113,12 @@ func TestResultKeyIdentity(t *testing.T) {
 		t.Fatal("duration change did not change the key")
 	}
 
-	// Shards are excluded from identity: results are byte-identical at
-	// any shard count, so a sharded submission of a cached point hits.
 	multi := base
 	multi.Hosts = 3
 	multi.Pattern = bench.PatternIncast
 	km1, err := ResultKey(multi)
 	if err != nil {
 		t.Fatal(err)
-	}
-	multi.Shards = 3
-	km3, err := ResultKey(multi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if km1 != km3 {
-		t.Fatal("shard count leaked into the cache key")
 	}
 	if km1 == k1 {
 		t.Fatal("host axis did not change the key")

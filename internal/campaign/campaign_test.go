@@ -276,43 +276,6 @@ func TestExpandDeduplicates(t *testing.T) {
 	}
 }
 
-// TestShardAxisCollapse pins the engine-partition axis semantics: a
-// shard axis crossed with a host axis applies only to multi-host
-// points and collapses to 1 (no duplicate points) wherever there is a
-// single host and therefore a single engine.
-func TestShardAxisCollapse(t *testing.T) {
-	g := Grid{
-		Modes:  []bench.Mode{bench.ModeCDNA},
-		Dirs:   []bench.Direction{bench.Tx},
-		Hosts:  []int{1, 4},
-		Shards: []int{2, 4},
-	}
-	cfgs := g.Points()
-	// 1 single-host point (shards collapsed) + 2 four-host points.
-	if len(cfgs) != 3 {
-		t.Fatalf("grid expands to %d points, want 3", len(cfgs))
-	}
-	var got []int
-	for _, c := range cfgs {
-		if c.Hosts <= 1 && c.Shards != 0 && c.Shards != 1 {
-			t.Errorf("single-host point carries shards=%d", c.Shards)
-		}
-		if c.Hosts > 1 {
-			got = append(got, c.Shards)
-		}
-	}
-	if len(got) != 2 || got[0] != 2 || got[1] != 4 {
-		t.Errorf("multi-host shard points = %v, want [2 4]", got)
-	}
-
-	// An empty shard axis leaves every point on the single engine.
-	for _, c := range (Grid{Modes: []bench.Mode{bench.ModeCDNA}, Hosts: []int{4}}).Points() {
-		if c.Shards > 1 {
-			t.Errorf("default grid point carries shards=%d", c.Shards)
-		}
-	}
-}
-
 // TestGridSpecJSON parses a -spec style grid file with string enums and
 // checks it round-trips through campaign.Grid's JSON form.
 func TestGridSpecJSON(t *testing.T) {
@@ -364,5 +327,10 @@ func TestGridSpecJSON(t *testing.T) {
 	// not a structural object-vs-array complaint.
 	if _, err := ReadGrids(strings.NewReader(`[{"modes": ["vmware"]}]`)); err == nil || !strings.Contains(err.Error(), "vmware") {
 		t.Errorf("array spec error = %v, want the unknown-mode diagnostic", err)
+	}
+	// The engine-partition axis is gone: a spec still naming it must be
+	// rejected as an unknown field, not silently run on one engine.
+	if _, err := ReadGrids(strings.NewReader(`{"modes": ["cdna"], "hosts": [4], "shards": [2, 4]}`)); err == nil || !strings.Contains(err.Error(), `unknown field "shards"`) {
+		t.Errorf("spec with a shards axis: error = %v, want the unknown-field diagnostic", err)
 	}
 }

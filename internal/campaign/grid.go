@@ -35,14 +35,6 @@ type Grid struct {
 	// single-host points, which have no cross-host fabric to shape.
 	Fabrics []topo.FabricSpec `json:"fabrics,omitempty"`
 
-	// Shards is the engine-partition axis (bench.Config.Shards): how
-	// many event-queue shards execute each multi-host point. A pure
-	// wall-clock knob — results are byte-identical at any value — so it
-	// never enters experiment identity (Name, JSON records); a
-	// multi-valued axis is a built-in differential check. Collapsed to 1
-	// for single-host points, which have nothing to partition.
-	Shards []int `json:"shards,omitempty"`
-
 	// Workloads is the traffic-shape axis; empty collapses to the
 	// default bulk workload (the paper's benchmark).
 	Workloads []workload.Spec `json:"workloads,omitempty"`
@@ -155,16 +147,6 @@ func (g Grid) fabricsFor(hosts int) []topo.FabricSpec {
 	return specs
 }
 
-// shardsFor collapses the engine-partition axis for single-host
-// points: one host means one engine, so any requested shard count
-// degenerates to 1 and would only duplicate the point.
-func (g Grid) shardsFor(hosts int) []int {
-	if hosts <= 1 || len(g.Shards) == 0 {
-		return []int{1}
-	}
-	return g.Shards
-}
-
 // nicsFor returns the NIC axis for one mode: only Xen supports both
 // device models; native always drives the Intel NIC and CDNA always
 // the RiceNIC, so their NIC axis collapses.
@@ -218,47 +200,44 @@ func (g Grid) Points() []bench.Config {
 								for _, pat := range g.patternsFor(hosts) {
 									for _, fab := range g.fabricsFor(hosts) {
 										for _, flt := range g.faultsFor(hosts) {
-											for _, shards := range g.shardsFor(hosts) {
-												for _, prot := range g.protectionsFor(mode) {
-													for _, batch := range batches {
-														for _, irq := range irqs {
-															for _, coal := range coals {
-																cfg := bench.DefaultConfig(mode, nic, dir)
-																cfg.Workload = wl
-																cfg.Guests = gs
-																cfg.NICs = nn
-																if hosts > 1 {
-																	cfg.Hosts = hosts
-																	cfg.Pattern = pat
-																	cfg.Shards = shards
-																	cfg.Fabric = fab
-																}
-																cfg.Fault = flt
-																cfg.Protection = prot
-																cfg.MaxEnqueueBatch = batch
-																cfg.DirectPerContextIRQ = irq
-																cfg.TxCoalescePkts = coal
-																cfg.ConnsPerGuestPerNIC = g.Conns
-																// Invalid guest counts stay as-is here and fail
-																// Config.Validate with a per-point error record.
-																if g.Conns <= 0 && gs >= 1 {
-																	cfg.ConnsPerGuestPerNIC = bench.BalancedConns(gs)
-																}
-																if g.Window > 0 {
-																	cfg.Window = g.Window
-																}
-																if g.Warmup > 0 {
-																	cfg.Warmup = g.Warmup
-																}
-																if g.Duration > 0 {
-																	cfg.Duration = g.Duration
-																}
-																key := cfg
-																key.Cal = bench.Calibration{}
-																if !seen[key] {
-																	seen[key] = true
-																	cfgs = append(cfgs, cfg)
-																}
+											for _, prot := range g.protectionsFor(mode) {
+												for _, batch := range batches {
+													for _, irq := range irqs {
+														for _, coal := range coals {
+															cfg := bench.DefaultConfig(mode, nic, dir)
+															cfg.Workload = wl
+															cfg.Guests = gs
+															cfg.NICs = nn
+															if hosts > 1 {
+																cfg.Hosts = hosts
+																cfg.Pattern = pat
+																cfg.Fabric = fab
+															}
+															cfg.Fault = flt
+															cfg.Protection = prot
+															cfg.MaxEnqueueBatch = batch
+															cfg.DirectPerContextIRQ = irq
+															cfg.TxCoalescePkts = coal
+															cfg.ConnsPerGuestPerNIC = g.Conns
+															// Invalid guest counts stay as-is here and fail
+															// Config.Validate with a per-point error record.
+															if g.Conns <= 0 && gs >= 1 {
+																cfg.ConnsPerGuestPerNIC = bench.BalancedConns(gs)
+															}
+															if g.Window > 0 {
+																cfg.Window = g.Window
+															}
+															if g.Warmup > 0 {
+																cfg.Warmup = g.Warmup
+															}
+															if g.Duration > 0 {
+																cfg.Duration = g.Duration
+															}
+															key := cfg
+															key.Cal = bench.Calibration{}
+															if !seen[key] {
+																seen[key] = true
+																cfgs = append(cfgs, cfg)
 															}
 														}
 													}

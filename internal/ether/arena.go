@@ -20,14 +20,9 @@ package ether
 //   - Every drop path — link down, egress tail drop, qdisc overflow,
 //     foreign-MAC filter, detach teardown — Releases instead of
 //     silently discarding.
-//   - Frames built as plain literals (tests, snapshot restore, seam
-//     clones) have no arena: Retain/Release are no-ops and the GC owns
-//     them. Model behavior is identical either way.
-//
-// Pooled frames never cross a shard boundary: a cross-engine seam pipe
-// clones the frame (and any pooled payload) into unpooled values at
-// Send time, on the sending shard, so arenas and reference counts are
-// only ever touched by their owning shard.
+//   - Frames built as plain literals (tests, snapshot restore) have no
+//     arena: Retain/Release are no-ops and the GC owns them. Model
+//     behavior is identical either way.
 //
 // The generation counter increments on every free. It makes
 // use-after-release detectable — Retain/Release on a stale handle
@@ -37,16 +32,14 @@ package ether
 // reference-counted (transport segments). A frame owns one payload
 // reference: it retains nothing extra on attach (the creator's
 // reference transfers in) and releases the payload when the frame
-// itself is freed. CloneUnshared returns an unpooled value-copy for
-// seam crossings.
+// itself is freed.
 type PayloadRef interface {
 	RetainPayload()
 	ReleasePayload()
-	CloneUnshared() any
 }
 
-// Arena is a frame free list. One arena serves one engine (shard);
-// it must never be shared across engines that run in parallel.
+// Arena is a frame free list. One arena serves one engine; it must
+// never be shared across engines that run in parallel.
 type Arena struct {
 	free []*Frame
 
@@ -147,18 +140,4 @@ func (h Handle) Frame() *Frame {
 		panic("ether: stale frame handle (released and recycled)")
 	}
 	return h.f
-}
-
-// cloneForSeam builds an unpooled value-copy of a frame for a
-// cross-engine seam: the clone (and its payload, if pooled) is owned
-// by the garbage collector, so the destination shard never touches
-// this shard's arena or reference counts. Unpooled payloads are shared
-// by pointer, exactly as all payloads were before frames were pooled —
-// they are immutable after creation, so sharing is race-free.
-func cloneForSeam(f *Frame) *Frame {
-	nf := &Frame{Dst: f.Dst, Src: f.Src, Size: f.Size, Payload: f.Payload}
-	if p, ok := f.Payload.(PayloadRef); ok {
-		nf.Payload = p.CloneUnshared()
-	}
-	return nf
 }

@@ -6,14 +6,10 @@ import "testing"
 // in for a pooled transport segment.
 type fakePayload struct {
 	retains, releases int
-	seamClone         bool
 }
 
 func (p *fakePayload) RetainPayload()  { p.retains++ }
 func (p *fakePayload) ReleasePayload() { p.releases++ }
-func (p *fakePayload) CloneUnshared() any {
-	return &fakePayload{seamClone: true}
-}
 
 func TestArenaRecyclesFrames(t *testing.T) {
 	a := NewArena()
@@ -120,30 +116,4 @@ func TestHandleDetectsRecycle(t *testing.T) {
 		}
 	}()
 	_ = h.Frame()
-}
-
-func TestCloneForSeamUnpoolsFrameAndPayload(t *testing.T) {
-	a := NewArena()
-	p := &fakePayload{}
-	f := a.Get(MakeMAC(0, 1), MakeMAC(0, 2), 1514, p)
-
-	c := cloneForSeam(f)
-	if c.Pooled() {
-		t.Fatal("seam clone is pooled")
-	}
-	if c.Src != f.Src || c.Dst != f.Dst || c.Size != f.Size {
-		t.Fatalf("seam clone header differs: %+v vs %+v", c, f)
-	}
-	cp, ok := c.Payload.(*fakePayload)
-	if !ok || !cp.seamClone || cp == p {
-		t.Fatal("pooled payload was not cloned unshared for the seam")
-	}
-
-	// Unpooled payloads are immutable and shared by pointer.
-	f.Payload = "plain"
-	if c2 := cloneForSeam(f); c2.Payload != any("plain") {
-		t.Fatalf("unpooled payload not shared: %v", c2.Payload)
-	}
-	f.Payload = nil
-	f.Release()
 }

@@ -1,6 +1,7 @@
 package ether
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -126,6 +127,67 @@ func TestPipeBacklogAndNextFree(t *testing.T) {
 	}
 	if p.NextFree() != eng.Now()+p.Backlog() {
 		t.Fatal("NextFree inconsistent with Backlog")
+	}
+}
+
+// TestKeyedPipeDelivery: a keyed pipe still delivers its own frames in
+// wire order, and same-instant deliveries on keyed pipes sort after
+// ordinary events at that instant and by pipe identity — not by which
+// pipe happened to send first.
+func TestKeyedPipeDelivery(t *testing.T) {
+	eng := sim.New()
+	var got []string
+	hi, lo := NewPipe(eng, 1.0, 0), NewPipe(eng, 1.0, 0)
+	hi.EnableKeyed(7)
+	lo.EnableKeyed(2)
+	hi.Connect(PortFunc(func(f *Frame) { got = append(got, fmt.Sprintf("hi%d", f.Size)) }))
+	lo.Connect(PortFunc(func(f *Frame) { got = append(got, fmt.Sprintf("lo%d", f.Size)) }))
+
+	// Equal-size frames sent back to back on each pipe: the pipes'
+	// deliveries land at the same instants, hi having sent first.
+	for _, size := range []int{100, 100} {
+		hi.Send(&Frame{Src: MakeMAC(0, 1), Dst: MakeMAC(0, 2), Size: size})
+		lo.Send(&Frame{Src: MakeMAC(0, 3), Dst: MakeMAC(0, 4), Size: size})
+	}
+	// An ordinary event scheduled after the sends, at the first
+	// delivery instant (one frame's serialization from now).
+	first := sim.Time(float64((&Frame{Size: 100}).WireBytes()) / GbpsToBytesPerNs(1.0))
+	eng.At(first, "plain", func() { got = append(got, "plain") })
+	eng.Run(eng.Now() + sim.Millisecond)
+
+	want := []string{"plain", "lo100", "hi100", "lo100", "hi100"}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("delivery order = %v, want %v", got, want)
+	}
+}
+
+// TestPipeDownReleasesDroppedFrames: a failed link drops into the
+// arena, and a portless pipe releases what it delivers.
+func TestPipeDownReleasesDroppedFrames(t *testing.T) {
+	eng := sim.New()
+	p := NewPipe(eng, 1.0, 0)
+	p.SetDown(true)
+	if !p.Down() {
+		t.Fatal("SetDown(true) not reported by Down()")
+	}
+	a := NewArena()
+	f := a.Get(MakeMAC(0, 1), MakeMAC(0, 2), 100, nil)
+	p.Send(f)
+	if p.Dropped.Total() != 1 {
+		t.Fatalf("Dropped = %d, want 1", p.Dropped.Total())
+	}
+	if a.FreeLen() != 1 {
+		t.Fatal("down-link drop leaked the frame")
+	}
+	p.SetDown(false)
+
+	// With no port connected, delivery releases the frame instead of
+	// leaking it.
+	f2 := a.Get(MakeMAC(0, 1), MakeMAC(0, 2), 100, nil)
+	p.Send(f2)
+	eng.Run(eng.Now() + sim.Millisecond)
+	if a.FreeLen() != 1 {
+		t.Fatal("portless delivery leaked the frame")
 	}
 }
 

@@ -40,17 +40,12 @@ type Pipe struct {
 	// failure.
 	down bool
 
-	// Keyed delivery sequencing and cross-engine seam state (cross.go).
-	// Fabric pipes of multi-host machines sequence deliveries by an
-	// explicit key so ordering is identical at any shard count; pipes
-	// whose receiver lives on another engine additionally buffer
-	// deliveries in an outbox until a round barrier.
-	keyed    bool
-	keyBase  uint64
-	sendSeq  uint64
-	xEng     *sim.Engine      // destination engine; nil for same-engine pipes
-	outbox   []crossMsg       // sends awaiting barrier injection (seams only)
-	arrivals sim.FIFO[*Frame] // flushed frames whose deliveries are queued on xEng
+	// Keyed delivery sequencing (EnableKeyed): fabric pipes of
+	// multi-host machines order same-instant deliveries by an explicit
+	// key instead of the engine's scheduling counter.
+	keyed   bool
+	keyBase uint64
+	sendSeq uint64
 
 	Frames stats.Counter
 	Bytes  stats.Counter
@@ -63,6 +58,23 @@ func NewPipe(eng *sim.Engine, gbps float64, propDelay sim.Time) *Pipe {
 	p := &Pipe{eng: eng, bytesPerNs: GbpsToBytesPerNs(gbps), propDelay: propDelay}
 	p.deliverFn = eng.Bind(p.deliver)
 	return p
+}
+
+// keyIDShift positions the pipe identity above the per-pipe send
+// counter in a delivery key: 2^40 sends per pipe and 2^21 pipes fit
+// under sim.SeqBand with room to spare.
+const keyIDShift = 40
+
+// EnableKeyed switches the pipe to keyed delivery sequencing under the
+// given machine-unique pipe identity: every delivery carries the event
+// key SeqBand | id<<40 | n instead of a scheduling-order sequence, so
+// same-instant deliveries order by (pipe identity, send order) — a
+// pure function of simulated traffic. Must be called before any Send;
+// ids must be assigned in deterministic construction order so keys are
+// reproducible.
+func (p *Pipe) EnableKeyed(id int) {
+	p.keyed = true
+	p.keyBase = sim.SeqBand | uint64(id)<<keyIDShift
 }
 
 // Connect attaches the receiving port.
@@ -85,33 +97,17 @@ func (p *Pipe) Send(f *Frame) {
 	p.Frames.Inc()
 	p.Bytes.Add(uint64(f.WireBytes()))
 	deliverAt := p.busyUntil + p.propDelay
+	p.inflight.Push(f)
 	if p.keyed {
-		key := p.keyBase | p.sendSeq
+		p.eng.AtFnKeyed(deliverAt, "ether.deliver", p.deliverFn, p.keyBase|p.sendSeq)
 		p.sendSeq++
-		if p.xEng != nil {
-			// Seam crossing: the destination shard must never touch this
-			// shard's arena or pools, so hand it an unpooled value-copy
-			// and drop the wire's reference to the original here, on the
-			// sending shard.
-			p.outbox = append(p.outbox, crossMsg{at: deliverAt, key: key, f: cloneForSeam(f)})
-			f.Release()
-			return
-		}
-		p.inflight.Push(f)
-		p.eng.AtFnKeyed(deliverAt, "ether.deliver", p.deliverFn, key)
 		return
 	}
-	p.inflight.Push(f)
 	p.eng.AtFn(deliverAt, "ether.deliver", p.deliverFn)
 }
 
 func (p *Pipe) deliver() {
-	var f *Frame
-	if p.xEng != nil {
-		f = p.arrivals.Pop()
-	} else {
-		f = p.inflight.Pop()
-	}
+	f := p.inflight.Pop()
 	if p.dst != nil {
 		p.dst.Receive(f)
 	} else {

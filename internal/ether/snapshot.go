@@ -131,32 +131,16 @@ type PipeState struct {
 	Frames    stats.CounterState
 	Bytes     stats.CounterState
 	Dropped   stats.CounterState
-
-	// Keyed/seam state (cross.go): the per-pipe send counter behind
-	// delivery keys, and the arrival queue of a cross-engine pipe
-	// (whose delivery events ride the destination engine's snapshot).
-	// Seam outboxes are always empty at snapshot points — the shard
-	// coordinator flushes them before returning from every run.
-	SendSeq  uint64
-	Arrivals []FrameState
+	// SendSeq is the per-pipe send counter behind delivery keys
+	// (EnableKeyed).
+	SendSeq uint64
 }
 
 // State captures the pipe.
 func (p *Pipe) State(codec PayloadCodec) (PipeState, error) {
-	inflight := make([]FrameState, p.inflight.Len())
-	for i := 0; i < p.inflight.Len(); i++ {
-		s, err := CaptureFrame(p.inflight.At(i), codec)
-		if err != nil {
-			return PipeState{}, err
-		}
-		inflight[i] = s
-	}
-	arrivals, err := CaptureFrameFIFO(&p.arrivals, codec)
+	inflight, err := CaptureFrameFIFO(&p.inflight, codec)
 	if err != nil {
 		return PipeState{}, err
-	}
-	if len(p.outbox) > 0 {
-		return PipeState{}, fmt.Errorf("ether: snapshot of a seam pipe with an unflushed outbox")
 	}
 	return PipeState{
 		BusyUntil: p.busyUntil,
@@ -166,7 +150,6 @@ func (p *Pipe) State(codec PayloadCodec) (PipeState, error) {
 		Bytes:     p.Bytes.State(),
 		Dropped:   p.Dropped.State(),
 		SendSeq:   p.sendSeq,
-		Arrivals:  arrivals,
 	}, nil
 }
 
@@ -174,23 +157,11 @@ func (p *Pipe) State(codec PayloadCodec) (PipeState, error) {
 func (p *Pipe) SetState(s PipeState, codec PayloadCodec) error {
 	p.busyUntil = s.BusyUntil
 	p.down = s.Down
-	p.inflight.Clear()
-	for _, fs := range s.Inflight {
-		f, err := RestoreFrame(fs, codec)
-		if err != nil {
-			return err
-		}
-		p.inflight.Push(f)
-	}
 	p.Frames.SetState(s.Frames)
 	p.Bytes.SetState(s.Bytes)
 	p.Dropped.SetState(s.Dropped)
 	p.sendSeq = s.SendSeq
-	p.outbox = p.outbox[:0]
-	if err := RestoreFrameFIFO(&p.arrivals, s.Arrivals, codec); err != nil {
-		return err
-	}
-	return nil
+	return RestoreFrameFIFO(&p.inflight, s.Inflight, codec)
 }
 
 // FDBEntry is one learned station in a bridge image.

@@ -141,17 +141,6 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // population — O(1), not a scan.
 func (e *Engine) Pending() int { return e.q.len() }
 
-// NextAt returns the timestamp of the earliest pending event, and false
-// if the queue is empty. Shard coordinators use it to bound how early a
-// stopped engine could possibly act again (its lookahead anchor).
-func (e *Engine) NextAt() (Time, bool) {
-	ev := e.q.peek()
-	if ev == nil {
-		return 0, false
-	}
-	return ev.at, true
-}
-
 // alloc takes an event from the free list, or grows the pool.
 func (e *Engine) alloc() *Event {
 	if n := len(e.free); n > 0 {
@@ -206,9 +195,8 @@ const SeqBand uint64 = 1 << 62
 // AtFnKeyed schedules a registered callback at absolute time t with an
 // explicit sequence key instead of the engine counter. The key decides
 // ordering among same-time events, which makes the order a pure function
-// of the caller's key assignment — the property the sharded runtime
-// needs so that an event injected at a barrier sorts identically to one
-// scheduled mid-round on a single engine. Keys must have SeqBand set
+// of the caller's key assignment rather than of when each event was
+// scheduled. Keys must have SeqBand set
 // (checked) and be unique among pending events; the engine counter is
 // not consumed.
 func (e *Engine) AtFnKeyed(t Time, name string, fn Fn, key uint64) Handle {

@@ -58,8 +58,7 @@ func (t *Timer) ArmAfter(d Time) {
 // time at with an explicit sequence key (see AtFnKeyed): the key, not
 // the arming moment, decides ordering against other same-time events.
 // The multi-host fault injector arms itself this way so a fault applies
-// after every ordinary event at its instant in both the single-engine
-// and the sharded runtime.
+// after every ordinary event at its instant.
 func (t *Timer) ArmKeyed(at Time, key uint64) {
 	e := t.eng
 	if at < e.now {

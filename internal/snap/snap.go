@@ -22,8 +22,9 @@ import (
 
 // Version is the snapshot format version. Bump it whenever any layer's
 // state image changes shape; old images are then refused instead of
-// being mis-decoded.
-const Version = 1
+// being mis-decoded. Version 2 holds one engine and one workload
+// generator image per machine, where version 1 held a list of each.
+const Version = 2
 
 // magic guards against feeding arbitrary files to Decode.
 const magic = "CDNASNAP"

@@ -172,15 +172,6 @@ func (d *Distribution) Reset() {
 	d.sorted = false
 }
 
-// Merge appends every sample of o. Quantiles of the merged distribution
-// depend only on the combined multiset, so merge order does not matter;
-// the sharded workload fleet merges per-shard latency distributions this
-// way before reporting.
-func (d *Distribution) Merge(o *Distribution) {
-	d.samples = append(d.samples, o.samples...)
-	d.sorted = false
-}
-
 // Mean returns the sample mean (0 for no samples).
 func (d *Distribution) Mean() float64 {
 	if len(d.samples) == 0 {

@@ -85,7 +85,7 @@ type FabricSpec struct {
 	Oversub float64 `json:"oversub,omitempty"`
 	// Seed salts the per-switch ECMP hash so distinct experiments
 	// spread flow pairs differently; results are byte-identical for a
-	// given seed at any shard count.
+	// given seed.
 	Seed uint64 `json:"seed,omitempty"`
 }
 
@@ -147,11 +147,9 @@ type fabricPort struct {
 // behind them. A KindToR fabric is one Switch with zero added
 // mechanism, so the classic rack results are unchanged byte for byte.
 //
-// All member switches live on one engine (the bench layer places that
-// engine on the last shard); only the host access links are ever
-// cross-shard seams. Trunk pipes use keyed delivery sequencing like
-// every other fabric pipe, so same-instant trunk arrivals order by
-// (pipe, sequence) — a pure function of traffic — at any shard count.
+// Trunk pipes use keyed delivery sequencing like every other fabric
+// pipe, so same-instant trunk arrivals order by (pipe, sequence) — a
+// pure function of traffic, not of scheduling order.
 type Fabric struct {
 	eng  *sim.Engine
 	p    Params
@@ -208,7 +206,7 @@ func (fb *Fabric) adopt(sw *Switch) {
 // uplink (valley-free ECMP member); the upper side's is a plain
 // down-facing port.
 func (fb *Fabric) trunk(lower, upper *Switch, gbps float64) {
-	l := ether.NewDuplexOn(fb.eng, fb.eng, gbps, fb.p.PropDelay)
+	l := ether.NewDuplex(fb.eng, gbps, fb.p.PropDelay)
 	l.AtoB.EnableKeyed(fb.nextKey)
 	l.BtoA.EnableKeyed(fb.nextKey + 1)
 	fb.nextKey += 2

@@ -32,7 +32,7 @@ func newFabRig(t testing.TB, hosts, nics int, p Params, spec FabricSpec) *fabRig
 	r := &fabRig{eng: eng, fb: fb, log: make([][]*ether.Frame, total)}
 	for i := 0; i < total; i++ {
 		i := i
-		l := ether.NewDuplexOn(eng, eng, p.LinkGbps, p.PropDelay)
+		l := ether.NewDuplex(eng, p.LinkGbps, p.PropDelay)
 		l.AtoB.EnableKeyed(2 * i)
 		l.BtoA.EnableKeyed(2*i + 1)
 		fb.AddPort(l.AtoB, l.BtoA)

@@ -195,8 +195,8 @@ func (s *Switch) AddUplink(in, out *ether.Pipe) int {
 
 // SetECMPSeed salts the switch's (src,dst) uplink hash. Fabric builders
 // derive it from the configured fabric seed and the switch's index, so
-// different switches spread the same flow pair differently while any
-// shard count replays the same choice.
+// different switches spread the same flow pair differently while every
+// rerun replays the same choice.
 func (s *Switch) SetECMPSeed(seed uint64) { s.ecmpSeed = seed }
 
 // NumUplinks returns the number of up-facing trunk ports.
@@ -266,7 +266,7 @@ func (s *Switch) forward() {
 //   - ECMP: a destination learned on any uplink is remote; the egress
 //     uplink is hash(seed, src, dst) over the live uplink set — a pure
 //     function of the flow pair, so each pair keeps one path (FIFO, no
-//     reordering) at any shard count.
+//     reordering).
 //
 // Source learning stays unconditional, but a MAC flapping between two
 // up-facing ports is not a station move — remote MACs legitimately
@@ -365,8 +365,8 @@ func (s *Switch) ecmpUplink(f *ether.Frame) int {
 
 // ecmpHash mixes the flow pair with the switch's seed (splitmix64
 // finalizer — the same stream sim.RNG uses, so quality is known and the
-// value is a pure function of its inputs: byte-identical at any shard
-// count and under any scheduler).
+// value is a pure function of its inputs: byte-identical on every
+// rerun).
 func ecmpHash(seed uint64, src, dst ether.MAC) uint64 {
 	mix := func(z uint64) uint64 {
 		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9

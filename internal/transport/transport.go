@@ -57,11 +57,10 @@ func (a Addr) String() string {
 // reference-counted: the frame carrying a segment owns one reference
 // (released when the frame is freed), and a receive path that keeps
 // the segment past the frame's lifetime (a stack rx queue) retains its
-// own. Segments built as plain literals (tests, snapshot restore, seam
-// clones) have no pool; their Retain/Release are no-ops and the
-// garbage collector owns them. Pooled segments are immutable once
-// handed to the send path and never cross a shard boundary — seam
-// pipes clone them via CloneUnshared.
+// own. Segments built as plain literals (tests, snapshot restore) have
+// no pool; their Retain/Release are no-ops and the garbage collector
+// owns them. Pooled segments are immutable once handed to the send
+// path.
 type Segment struct {
 	Conn   *Conn
 	Seq    uint32 // data sequence number (in segments)
@@ -79,10 +78,8 @@ func (s *Segment) FrameBytes() int {
 	return ether.HeaderBytes + TCPIPOverhead + s.Len
 }
 
-// SegPool is a segment free list. One pool serves one engine (shard);
-// connection endpoints draw from the pool of the shard they run on
-// (sender side for data, receiver side for acks), so pools are only
-// ever touched by their owning shard.
+// SegPool is a segment free list. One pool serves one engine; it must
+// never be shared across engines that run in parallel.
 type SegPool struct {
 	free []*Segment
 
@@ -155,14 +152,6 @@ func (s *Segment) RetainPayload() { s.Retain() }
 // ReleasePayload implements ether.PayloadRef.
 func (s *Segment) ReleasePayload() { s.Release() }
 
-// CloneUnshared implements ether.PayloadRef: an unpooled value-copy
-// for cross-shard seam crossings. The Conn pointer is shared — its
-// sender and receiver field sets are disjoint per shard, which is what
-// makes a cross-shard connection race-free in the first place.
-func (s *Segment) CloneUnshared() any {
-	return &Segment{Conn: s.Conn, Seq: s.Seq, Len: s.Len, Ack: s.Ack, AckSeq: s.AckSeq, SentAt: s.SentAt}
-}
-
 var _ ether.PayloadRef = (*Segment)(nil)
 
 // Dispatch routes a received segment to its connection endpoint. Hosts
@@ -189,23 +178,14 @@ type Conn struct {
 	Local, Remote Addr
 
 	eng *sim.Engine
-	// rcvEng is the engine the receiver side runs on. It equals eng on a
-	// single-engine machine; on a sharded machine the receiving host's
-	// shard sets it via SetReceiverEngine, so receive-path timestamps
-	// (latency samples) read the clock of the shard the delivery fires
-	// on. Sender fields are only ever touched from eng, receiver fields
-	// only from rcvEng — the disjoint field sets are what make a
-	// cross-shard connection race-free.
-	rcvEng *sim.Engine
 	// RTO is the retransmission timeout (default 3ms; the benchmark
 	// harness raises it to TCP-like values for long queueing paths).
 	RTO sim.Time
 
-	// sndPool recycles data segments (drawn on the sender's engine) and
-	// rcvPool recycles acks (drawn on the receiver's engine). Machine
-	// builders set them via SetPools; nil pools fall back to plain heap
-	// allocation with identical behavior.
-	sndPool, rcvPool *SegPool
+	// pool recycles data segments and acks. Machine builders set it via
+	// SetPool; a nil pool falls back to plain heap allocation with
+	// identical behavior.
+	pool *SegPool
 
 	// Sender state.
 	sendData func(*Segment)
@@ -252,24 +232,15 @@ type Conn struct {
 func NewConn(eng *sim.Engine, id, segSize, window int) *Conn {
 	c := &Conn{
 		ID: id, SegSize: segSize, Window: window, AckEvery: 2,
-		eng: eng, rcvEng: eng, RTO: 3 * sim.Millisecond,
+		eng: eng, RTO: 3 * sim.Millisecond,
 	}
 	c.rtoTimer = eng.NewTimer("transport.rto", c.onRTO)
 	return c
 }
 
-// SetReceiverEngine re-homes the receiver side onto the given engine.
-// Sharded machine builders call it when the receiving host lives on a
-// different shard than the sender.
-func (c *Conn) SetReceiverEngine(eng *sim.Engine) { c.rcvEng = eng }
-
-// SetPools installs the segment pools: snd for data segments (must
-// belong to the sender's shard), rcv for acks (the receiver's shard).
-// Either may be nil to keep plain heap allocation on that side.
-func (c *Conn) SetPools(snd, rcv *SegPool) {
-	c.sndPool = snd
-	c.rcvPool = rcv
-}
+// SetPool installs the segment pool that data segments and acks are
+// drawn from; nil keeps plain heap allocation.
+func (c *Conn) SetPool(pool *SegPool) { c.pool = pool }
 
 // AttachSender installs the sender host's transmit function.
 func (c *Conn) AttachSender(send func(*Segment)) { c.sendData = send }
@@ -368,8 +339,8 @@ func (c *Conn) Pump() {
 	}
 	for c.InFlight() < c.effWindow() && c.mayTransmit() {
 		var seg *Segment
-		if c.sndPool != nil {
-			seg = c.sndPool.Get()
+		if c.pool != nil {
+			seg = c.pool.Get()
 		} else {
 			seg = &Segment{}
 		}
@@ -435,7 +406,7 @@ func (c *Conn) OnData(s *Segment) {
 	if s.Seq == c.rcvNext {
 		c.rcvNext++
 		c.Delivered.Add(uint64(s.Len))
-		c.Latency.Observe(float64(c.rcvEng.Now()-s.SentAt) / 1000)
+		c.Latency.Observe(float64(c.eng.Now()-s.SentAt) / 1000)
 		c.unacked++
 		if c.markArmed && int32(c.rcvNext-c.rcvMark) >= 0 {
 			c.markArmed = false
@@ -462,8 +433,8 @@ func (c *Conn) emitAck() {
 	}
 	c.AcksSent.Inc()
 	var s *Segment
-	if c.rcvPool != nil {
-		s = c.rcvPool.Get()
+	if c.pool != nil {
+		s = c.pool.Get()
 	} else {
 		s = &Segment{}
 	}

@@ -20,7 +20,7 @@ func TestSegmentRoundTripZeroAlloc(t *testing.T) {
 	eng := sim.New()
 	pool := transport.NewSegPool()
 	c := transport.NewConn(eng, 0, transport.DefaultSegSize, 32)
-	c.SetPools(pool, pool)
+	c.SetPool(pool)
 	var wire sim.FIFO[*transport.Segment]
 	deliver := eng.Bind(func() {
 		s := wire.Pop()

@@ -45,12 +45,12 @@ type Generator struct {
 	eps  []*endpoint
 
 	// trace is the parsed flow trace (Trace kind), loaded at
-	// construction; events are assigned to endpoints at Launch.
+	// construction; events are assigned to endpoints at Launch (or at
+	// SetState on a restored machine, which is never launched).
 	trace *FlowTrace
 	// traceSkipped counts trace events with no matching endpoint.
 	traceSkipped int
-	// traceDone guards the one-shot trace assignment for a standalone
-	// generator (a Fleet assigns machine-globally instead).
+	// traceDone guards the one-shot trace assignment.
 	traceDone bool
 
 	// Requests counts completed RPC exchanges (RequestResponse).
@@ -125,14 +125,7 @@ func (g *Generator) NeedsReverse() bool { return g.spec.Kind == RequestResponse 
 // order (the machine builder's wiring order); each gets its own jitter
 // RNG stream derived from the spec seed and its index, so traffic is
 // identical run-to-run and independent of campaign parallelism.
-func (g *Generator) Add(ep Endpoint) error { return g.addIndexed(len(g.eps), ep) }
-
-// addIndexed registers an endpoint whose jitter RNG stream derives from
-// the given index instead of the local registration count. A Fleet
-// passes the machine-global endpoint index so a sharded machine's
-// traffic is identical to the single-engine machine's, where global and
-// local indices coincide.
-func (g *Generator) addIndexed(rngIdx int, ep Endpoint) error {
+func (g *Generator) Add(ep Endpoint) error {
 	if ep.Fwd == nil {
 		return fmt.Errorf("workload: endpoint needs a forward connection")
 	}
@@ -140,7 +133,7 @@ func (g *Generator) addIndexed(rngIdx int, ep Endpoint) error {
 		return fmt.Errorf("workload: %v workload needs a reverse connection", g.spec.Kind)
 	}
 	e := &endpoint{g: g, Endpoint: ep}
-	e.rng = sim.NewRNG(g.spec.Seed + uint64(rngIdx)*0x9e3779b97f4a7c15)
+	e.rng = sim.NewRNG(g.spec.Seed + uint64(len(g.eps))*0x9e3779b97f4a7c15)
 	switch g.spec.Kind {
 	case Bulk:
 		e.startFn = g.eng.Bind(ep.Fwd.Start)
@@ -175,21 +168,42 @@ func (g *Generator) addIndexed(rngIdx int, ep Endpoint) error {
 // exactly: the same "conn.start" events at the same times in the same
 // order.
 func (g *Generator) Launch(warmup sim.Time) {
-	if g.spec.Kind == Trace && !g.traceDone {
-		g.traceDone = true
-		g.traceSkipped = assignTrace(g.trace, g.eps)
+	g.assignTraceOnce()
+	var name string
+	switch g.spec.Kind {
+	case Bulk, Burst:
+		name = "conn.start"
+	case RequestResponse:
+		name = "workload.issue"
+	case Churn:
+		name = "workload.flow"
+	case Poisson, Pareto, Trace:
+		name = "workload.arrival"
 	}
 	n := len(g.eps)
 	for i, e := range g.eps {
-		g.launchOne(e, launchAt(warmup, i, n))
+		g.eng.AtFn(launchAt(warmup, i, n), name, e.startFn)
 	}
+}
+
+// assignTraceOnce distributes the trace's events over the endpoint
+// roster (Trace kind only). It runs once, from Launch on a cold start
+// or from SetState on a restore: a restored machine is never launched,
+// its timers ride the engine snapshot, but the replay cursor still
+// needs the assigned rows to index into.
+func (g *Generator) assignTraceOnce() {
+	if g.traceDone || g.spec.Kind != Trace {
+		return
+	}
+	g.traceDone = true
+	g.traceSkipped = assignTrace(g.trace, g.eps)
 }
 
 // TraceSkipped returns how many trace events had no matching endpoint
 // (valid after Launch for the Trace kind).
 func (g *Generator) TraceSkipped() int { return g.traceSkipped }
 
-// launchAt returns the staggered start time of global endpoint i of n:
+// launchAt returns the staggered start time of endpoint i of n:
 // offset past driver initialization (initial receive-buffer posting),
 // then spread over the first part of warmup.
 func launchAt(warmup sim.Time, i, n int) sim.Time {
@@ -198,22 +212,6 @@ func launchAt(warmup sim.Time, i, n int) sim.Time {
 		stagger = 50 * sim.Millisecond
 	}
 	return 2*sim.Millisecond + sim.Time(i)*stagger/sim.Time(n)
-}
-
-// launchOne schedules one endpoint's kind-appropriate start event.
-func (g *Generator) launchOne(e *endpoint, at sim.Time) {
-	switch g.spec.Kind {
-	case Bulk:
-		g.eng.AtFn(at, "conn.start", e.startFn)
-	case RequestResponse:
-		g.eng.AtFn(at, "workload.issue", e.startFn)
-	case Churn:
-		g.eng.AtFn(at, "workload.flow", e.startFn)
-	case Burst:
-		g.eng.AtFn(at, "conn.start", e.startFn)
-	case Poisson, Pareto, Trace:
-		g.eng.AtFn(at, "workload.arrival", e.startFn)
-	}
 }
 
 // StartWindow resets the generator's windowed metrics, discarding

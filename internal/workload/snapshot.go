@@ -72,6 +72,7 @@ func (g *Generator) State() GeneratorState {
 // SetState restores the generator into a freshly built machine with the
 // same endpoint roster.
 func (g *Generator) SetState(s GeneratorState) error {
+	g.assignTraceOnce()
 	if len(s.Endpoints) != len(g.eps) {
 		return fmt.Errorf("workload: endpoint roster mismatch: snapshot has %d, machine has %d",
 			len(s.Endpoints), len(g.eps))

@@ -138,8 +138,8 @@ func ParseTrace(r interface{ Read([]byte) (int, error) }) (*FlowTrace, error) {
 // event goes to the next endpoint whose (Local.Host, Remote.Host)
 // matches its (src, dst), round-robin within the pair so multiple
 // slots share the pair's load. Events with no matching endpoint are
-// skipped and counted. The roster must be in global slot order — the
-// same order at any shard count — so assignment is shard-invariant.
+// skipped and counted. The roster is in registration order, so the
+// assignment is deterministic.
 func assignTrace(tr *FlowTrace, eps []*endpoint) (skipped int) {
 	type pair struct{ src, dst int }
 	byPair := map[pair][]*endpoint{}
