@@ -166,6 +166,22 @@ func BenchmarkSingleRun(b *testing.B) {
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }
 
+// BenchmarkPrepareCDNA24 measures machine assembly alone for the
+// largest configuration of Figure 3: 24 CDNA guests on two NICs, whose
+// buffer pools put ~147k pages in the page table. Its B/op is the
+// quantity TestPrepareAllocBudget gates.
+func BenchmarkPrepareCDNA24(b *testing.B) {
+	b.ReportAllocs()
+	cfg := bench.DefaultConfig(bench.ModeCDNA, bench.NICRice, bench.Tx)
+	cfg.Guests = 24
+	cfg.ConnsPerGuestPerNIC = bench.BalancedConns(cfg.Guests)
+	for i := 0; i < b.N; i++ {
+		if _, err := bench.Prepare(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkEngineScheduleFire is the foundation-layer hot loop measured
 // at the repository root so `go test -bench .` covers both altitudes;
 // the body is shared with internal/sim and cmd/cdnabench via

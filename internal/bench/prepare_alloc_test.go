@@ -1,0 +1,52 @@
+package bench
+
+import (
+	"runtime"
+	"testing"
+)
+
+// prepareAllocBytes returns the bytes allocated by one Prepare of cfg,
+// the smaller of two runs so one-time lazy initialization elsewhere in
+// the process is not charged to machine assembly.
+func prepareAllocBytes(t *testing.T, cfg Config) uint64 {
+	t.Helper()
+	best := ^uint64(0)
+	var ms runtime.MemStats
+	for range 2 {
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		m, err := Prepare(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		best = min(best, ms.TotalAlloc-before)
+		runtime.KeepAlive(m)
+	}
+	return best
+}
+
+// TestPrepareAllocBudget gates the bytes one machine assembly allocates.
+// Most of a CDNA machine is its buffer pools' page-table entries, so
+// this catches a page table that regrows pointers or copies on growth.
+// It must not run in parallel: TotalAlloc is process-wide.
+func TestPrepareAllocBudget(t *testing.T) {
+	const mb = 1e6
+	for _, tc := range []struct {
+		guests int
+		budget uint64
+	}{
+		{1, 1 * mb},
+		{24, 10 * mb},
+	} {
+		cfg := DefaultConfig(ModeCDNA, NICRice, Tx)
+		cfg.Guests = tc.guests
+		cfg.ConnsPerGuestPerNIC = 0 // Prepare balances it for the guest count
+		got := prepareAllocBytes(t, cfg)
+		t.Logf("cdna tx %d guests: Prepare allocated %.2f MB", tc.guests, float64(got)/mb)
+		if got >= tc.budget {
+			t.Errorf("cdna tx %d guests: Prepare allocated %.2f MB, budget %.0f MB",
+				tc.guests, float64(got)/mb, float64(tc.budget)/mb)
+		}
+	}
+}

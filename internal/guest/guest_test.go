@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"reflect"
 	"testing"
 
 	"cdna/internal/bus"
@@ -214,6 +215,68 @@ func TestNativeDriverPoolRecycling(t *testing.T) {
 	r.eng.Run(2 * sim.Second)
 	if len(r.out) != n {
 		t.Fatalf("transmitted %d, want %d (pool starved?)", len(r.out), n)
+	}
+}
+
+// TestNativeDriverStateListsLiveSlots snapshots the driver after its
+// free-running ring indices have wrapped the slot tables: the image
+// must list exactly the live descriptors, by free-running index, and
+// restore into a fresh driver unchanged.
+func TestNativeDriverStateListsLiveSlots(t *testing.T) {
+	r := newNativeRig(t)
+	for i := 0; i < RingEntries+500; i++ {
+		r.drv.StartXmit(&ether.Frame{Size: 1514})
+	}
+	for i := 0; i < 10; i++ {
+		r.nic.Receive(&ether.Frame{Size: 1514})
+	}
+	d := r.drv
+	for d.lastTxCons <= RingEntries+10 || d.tx.Prod()-d.lastTxCons < 10 {
+		if r.eng.Now() > sim.Second {
+			t.Fatal("transmit drained before the tx slots wrapped")
+		}
+		r.eng.Run(r.eng.Now() + 10*sim.Microsecond)
+	}
+	s, err := d.State(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := func(name string, got []IdxPFN, from, to uint32) {
+		t.Helper()
+		if len(got) != int(to-from) {
+			t.Fatalf("%s: %d entries, want %d (indices %d..%d)", name, len(got), to-from, from, to)
+		}
+		for i, e := range got {
+			if e.Idx != from+uint32(i) || e.PFN == 0 {
+				t.Fatalf("%s[%d] = %+v, want index %d", name, i, e, from+uint32(i))
+			}
+		}
+	}
+	live("TxBufs", s.TxBufs, d.lastTxCons, d.tx.Prod())
+	live("RxBufs", s.RxBufs, d.lastRxCons, d.rx.Prod())
+	if len(s.Inflight) != len(s.TxBufs) {
+		t.Fatalf("%d inflight frames for %d tx buffers", len(s.Inflight), len(s.TxBufs))
+	}
+	for i, sf := range s.Inflight {
+		if sf.Slot != s.TxBufs[i].Idx {
+			t.Fatalf("Inflight[%d] at index %d, want %d", i, sf.Slot, s.TxBufs[i].Idx)
+		}
+	}
+
+	fresh := newNativeRig(t)
+	if err := fresh.drv.SetState(s, nil); err != nil {
+		t.Fatal(err)
+	}
+	back, err := fresh.drv.State(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, s) {
+		t.Fatal("State -> SetState -> State changed the image")
+	}
+	s.TxBufs[0].Idx += RingEntries
+	if err := newNativeRig(t).drv.SetState(s, nil); err == nil {
+		t.Fatal("SetState accepted a tx index outside the live window")
 	}
 }
 

@@ -39,9 +39,12 @@ type NativeDriver struct {
 	tx, rx *ring.Ring
 
 	txPool, rxPool []mem.PFN
-	txBufs         map[uint32]mem.PFN      // tx ring idx -> buffer page
-	rxBufs         map[uint32]mem.PFN      // rx ring idx -> buffer page
-	inflight       map[uint32]*ether.Frame // tx ring idx -> frame
+	// Per-slot buffer/frame tables indexed by slot(ring index), as in
+	// CDNADriver: descriptors are posted only after reaping up to the
+	// consumer index, so live entries span at most RingEntries indices
+	// from lastTxCons/lastRxCons. PFN 0 and a nil frame mark empty slots.
+	txBufs, rxBufs [RingEntries]mem.PFN
+	inflight       [RingEntries]*ether.Frame
 	lastTxCons     uint32
 	lastRxCons     uint32
 
@@ -67,8 +70,6 @@ type NativeDriver struct {
 func NewNativeDriver(dom *cpu.Domain, domID mem.DomID, m *mem.Memory, n *intelnic.NIC, costs DriverCosts) (*NativeDriver, error) {
 	d := &NativeDriver{
 		Dom: dom, DomID: domID, Mem: m, NIC: n, Costs: costs,
-		txBufs: make(map[uint32]mem.PFN), rxBufs: make(map[uint32]mem.PFN),
-		inflight: make(map[uint32]*ether.Frame),
 	}
 	eng := dom.Engine()
 	d.txInFn = eng.Bind(d.txEnqueueTask)
@@ -99,7 +100,7 @@ func (d *NativeDriver) MAC() ether.MAC { return d.NIC.MAC }
 // SetRxHandler implements NetDevice.
 func (d *NativeDriver) SetRxHandler(h func(*ether.Frame)) { d.rxHandler = h }
 
-func (d *NativeDriver) lookupTx(idx uint32) *ether.Frame { return d.inflight[idx] }
+func (d *NativeDriver) lookupTx(idx uint32) *ether.Frame { return d.inflight[slot(idx)] }
 
 // Start posts the initial receive buffers (driver initialization).
 func (d *NativeDriver) Start() {
@@ -123,7 +124,7 @@ func (d *NativeDriver) postRxBuffer() bool {
 		return false
 	}
 	d.rx.Publish(1)
-	d.rxBufs[idx] = pfn
+	d.rxBufs[slot(idx)] = pfn
 	return true
 }
 
@@ -176,8 +177,8 @@ func (d *NativeDriver) fillRing() {
 		d.backlog.Pop()
 		d.txPool = d.txPool[:len(d.txPool)-1]
 		d.tx.Publish(1)
-		d.txBufs[idx] = pfn
-		d.inflight[idx] = f
+		d.txBufs[slot(idx)] = pfn
+		d.inflight[slot(idx)] = f
 		moved = true
 	}
 	if moved {
@@ -188,14 +189,14 @@ func (d *NativeDriver) fillRing() {
 // reapTx recycles buffers for descriptors the NIC has consumed.
 func (d *NativeDriver) reapTx() {
 	for d.lastTxCons != d.tx.Cons() {
-		idx := d.lastTxCons
-		if pfn, ok := d.txBufs[idx]; ok {
+		idx := slot(d.lastTxCons)
+		if pfn := d.txBufs[idx]; pfn != 0 {
 			d.txPool = append(d.txPool, pfn)
-			delete(d.txBufs, idx)
+			d.txBufs[idx] = 0
 		}
-		if f, ok := d.inflight[idx]; ok {
+		if f := d.inflight[idx]; f != nil {
 			f.Release()
-			delete(d.inflight, idx)
+			d.inflight[idx] = nil
 		}
 		d.lastTxCons++
 	}
@@ -234,10 +235,10 @@ func (d *NativeDriver) rxUpTask() {
 func (d *NativeDriver) replenishRx(n int) {
 	// Recycle consumed buffers, then repost.
 	for d.lastRxCons != d.rx.Cons() {
-		idx := d.lastRxCons
-		if pfn, ok := d.rxBufs[idx]; ok {
+		idx := slot(d.lastRxCons)
+		if pfn := d.rxBufs[idx]; pfn != 0 {
 			d.rxPool = append(d.rxPool, pfn)
-			delete(d.rxBufs, idx)
+			d.rxBufs[idx] = 0
 		}
 		d.lastRxCons++
 	}

@@ -2,6 +2,7 @@ package guest
 
 import (
 	"fmt"
+	"slices"
 
 	"cdna/internal/ether"
 	"cdna/internal/mem"
@@ -23,8 +24,8 @@ type SlotFrame struct {
 	Frame ether.FrameState
 }
 
-// IdxPFN is one entry of an index→buffer-page map, serialized sorted by
-// index for determinism.
+// IdxPFN is one occupied slot of a buffer-page table, keyed by its
+// free-running ring index and serialized sorted by it for determinism.
 type IdxPFN struct {
 	Idx uint32
 	PFN mem.PFN
@@ -203,7 +204,8 @@ func (d *CDNADriver) SetState(s CDNADriverState, codec ether.PayloadCodec) error
 }
 
 // NativeDriverState is the conventional driver's checkpoint image. The
-// buffer/frame maps serialize sorted by ring index.
+// buffer and frame tables serialize as their occupied slots, keyed by
+// free-running ring index and sorted by it.
 type NativeDriverState struct {
 	TxPool, RxPool []mem.PFN
 	TxBufs, RxBufs []IdxPFN
@@ -219,23 +221,28 @@ type NativeDriverState struct {
 	TxDropped stats.CounterState
 }
 
-func capturePFNMap(m map[uint32]mem.PFN) []IdxPFN {
-	out := make([]IdxPFN, 0, len(m))
-	for idx, pfn := range m {
-		out = append(out, IdxPFN{Idx: idx, PFN: pfn})
+// liveIdxs returns the free-running ring indices of a native-driver
+// slot table's occupied slots, sorted. Live entries span at most
+// RingEntries indices from the last reaped one, base, so each occupied
+// slot names exactly one index in that window.
+func liveIdxs[T comparable](tab *[RingEntries]T, base uint32) []uint32 {
+	var empty T
+	var out []uint32
+	for i := uint32(0); i < RingEntries; i++ {
+		if tab[slot(base+i)] != empty {
+			out = append(out, base+i)
+		}
 	}
-	sortIdxPFN(out)
+	slices.Sort(out) // out of window order only where the window wraps uint32
 	return out
 }
 
-func sortIdxPFN(s []IdxPFN) {
-	// Tiny insertion sort keeps this file free of a sort import for one
-	// call site; maps hold at most RingEntries entries.
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j].Idx < s[j-1].Idx; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
+func capturePFNs(tab *[RingEntries]mem.PFN, base uint32) []IdxPFN {
+	out := []IdxPFN{}
+	for _, idx := range liveIdxs(tab, base) {
+		out = append(out, IdxPFN{Idx: idx, PFN: tab[slot(idx)]})
 	}
+	return out
 }
 
 // State captures the driver.
@@ -243,25 +250,16 @@ func (d *NativeDriver) State(codec ether.PayloadCodec) (NativeDriverState, error
 	s := NativeDriverState{
 		TxPool:       append([]mem.PFN(nil), d.txPool...),
 		RxPool:       append([]mem.PFN(nil), d.rxPool...),
-		TxBufs:       capturePFNMap(d.txBufs),
-		RxBufs:       capturePFNMap(d.rxBufs),
+		TxBufs:       capturePFNs(&d.txBufs, d.lastTxCons),
+		RxBufs:       capturePFNs(&d.rxBufs, d.lastRxCons),
 		LastTxCons:   d.lastTxCons,
 		LastRxCons:   d.lastRxCons,
 		KickQueued:   d.kickQueued,
 		RxKickQueued: d.rxKickQueued,
 		TxDropped:    d.TxDropped.State(),
 	}
-	idxs := make([]uint32, 0, len(d.inflight))
-	for idx := range d.inflight {
-		idxs = append(idxs, idx)
-	}
-	for i := 1; i < len(idxs); i++ {
-		for j := i; j > 0 && idxs[j] < idxs[j-1]; j-- {
-			idxs[j], idxs[j-1] = idxs[j-1], idxs[j]
-		}
-	}
-	for _, idx := range idxs {
-		fs, err := ether.CaptureFrame(d.inflight[idx], codec)
+	for _, idx := range liveIdxs(&d.inflight, d.lastTxCons) {
+		fs, err := ether.CaptureFrame(d.inflight[slot(idx)], codec)
 		if err != nil {
 			return NativeDriverState{}, err
 		}
@@ -284,21 +282,36 @@ func (d *NativeDriver) State(codec ether.PayloadCodec) (NativeDriverState, error
 func (d *NativeDriver) SetState(s NativeDriverState, codec ether.PayloadCodec) error {
 	d.txPool = append(d.txPool[:0], s.TxPool...)
 	d.rxPool = append(d.rxPool[:0], s.RxPool...)
-	d.txBufs = make(map[uint32]mem.PFN, len(s.TxBufs))
+	// Each slot holds one index of the live window; an index outside it
+	// would alias another slot.
+	inWindow := func(idx, base uint32) error {
+		if idx-base >= RingEntries {
+			return fmt.Errorf("guest: native ring index %d outside the live window from %d", idx, base)
+		}
+		return nil
+	}
+	d.txBufs, d.rxBufs, d.inflight = [RingEntries]mem.PFN{}, [RingEntries]mem.PFN{}, [RingEntries]*ether.Frame{}
 	for _, e := range s.TxBufs {
-		d.txBufs[e.Idx] = e.PFN
+		if err := inWindow(e.Idx, s.LastTxCons); err != nil {
+			return err
+		}
+		d.txBufs[slot(e.Idx)] = e.PFN
 	}
-	d.rxBufs = make(map[uint32]mem.PFN, len(s.RxBufs))
 	for _, e := range s.RxBufs {
-		d.rxBufs[e.Idx] = e.PFN
+		if err := inWindow(e.Idx, s.LastRxCons); err != nil {
+			return err
+		}
+		d.rxBufs[slot(e.Idx)] = e.PFN
 	}
-	d.inflight = make(map[uint32]*ether.Frame, len(s.Inflight))
 	for _, sf := range s.Inflight {
+		if err := inWindow(sf.Slot, s.LastTxCons); err != nil {
+			return err
+		}
 		f, err := ether.RestoreFrame(sf.Frame, codec)
 		if err != nil {
 			return err
 		}
-		d.inflight[sf.Slot] = f
+		d.inflight[slot(sf.Slot)] = f
 	}
 	d.lastTxCons, d.lastRxCons = s.LastTxCons, s.LastRxCons
 	d.kickQueued, d.rxKickQueued = s.KickQueued, s.RxKickQueued

@@ -16,6 +16,13 @@
 // accesses go through Read/Write with no checks — exactly like real
 // hardware without an IOMMU, which is the attack surface CDNA's
 // descriptor validation exists to close.
+//
+// The page table holds one entry per allocated frame — tens of
+// thousands on a many-guest machine, almost all of them never-written
+// buffer pages. Entries carry no pointers and live in fixed-size chunks,
+// so the garbage collector neither scans the table nor copies it as it
+// grows; the few pages that are ever written (descriptor rings, bit
+// vectors) keep their bytes in a separate side table.
 package mem
 
 import (
@@ -65,21 +72,38 @@ var (
 	ErrFreed        = errors.New("mem: page already freed")
 )
 
+// Page-table chunk geometry. Entries live in fixed-size chunks that are
+// allocated when the table first reaches them, so growing the table
+// never copies an entry and an empty Memory holds no chunk at all.
+const (
+	chunkShift = 10
+	chunkPages = 1 << chunkShift
+	chunkMask  = chunkPages - 1
+)
+
+// page is one page-table entry. It holds no pointers, so the garbage
+// collector never scans the table: the bytes of a written page live in
+// Memory.data, indexed by the entry.
 type page struct {
 	owner   DomID
 	ref     int
-	freed   bool // owner freed it; returns to pool when ref drops to 0
-	hypOnly bool // only the hypervisor may CPU-write this page
-	data    []byte
+	data    int32 // 1-based index into Memory.data; 0 = never written
+	freed   bool  // owner freed it; returns to pool when ref drops to 0
+	hypOnly bool  // only the hypervisor may CPU-write this page
 }
 
-// Memory is the machine's physical memory. The page table is a dense
-// slice indexed by PFN — frame numbers are handed out sequentially, so
-// every page lookup on the DMA hot path (descriptor reads, payload
-// writes, ownership validation) is an array index, not a hash probe,
-// and iteration order is inherently deterministic.
+// pageChunk is one fixed-size block of the page table.
+type pageChunk [chunkPages]page
+
+// Memory is the machine's physical memory. Frame numbers are handed out
+// sequentially, so the page table is indexed by PFN: a lookup on the
+// DMA hot path (descriptor reads, payload writes, ownership validation)
+// is a shift and a mask into pointer-free chunks, not a hash probe, and
+// iteration order is inherently deterministic.
 type Memory struct {
-	pages   []page // indexed by PFN; entry 0 is never allocated
+	chunks  []*pageChunk // entry i is chunks[i>>chunkShift][i&chunkMask]
+	npages  PFN          // table length; entry 0 is never allocated
+	data    [][]byte     // contents of written pages, PageSize each
 	freeQ   []PFN
 	nextPFN PFN
 
@@ -89,12 +113,10 @@ type Memory struct {
 	devWrites []uint64
 }
 
-// New returns an empty physical memory.
+// New returns an empty physical memory. PFN 0 is never allocated, so
+// Addr 0 stays invalid.
 func New() *Memory {
-	return &Memory{
-		pages:   make([]page, 1, 256), // PFN 0 is never allocated; Addr 0 stays invalid
-		nextPFN: 1,
-	}
+	return &Memory{npages: 1, nextPFN: 1}
 }
 
 // DeviceWritten returns how many bytes devices (DMA) have written into
@@ -120,10 +142,31 @@ func (m *Memory) countDeviceWrite(dom DomID, n int) {
 
 // lookup returns the page for pfn, or nil if it was never allocated.
 func (m *Memory) lookup(pfn PFN) *page {
-	if pfn == 0 || uint64(pfn) >= uint64(len(m.pages)) {
+	if pfn == 0 || pfn >= m.npages {
 		return nil
 	}
-	return &m.pages[pfn]
+	return &m.chunks[pfn>>chunkShift][pfn&chunkMask]
+}
+
+// appendPage adds a zero entry at the end of the page table, allocating
+// its chunk if the table just crossed into a new one, and returns it.
+func (m *Memory) appendPage() *page {
+	i := m.npages
+	if int(i>>chunkShift) == len(m.chunks) {
+		m.chunks = append(m.chunks, new(pageChunk))
+	}
+	m.npages++
+	return &m.chunks[i>>chunkShift][i&chunkMask]
+}
+
+// pageData returns the bytes of a written page, giving it a zeroed
+// side-table slot on its first write.
+func (m *Memory) pageData(pg *page) []byte {
+	if pg.data == 0 {
+		m.data = append(m.data, make([]byte, PageSize))
+		pg.data = int32(len(m.data))
+	}
+	return m.data[pg.data-1]
 }
 
 // Alloc allocates n pages owned by dom and returns their frame numbers.
@@ -134,17 +177,17 @@ func (m *Memory) Alloc(dom DomID, n int) []PFN {
 		if len(m.freeQ) > 0 {
 			pfn = m.freeQ[0]
 			m.freeQ = m.freeQ[1:]
-			pg := &m.pages[pfn]
+			pg := m.lookup(pfn)
 			pg.owner = dom
 			pg.freed = false
 			pg.hypOnly = false
-			for j := range pg.data {
-				pg.data[j] = 0
+			if pg.data != 0 {
+				clear(m.data[pg.data-1])
 			}
 		} else {
 			pfn = m.nextPFN
 			m.nextPFN++
-			m.pages = append(m.pages, page{owner: dom})
+			m.appendPage().owner = dom
 		}
 		out = append(out, pfn)
 	}
@@ -319,11 +362,7 @@ func (m *Memory) writeRaw(addr Addr, b []byte, device bool) error {
 		if err != nil {
 			return err
 		}
-		if pg.data == nil {
-			pg.data = make([]byte, PageSize)
-		}
-		off := addr.Offset()
-		n := copy(pg.data[off:], b)
+		n := copy(m.pageData(pg)[addr.Offset():], b)
 		if device {
 			m.countDeviceWrite(pg.owner, n)
 		}
@@ -380,16 +419,11 @@ func (m *Memory) ReadInto(addr Addr, dst []byte) error {
 		}
 		off := addr.Offset()
 		var c int
-		if pg.data == nil {
-			c = PageSize - off
-			if c > len(dst) {
-				c = len(dst)
-			}
-			for i := 0; i < c; i++ {
-				dst[i] = 0
-			}
+		if pg.data == 0 {
+			c = min(PageSize-off, len(dst))
+			clear(dst[:c])
 		} else {
-			c = copy(dst, pg.data[off:])
+			c = copy(dst, m.data[pg.data-1][off:])
 		}
 		dst = dst[c:]
 		addr += Addr(c)
@@ -400,8 +434,8 @@ func (m *Memory) ReadInto(addr Addr, dst []byte) error {
 // Pages returns how many live (not freed) pages dom owns.
 func (m *Memory) Pages(dom DomID) int {
 	n := 0
-	for pfn := 1; pfn < len(m.pages); pfn++ {
-		if pg := &m.pages[pfn]; pg.owner == dom && !pg.freed {
+	for pfn := PFN(1); pfn < m.npages; pfn++ {
+		if pg := m.lookup(pfn); pg.owner == dom && !pg.freed {
 			n++
 		}
 	}

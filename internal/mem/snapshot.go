@@ -12,7 +12,7 @@ type PageState struct {
 }
 
 // State is the whole physical memory's checkpoint image. Pages is
-// indexed by PFN with entry 0 unused, mirroring the dense page table.
+// indexed by PFN with entry 0 unused, mirroring the page table.
 type State struct {
 	Pages     []PageState
 	FreeQ     []PFN
@@ -25,18 +25,25 @@ type State struct {
 // immune to later DMA writes.
 func (m *Memory) State() State {
 	s := State{
-		Pages:     make([]PageState, len(m.pages)),
+		Pages:     make([]PageState, m.npages),
 		FreeQ:     append([]PFN(nil), m.freeQ...),
 		NextPFN:   m.nextPFN,
 		DevWrites: append([]uint64(nil), m.devWrites...),
 	}
-	for i := range m.pages {
-		pg := &m.pages[i]
-		ps := PageState{Owner: pg.owner, Ref: pg.ref, Freed: pg.freed, HypOnly: pg.hypOnly}
-		if pg.data != nil {
-			ps.Data = append([]byte(nil), pg.data...)
+	// A fresh memory has no chunk yet; its lone entry 0 stays zero.
+	for c, ch := range m.chunks {
+		for j := range ch {
+			i := PFN(c<<chunkShift + j)
+			if i >= m.npages {
+				break
+			}
+			pg := &ch[j]
+			ps := PageState{Owner: pg.owner, Ref: pg.ref, Freed: pg.freed, HypOnly: pg.hypOnly}
+			if pg.data != 0 {
+				ps.Data = append([]byte(nil), m.data[pg.data-1]...)
+			}
+			s.Pages[i] = ps
 		}
-		s.Pages[i] = ps
 	}
 	return s
 }
@@ -45,15 +52,14 @@ func (m *Memory) State() State {
 // page table. The restored machine's construction-time allocations are
 // overwritten wholesale — the image is authoritative.
 func (m *Memory) SetState(s State) {
-	m.pages = make([]page, len(s.Pages))
+	m.chunks, m.npages, m.data = nil, 0, nil
 	for i := range s.Pages {
 		ps := &s.Pages[i]
-		pg := page{owner: ps.Owner, ref: ps.Ref, freed: ps.Freed, hypOnly: ps.HypOnly}
+		pg := m.appendPage()
+		*pg = page{owner: ps.Owner, ref: ps.Ref, freed: ps.Freed, hypOnly: ps.HypOnly}
 		if ps.Data != nil {
-			pg.data = make([]byte, PageSize)
-			copy(pg.data, ps.Data)
+			copy(m.pageData(pg), ps.Data)
 		}
-		m.pages[i] = pg
 	}
 	m.freeQ = append(m.freeQ[:0], s.FreeQ...)
 	m.nextPFN = s.NextPFN
