@@ -20,34 +20,48 @@ import (
 // pins ride a reused FIFO as contiguous frame spans, and page
 // refcounting is an array index per page.
 func GuestDMA(b *testing.B) {
+	enq, err := NewGuestDMA()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := enq(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// NewGuestDMA builds the protected transmit ring GuestDMA drives, primes
+// its pin FIFO and ring into steady state, and returns one op: a
+// hypercall enqueue of one descriptor followed by a NIC-style consumer
+// writeback, so the next enqueue's lazy reap drops this descriptor's
+// pins.
+func NewGuestDMA() (func() error, error) {
 	const guest = mem.Dom0 + 1
 	m := mem.New()
 	p := core.NewProtection(m, core.ModeHypercall)
 	r, err := ring.New("tx", ring.DefaultLayout, m.AllocOne(guest).Base(), 256)
 	if err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
 	if err := p.RegisterRing(guest, r, 1<<16); err != nil {
-		b.Fatal(err)
+		return nil, err
 	}
 	buf := m.AllocOne(guest).Base()
 	descs := [1]ring.Desc{{Addr: buf, Len: 1514, Flags: ring.FlagTx}}
-	enq := func() {
+	enq := func() error {
 		if _, err := p.Enqueue(guest, r, descs[:]); err != nil {
-			b.Fatal(err)
+			return err
 		}
-		// NIC-style consumer writeback, so the next enqueue's lazy reap
-		// drops this descriptor's pins.
 		r.Consume(1)
+		return nil
 	}
-	// Prime the pin FIFO and the ring.
 	for i := 0; i < 32; i++ {
-		enq()
+		if err := enq(); err != nil {
+			return nil, err
+		}
 	}
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		enq()
-	}
+	return enq, nil
 }

@@ -14,7 +14,7 @@ import "cdna/internal/stats"
 // ingress.
 type Bridge struct {
 	outputs []Port
-	fdb     map[MAC]int
+	fdb     map[uint64]int32 // macKey(MAC) → port
 
 	Forwarded stats.Counter
 	Flooded   stats.Counter
@@ -31,7 +31,20 @@ type Bridge struct {
 
 // NewBridge creates an empty bridge.
 func NewBridge() *Bridge {
-	return &Bridge{fdb: make(map[MAC]int)}
+	return &Bridge{fdb: make(map[uint64]int32)}
+}
+
+// macKey packs a MAC big-endian into the low 48 bits of a forwarding
+// database key. A fixed-width integer key hashes far faster than a
+// 6-byte array, and big-endian packing keeps the keys in MAC order.
+func macKey(m MAC) uint64 {
+	return uint64(m[0])<<40 | uint64(m[1])<<32 | uint64(m[2])<<24 |
+		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
+}
+
+// keyMAC unpacks a forwarding database key.
+func keyMAC(k uint64) MAC {
+	return MAC{byte(k >> 40), byte(k >> 32), byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)}
 }
 
 // AddPort attaches an output and returns its port number.
@@ -45,8 +58,8 @@ func (b *Bridge) NumPorts() int { return len(b.outputs) }
 
 // Lookup returns the learned port for a MAC, or -1.
 func (b *Bridge) Lookup(m MAC) int {
-	if p, ok := b.fdb[m]; ok {
-		return p
+	if p, ok := b.fdb[macKey(m)]; ok {
+		return int(p)
 	}
 	return -1
 }
@@ -58,12 +71,13 @@ func (b *Bridge) Lookup(m MAC) int {
 // it to apply their own station-move accounting; Input's own
 // unconditional learning is unchanged and counts Moves itself.
 func (b *Bridge) Learn(m MAC, port int) int {
-	old, ok := b.fdb[m]
-	b.fdb[m] = port
+	k := macKey(m)
+	old, ok := b.fdb[k]
+	b.fdb[k] = int32(port)
 	if !ok {
 		return -1
 	}
-	return old
+	return int(old)
 }
 
 // Unlearn removes every forwarding-database entry pointing at port and
@@ -72,9 +86,9 @@ func (b *Bridge) Learn(m MAC, port int) int {
 // they reappear.
 func (b *Bridge) Unlearn(port int) int {
 	n := 0
-	for m, p := range b.fdb {
-		if p == port {
-			delete(b.fdb, m)
+	for k, p := range b.fdb {
+		if int(p) == port {
+			delete(b.fdb, k)
 			n++
 		}
 	}
@@ -94,13 +108,15 @@ func (b *Bridge) Unlearn(port int) int {
 // this invariant.
 func (b *Bridge) Input(in int, f *Frame) {
 	if !f.Src.IsBroadcast() {
-		if old, ok := b.fdb[f.Src]; ok && old != in {
+		k := macKey(f.Src)
+		if old, ok := b.fdb[k]; ok && int(old) != in {
 			b.Moves.Inc()
 		}
-		b.fdb[f.Src] = in
+		b.fdb[k] = int32(in)
 	}
 	if !f.Dst.IsBroadcast() {
-		if out, ok := b.fdb[f.Dst]; ok {
+		if p, ok := b.fdb[macKey(f.Dst)]; ok {
+			out := int(p)
 			if out != in {
 				b.Forwarded.Inc()
 				b.outputs[out].Receive(f)

@@ -1,9 +1,8 @@
 package ether
 
 import (
-	"bytes"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cdna/internal/sim"
 	"cdna/internal/stats"
@@ -183,13 +182,15 @@ type BridgeState struct {
 
 // State captures the bridge.
 func (b *Bridge) State() BridgeState {
-	fdb := make([]FDBEntry, 0, len(b.fdb))
-	for m, p := range b.fdb {
-		fdb = append(fdb, FDBEntry{MAC: m, Port: p})
+	keys := make([]uint64, 0, len(b.fdb))
+	for k := range b.fdb {
+		keys = append(keys, k)
 	}
-	sort.Slice(fdb, func(i, j int) bool {
-		return bytes.Compare(fdb[i].MAC[:], fdb[j].MAC[:]) < 0
-	})
+	slices.Sort(keys) // big-endian keys sort in MAC order
+	fdb := make([]FDBEntry, len(keys))
+	for i, k := range keys {
+		fdb[i] = FDBEntry{MAC: keyMAC(k), Port: int(b.fdb[k])}
+	}
 	return BridgeState{
 		FDB:         fdb,
 		Forwarded:   b.Forwarded.State(),
@@ -201,9 +202,9 @@ func (b *Bridge) State() BridgeState {
 
 // SetState restores the bridge.
 func (b *Bridge) SetState(s BridgeState) {
-	b.fdb = make(map[MAC]int, len(s.FDB))
+	b.fdb = make(map[uint64]int32, len(s.FDB))
 	for _, e := range s.FDB {
-		b.fdb[e.MAC] = e.Port
+		b.fdb[macKey(e.MAC)] = int32(e.Port)
 	}
 	b.Forwarded.SetState(s.Forwarded)
 	b.Flooded.SetState(s.Flooded)

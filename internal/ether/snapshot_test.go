@@ -1,6 +1,7 @@
 package ether
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -305,6 +306,41 @@ func TestBridgeSnapshotRoundTrip(t *testing.T) {
 	b.Input(0, &Frame{Src: macs[0], Dst: macs[1], Size: 60})
 	if !reflect.DeepEqual(*hits, []int{1}) {
 		t.Fatalf("post-restore unicast hit ports %v, want [1]", *hits)
+	}
+}
+
+// TestBridgeImageSortedByMAC: the forwarding database is keyed by a
+// packed integer, and its image must still list stations in MAC byte
+// order, with every MAC read back exactly. The MACs differ in each byte
+// position, high bytes included.
+func TestBridgeImageSortedByMAC(t *testing.T) {
+	b := NewBridge()
+	b.AddPort(PortFunc(func(f *Frame) {}))
+	b.AddPort(PortFunc(func(f *Frame) {}))
+	macs := []MAC{
+		{0xfe, 0, 0, 0, 0, 1}, {0x02, 0xff, 0, 0, 0, 0}, {0x02, 0, 0, 0, 0, 0xff},
+		{0x02, 0, 0x80, 0, 0, 0}, {0x02, 0, 0, 0, 0x01, 0}, {0x02, 0, 0, 0x7f, 0, 0},
+		{0x00, 0, 0, 0, 0, 0},
+	}
+	for i, m := range macs {
+		b.Learn(m, i%2)
+	}
+	st := b.State()
+	if len(st.FDB) != len(macs) {
+		t.Fatalf("image has %d entries, want %d", len(st.FDB), len(macs))
+	}
+	for i, e := range st.FDB {
+		if i > 0 && bytes.Compare(st.FDB[i-1].MAC[:], e.MAC[:]) >= 0 {
+			t.Fatalf("image out of MAC order at %d: %v then %v", i, st.FDB[i-1].MAC, e.MAC)
+		}
+		if got := b.Lookup(e.MAC); got != e.Port {
+			t.Fatalf("image lists %v on port %d, bridge has it on %d", e.MAC, e.Port, got)
+		}
+	}
+	for i, m := range macs {
+		if got := b.Lookup(m); got != i%2 {
+			t.Fatalf("Lookup(%v) = %d, want %d", m, got, i%2)
+		}
 	}
 }
 

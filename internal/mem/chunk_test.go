@@ -33,13 +33,41 @@ func TestPageEntryHasNoPointers(t *testing.T) {
 	for i := range typ.NumField() {
 		f := typ.Field(i)
 		switch f.Type.Kind() {
-		case reflect.Bool, reflect.Int, reflect.Int32, reflect.Int64, reflect.Uint32, reflect.Uint64:
+		case reflect.Bool, reflect.Int, reflect.Int16, reflect.Int32, reflect.Int64, reflect.Uint32, reflect.Uint64:
 		default:
 			t.Errorf("page.%s has kind %v; entries must hold no pointers", f.Name, f.Type.Kind())
 		}
 	}
-	if sz := unsafe.Sizeof(page{}); sz > 24 {
-		t.Errorf("page entry is %d bytes, want <= 24", sz)
+	if sz := unsafe.Sizeof(page{}); sz != 12 {
+		t.Errorf("page entry is %d bytes, want 12", sz)
+	}
+}
+
+// TestOwnerOutsideEntryRangePanics: a page entry stores its owner in
+// 16 bits, so a domain it cannot hold is refused loudly at Alloc and
+// Transfer rather than wrapped onto another domain's pages.
+func TestOwnerOutsideEntryRangePanics(t *testing.T) {
+	m := New()
+	p := m.AllocOne(guestA)
+	for name, f := range map[string]func(){
+		"Alloc":    func() { m.Alloc(DomID(1<<15), 1) },
+		"Transfer": func() { m.Transfer(p, guestA, DomID(-1<<15-1)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with an out-of-range domain did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+	if got := m.Owner(p); got != guestA {
+		t.Fatalf("refused Transfer changed the owner to %d", got)
+	}
+	top := DomID(1<<15 - 1)
+	if q := m.AllocOne(top); m.Owner(q) != top {
+		t.Fatalf("largest domain reads back as %d", m.Owner(q))
 	}
 }
 

@@ -28,6 +28,7 @@ package mem
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // DomID identifies a domain for ownership purposes.
@@ -81,15 +82,25 @@ const (
 	chunkMask  = chunkPages - 1
 )
 
-// page is one page-table entry. It holds no pointers, so the garbage
-// collector never scans the table: the bytes of a written page live in
-// Memory.data, indexed by the entry.
+// page is one 12-byte page-table entry. It holds no pointers, so the
+// garbage collector never scans the table: the bytes of a written page
+// live in Memory.data, indexed by the entry. The owner is stored as an
+// int16; Alloc and Transfer refuse a domain outside that range.
 type page struct {
-	owner   DomID
-	ref     int
+	ref     int32
 	data    int32 // 1-based index into Memory.data; 0 = never written
-	freed   bool  // owner freed it; returns to pool when ref drops to 0
-	hypOnly bool  // only the hypervisor may CPU-write this page
+	owner   int16
+	freed   bool // owner freed it; returns to pool when ref drops to 0
+	hypOnly bool // only the hypervisor may CPU-write this page
+}
+
+// ownerOf packs a domain into a page entry's owner field, panicking on
+// a domain the entry cannot hold.
+func ownerOf(dom DomID) int16 {
+	if dom < math.MinInt16 || dom > math.MaxInt16 {
+		panic(fmt.Sprintf("mem: domain %d outside the page table's int16 owner range", dom))
+	}
+	return int16(dom)
 }
 
 // pageChunk is one fixed-size block of the page table.
@@ -171,6 +182,7 @@ func (m *Memory) pageData(pg *page) []byte {
 
 // Alloc allocates n pages owned by dom and returns their frame numbers.
 func (m *Memory) Alloc(dom DomID, n int) []PFN {
+	owner := ownerOf(dom)
 	out := make([]PFN, 0, n)
 	for i := 0; i < n; i++ {
 		var pfn PFN
@@ -178,7 +190,7 @@ func (m *Memory) Alloc(dom DomID, n int) []PFN {
 			pfn = m.freeQ[0]
 			m.freeQ = m.freeQ[1:]
 			pg := m.lookup(pfn)
-			pg.owner = dom
+			pg.owner = owner
 			pg.freed = false
 			pg.hypOnly = false
 			if pg.data != 0 {
@@ -187,7 +199,7 @@ func (m *Memory) Alloc(dom DomID, n int) []PFN {
 		} else {
 			pfn = m.nextPFN
 			m.nextPFN++
-			m.appendPage().owner = dom
+			m.appendPage().owner = owner
 		}
 		out = append(out, pfn)
 	}
@@ -209,11 +221,11 @@ func (m *Memory) Free(dom DomID, pfn PFN) error {
 	if pg.freed {
 		return ErrFreed
 	}
-	if pg.owner != dom && dom != DomHyp {
+	if DomID(pg.owner) != dom && dom != DomHyp {
 		return ErrNotOwner
 	}
 	pg.freed = true
-	pg.owner = DomInvalid
+	pg.owner = int16(DomInvalid)
 	if pg.ref == 0 {
 		m.freeQ = append(m.freeQ, pfn)
 	}
@@ -226,7 +238,7 @@ func (m *Memory) Owner(pfn PFN) DomID {
 	if pg == nil {
 		return DomInvalid
 	}
-	return pg.owner
+	return DomID(pg.owner)
 }
 
 // Get increments the page's DMA reference count (hypervisor pins the page
@@ -260,7 +272,7 @@ func (m *Memory) Put(pfn PFN) error {
 // Refs returns the current reference count.
 func (m *Memory) Refs(pfn PFN) int {
 	if pg := m.lookup(pfn); pg != nil {
-		return pg.ref
+		return int(pg.ref)
 	}
 	return 0
 }
@@ -269,17 +281,18 @@ func (m *Memory) Refs(pfn PFN) int {
 // flip used by the Xen network path). It fails while references are
 // outstanding, because the pinned page may be a DMA target.
 func (m *Memory) Transfer(pfn PFN, from, to DomID) error {
+	owner := ownerOf(to)
 	pg := m.lookup(pfn)
 	if pg == nil {
 		return ErrNoPage
 	}
-	if pg.owner != from {
+	if DomID(pg.owner) != from {
 		return ErrNotOwner
 	}
 	if pg.ref != 0 {
 		return ErrPageBusy
 	}
-	pg.owner = to
+	pg.owner = owner
 	return nil
 }
 
@@ -309,7 +322,7 @@ func (m *Memory) RangeOwned(dom DomID, addr Addr, n int) bool {
 	first, last := addr.PFN(), Addr(uint64(addr)+uint64(n)-1).PFN()
 	for pfn := first; pfn <= last; pfn++ {
 		pg := m.lookup(pfn)
-		if pg == nil || pg.owner != dom || pg.freed {
+		if pg == nil || DomID(pg.owner) != dom || pg.freed {
 			return false
 		}
 	}
@@ -364,7 +377,7 @@ func (m *Memory) writeRaw(addr Addr, b []byte, device bool) error {
 		}
 		n := copy(m.pageData(pg)[addr.Offset():], b)
 		if device {
-			m.countDeviceWrite(pg.owner, n)
+			m.countDeviceWrite(DomID(pg.owner), n)
 		}
 		b = b[n:]
 		addr += Addr(n)
@@ -388,7 +401,7 @@ func (m *Memory) WriteAs(dom DomID, addr Addr, b []byte) error {
 			return ErrNoPage
 		}
 		if dom != DomHyp {
-			if pg.owner != dom {
+			if DomID(pg.owner) != dom {
 				return ErrNotOwner
 			}
 			if pg.hypOnly {
@@ -435,7 +448,7 @@ func (m *Memory) ReadInto(addr Addr, dst []byte) error {
 func (m *Memory) Pages(dom DomID) int {
 	n := 0
 	for pfn := PFN(1); pfn < m.npages; pfn++ {
-		if pg := m.lookup(pfn); pg.owner == dom && !pg.freed {
+		if pg := m.lookup(pfn); DomID(pg.owner) == dom && !pg.freed {
 			n++
 		}
 	}

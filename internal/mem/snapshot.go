@@ -38,7 +38,7 @@ func (m *Memory) State() State {
 				break
 			}
 			pg := &ch[j]
-			ps := PageState{Owner: pg.owner, Ref: pg.ref, Freed: pg.freed, HypOnly: pg.hypOnly}
+			ps := PageState{Owner: DomID(pg.owner), Ref: int(pg.ref), Freed: pg.freed, HypOnly: pg.hypOnly}
 			if pg.data != 0 {
 				ps.Data = append([]byte(nil), m.data[pg.data-1]...)
 			}
@@ -56,7 +56,7 @@ func (m *Memory) SetState(s State) {
 	for i := range s.Pages {
 		ps := &s.Pages[i]
 		pg := m.appendPage()
-		*pg = page{owner: ps.Owner, ref: ps.Ref, freed: ps.Freed, hypOnly: ps.HypOnly}
+		*pg = page{owner: ownerOf(ps.Owner), ref: int32(ps.Ref), freed: ps.Freed, hypOnly: ps.HypOnly}
 		if ps.Data != nil {
 			copy(m.pageData(pg), ps.Data)
 		}

@@ -24,7 +24,9 @@ import (
 // state image changes shape; old images are then refused instead of
 // being mis-decoded. Version 2 holds one engine and one workload
 // generator image per machine, where version 1 held a list of each.
-const Version = 2
+// Version 3 stores an open-loop endpoint's backlog as a count and a
+// replay cursor, where version 2 stored every queued arrival.
+const Version = 3
 
 // magic guards against feeding arbitrary files to Decode.
 const magic = "CDNASNAP"

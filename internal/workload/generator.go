@@ -77,12 +77,15 @@ type endpoint struct {
 	on      bool       // burst: currently in an on-period
 	startFn sim.Fn     // kind-appropriate Launch callback, bound at Add
 
-	// Open-loop state (Poisson, Pareto, Trace).
-	backlog   sim.FIFO[flowArrival] // arrivals waiting for the connection
-	inFlight  bool                  // a flow occupies the connection
-	trace     []TraceEvent          // this endpoint's assigned trace rows
-	cursor    int                   // next trace row to replay
-	traceBase sim.Time              // engine time of trace t=0
+	// Open-loop state (Poisson, Pareto, Trace). The backlog is replayed
+	// from the arrival stream, not stored (see openloop.go).
+	pending   int          // arrivals waiting for the connection
+	inFlight  bool         // a flow occupies the connection
+	head      sim.RNG      // Poisson/Pareto: the arrival stream at the backlog's head
+	headAt    sim.Time     // arrival time of the last flow taken off the backlog
+	trace     []TraceEvent // this endpoint's assigned trace rows
+	cursor    int          // next trace row to replay
+	traceBase sim.Time     // engine time of trace t=0
 }
 
 // NewGenerator creates a generator for a resolved spec. Call
@@ -134,6 +137,7 @@ func (g *Generator) Add(ep Endpoint) error {
 	}
 	e := &endpoint{g: g, Endpoint: ep}
 	e.rng = sim.NewRNG(g.spec.Seed + uint64(len(g.eps))*0x9e3779b97f4a7c15)
+	e.head = *e.rng
 	switch g.spec.Kind {
 	case Bulk:
 		e.startFn = g.eng.Bind(ep.Fwd.Start)

@@ -13,14 +13,17 @@ import (
 // *arrival* to completion — queueing delay included — so overload shows
 // up as response-time collapse, exactly what a closed-loop generator
 // structurally cannot exhibit.
-
-// flowArrival is one queued open-loop flow: when it arrived and how
-// many segments it carries (size sampled at arrival time, so the RNG
-// draw order depends only on the arrival process).
-type flowArrival struct {
-	at   sim.Time
-	segs int32
-}
+//
+// The backlog is a count, not a queue. A Poisson or Pareto endpoint's
+// arrivals are a pure function of its RNG stream, drawn in the order
+// gap₁, then segs₁ and gap₂ at arrival 1, then segs₂ and gap₃, and so
+// on. The backlog is the stretch of that stream between the flows
+// already started and the arrivals already fired, so the endpoint keeps
+// a second copy of the stream (the head cursor) that lags behind the
+// arrival process and regenerates each flow as it leaves the backlog.
+// A Trace endpoint's backlog is the rows [cursor-pending, cursor) of
+// its trace. Either way an endpoint holds O(1) state however far
+// arrivals outrun completions.
 
 // sizeBin is one step of a discrete flow-size CDF: cumulative
 // probability up to and including this size.
@@ -57,37 +60,38 @@ func pickBin(bins []sizeBin, u float64) int32 {
 	return bins[len(bins)-1].segs
 }
 
-// sampleSegs draws one flow size from the spec's distribution.
-func (e *endpoint) sampleSegs() int32 {
-	s := e.g.spec
+// sampleSegs draws one flow size from the spec's distribution off r.
+func (e *endpoint) sampleSegs(r *sim.RNG) int32 {
+	s := &e.g.spec
 	switch s.SizeDist {
 	case SizePareto:
-		v := e.rng.Pareto(s.ParetoAlpha, float64(s.FlowSegs))
+		v := r.Pareto(s.ParetoAlpha, float64(s.FlowSegs))
 		if v > maxFlowSegs {
 			v = maxFlowSegs
 		}
 		return int32(math.Ceil(v))
 	case SizeWebSearch:
-		return pickBin(websearchBins, e.rng.Float64())
+		return pickBin(websearchBins, r.Float64())
 	case SizeDataMining:
-		return pickBin(dataminingBins, e.rng.Float64())
+		return pickBin(dataminingBins, r.Float64())
 	default:
 		return int32(s.FlowSegs)
 	}
 }
 
-// interArrival draws the gap to the endpoint's next flow arrival. The
-// mean is 1/(FlowRate*Clients); Poisson draws exponential gaps, Pareto
-// heavy-tailed ones with the same mean (bursts and long silences).
-func (e *endpoint) interArrival() sim.Time {
-	s := e.g.spec
+// interArrival draws the gap to the endpoint's next flow arrival off r.
+// The mean is 1/(FlowRate*Clients); Poisson draws exponential gaps,
+// Pareto heavy-tailed ones with the same mean (bursts and long
+// silences).
+func (e *endpoint) interArrival(r *sim.RNG) sim.Time {
+	s := &e.g.spec
 	mean := float64(sim.Second) / (s.FlowRate * float64(s.Clients))
 	var v float64
 	if s.Kind == Pareto {
 		xm := mean * (s.ParetoAlpha - 1) / s.ParetoAlpha
-		v = e.rng.Pareto(s.ParetoAlpha, xm)
+		v = r.Pareto(s.ParetoAlpha, xm)
 	} else {
-		v = e.rng.Exp(mean)
+		v = r.Exp(mean)
 	}
 	if v < 1 {
 		v = 1
@@ -95,19 +99,22 @@ func (e *endpoint) interArrival() sim.Time {
 	return sim.Time(v)
 }
 
-// startOpenLoop is the Poisson/Pareto launch event: arm the first
-// arrival one draw away.
+// startOpenLoop is the Poisson/Pareto launch event: anchor the head
+// cursor at the launch instant and arm the first arrival one draw away.
 func (e *endpoint) startOpenLoop() {
-	e.timer.ArmAfter(e.interArrival())
+	e.headAt = e.g.eng.Now()
+	e.timer.ArmAfter(e.interArrival(e.rng))
 }
 
-// onArrival is the Poisson/Pareto arrival event: enqueue the flow
-// (size sampled now), re-arm the arrival process, and start the flow
-// immediately if the connection is idle.
+// onArrival is the Poisson/Pareto arrival event: count the flow into the
+// backlog, draw its size (only to keep the stream in step; the head
+// cursor redraws it when the flow starts), re-arm the arrival process,
+// and start the flow immediately if the connection is idle.
 func (e *endpoint) onArrival() {
 	e.g.Arrivals.Inc()
-	e.backlog.Push(flowArrival{at: e.g.eng.Now(), segs: e.sampleSegs()})
-	e.timer.ArmAfter(e.interArrival())
+	e.pending++
+	e.sampleSegs(e.rng)
+	e.timer.ArmAfter(e.interArrival(e.rng))
 	if !e.inFlight {
 		e.startNextFlow()
 	}
@@ -123,16 +130,12 @@ func (e *endpoint) startTrace() {
 	e.timer.Arm(e.traceBase + e.trace[e.cursor].At)
 }
 
-// onTraceArrival replays the cursor's event and arms the next one.
+// onTraceArrival counts the cursor's row into the backlog and arms the
+// next one.
 func (e *endpoint) onTraceArrival() {
-	ev := e.trace[e.cursor]
 	e.cursor++
+	e.pending++
 	e.g.Arrivals.Inc()
-	segs := int32(ev.Segs)
-	if segs > maxFlowSegs {
-		segs = maxFlowSegs
-	}
-	e.backlog.Push(flowArrival{at: e.g.eng.Now(), segs: segs})
 	if e.cursor < len(e.trace) {
 		e.timer.Arm(e.traceBase + e.trace[e.cursor].At)
 	}
@@ -141,18 +144,31 @@ func (e *endpoint) onTraceArrival() {
 	}
 }
 
+// popBacklog regenerates the backlog's head flow — its arrival time and
+// size — and takes it off the backlog.
+func (e *endpoint) popBacklog() (at sim.Time, segs int32) {
+	if e.g.spec.Kind == Trace {
+		ev := &e.trace[e.cursor-e.pending]
+		e.pending--
+		return e.traceBase + ev.At, int32(min(ev.Segs, maxFlowSegs))
+	}
+	e.pending--
+	e.headAt += e.interArrival(&e.head)
+	return e.headAt, e.sampleSegs(&e.head)
+}
+
 // startNextFlow opens the backlog's head flow on the connection:
 // per-flow setup cost, fresh slow start, one delivery mark at the end.
 func (e *endpoint) startNextFlow() {
-	head := e.backlog.Pop()
+	at, segs := e.popBacklog()
 	e.inFlight = true
-	e.t0 = head.at // arrival time: latency includes backlog queueing
+	e.t0 = at // arrival time: latency includes backlog queueing
 	if e.OnFlowSetup != nil {
 		e.OnFlowSetup()
 	}
 	e.Fwd.ResetSlowStart()
-	e.Fwd.ExpectDelivery(int(head.segs))
-	e.Fwd.Send(int(head.segs))
+	e.Fwd.ExpectDelivery(int(segs))
+	e.Fwd.Send(int(segs))
 }
 
 // onOpenFlowDone runs at the sender when the in-flight flow is fully
@@ -165,7 +181,7 @@ func (e *endpoint) onOpenFlowDone() {
 	e.g.Flows.Inc()
 	e.g.Latency.Observe(float64(e.g.eng.Now()-e.t0) / 1000)
 	e.inFlight = false
-	if e.backlog.Len() > 0 {
+	if e.pending > 0 {
 		e.startNextFlow()
 	}
 }

@@ -300,7 +300,7 @@ func TestOpenLoopSnapshotRoundTrip(t *testing.T) {
 	g.Launch(10 * sim.Millisecond)
 	eng.Run(50 * sim.Millisecond) // overload: backlog is non-empty
 	img := g.State()
-	if len(img.Endpoints) != 1 || len(img.Endpoints[0].Backlog) == 0 {
+	if len(img.Endpoints) != 1 || img.Endpoints[0].Pending <= 0 {
 		t.Fatalf("expected a queued backlog in the image: %+v", img.Endpoints)
 	}
 	_, g2 := build()
@@ -312,5 +312,45 @@ func TestOpenLoopSnapshotRoundTrip(t *testing.T) {
 	}
 	if err := g2.SetState(GeneratorState{}); err == nil {
 		t.Fatal("roster mismatch accepted")
+	}
+	bad := img
+	bad.Endpoints = []EndpointState{img.Endpoints[0]}
+	bad.Endpoints[0].Pending = -1
+	if err := g2.SetState(bad); err == nil {
+		t.Fatal("negative backlog accepted")
+	}
+}
+
+// TestTraceSetStateRejectsBadBacklog: a Trace endpoint's backlog is the
+// trace rows just behind its cursor, so an image whose backlog reaches
+// before the first row, or whose cursor is past the last, cannot be
+// replayed and must be refused with an error, not a later panic.
+func TestTraceSetStateRejectsBadBacklog(t *testing.T) {
+	RegisterTrace("badbacklog", &FlowTrace{Events: []TraceEvent{
+		{At: 0, Src: 0, Dst: 1, Segs: 2},
+		{At: 0, Src: 0, Dst: 1, Segs: 3},
+		{At: sim.Millisecond, Src: 0, Dst: 1, Segs: 1},
+	}})
+	eng := sim.New()
+	g, err := NewGenerator(eng, Spec{Kind: Trace, TracePath: MemPrefix + "badbacklog"}.Resolved(true, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Add(Endpoint{Fwd: loop(eng, 32), Remote: transport.Addr{Host: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	ok := GeneratorState{Endpoints: []EndpointState{{Cursor: 2, Pending: 2, InFlight: true}}}
+	if err := g.SetState(ok); err != nil {
+		t.Fatalf("valid trace backlog rejected: %v", err)
+	}
+	for _, es := range []EndpointState{
+		{Cursor: 1, Pending: 2},
+		{Cursor: 0, Pending: -1},
+		{Cursor: 4, Pending: 0},
+		{Cursor: -1, Pending: 0},
+	} {
+		if err := g.SetState(GeneratorState{Endpoints: []EndpointState{es}}); err == nil {
+			t.Fatalf("unreplayable trace backlog accepted: cursor %d, pending %d", es.Cursor, es.Pending)
+		}
 	}
 }
