@@ -88,7 +88,7 @@ for w in "${workloads[@]}"; do
 			bad=1
 		fi
 	done
-	printf '%-10s %-14s %-28s %-28s %8s %6s\n' workload metric "base median [q1, q3]" "head median [q1, q3]" head/base wins
+	printf '%-10s %-14s %-32s %-32s %9s %6s\n' workload metric "base median [q1, q3]" "head median [q1, q3]" head/base wins
 	for mb in "${metrics[@]}"; do
 		read -r m better <<<"$mb"
 		mapfile -t b < <(values "$w" base "$m")
@@ -100,7 +100,7 @@ for w in "${workloads[@]}"; do
 		done
 		read -r bmed bq1 bq3 < <(printf '%s\n' "${b[@]}" | stats)
 		read -r hmed hq1 hq3 < <(printf '%s\n' "${h[@]}" | stats)
-		printf '%-10s %-14s %-28s %-28s %8.3f %6s\n' "$w" "$m" \
+		printf '%-10s %-14s %-32s %-32s %9.3f %6s\n' "$w" "$m" \
 			"$(printf '%.4g [%.4g, %.4g]' "$bmed" "$bq1" "$bq3")" \
 			"$(printf '%.4g [%.4g, %.4g]' "$hmed" "$hq1" "$hq3")" \
 			"$(awk -v h="$hmed" -v b="$bmed" 'BEGIN { print h / b }')" "$wins/$pairs"
