@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test check smoke topo-smoke snap-smoke daemon-smoke cover tables paper bench bench-check pprof clean
+.PHONY: all build vet test check smoke topo-smoke daemon-smoke cover tables paper pprof clean
 
 all: check
 
@@ -25,8 +25,10 @@ smoke:
 # topo-smoke drives the multi-host fabric end to end through cdnasweep:
 # two architectures at two rack sizes under incast and all-to-all with
 # very short windows, then the same rack over multi-tier fabrics
-# (leaf-spine and fat-tree) and an open-loop leaf-spine run driven from
-# a checked-in flow trace. Wired into CI next to smoke.
+# (leaf-spine and fat-tree), an open-loop leaf-spine run driven from
+# a checked-in flow trace, and a fault-scenario grid (link flap,
+# switch-port failure, whole-fabric blackout). Wired into CI next to
+# smoke.
 topo-smoke:
 	$(GO) run ./cmd/cdnasweep -modes xen,cdna -dirs tx -hosts 2,4 \
 		-patterns incast,all2all -warmup 0.02 -duration 0.05 -workers 0 -json /dev/null
@@ -36,22 +38,16 @@ topo-smoke:
 	$(GO) run ./cmd/cdnasim -mode cdna -hosts 4 -pattern incast -fabric leafspine \
 		-workload trace -tracefile internal/workload/testdata/smoke_trace.csv \
 		-warmup 0.02 -duration 0.05 > /dev/null
-
-# snap-smoke drives the checkpoint/restore layer end to end through
-# cdnasweep: a fault-scenario grid (link flap, switch-port failure,
-# whole-fabric blackout) warm-start forked from one shared warmup
-# snapshot, with very short windows. Wired into CI next to topo-smoke.
-snap-smoke:
 	$(GO) run ./cmd/cdnasweep -modes xen,cdna -dirs tx -hosts 3 \
 		-patterns incast -faults none,linkflap,portfail,blackout \
-		-warmfork -warmup 0.02 -duration 0.05 -workers 0 -json /dev/null
+		-warmup 0.02 -duration 0.05 -workers 0 -json /dev/null
 
 # daemon-smoke drives the campaign service end to end: a sweep daemon
 # is started, a small sweep runs remotely, the daemon is drained and
 # restarted on the same durable store, and the same sweep runs again —
 # the restarted run must be served ≥95% from the store and its JSON
 # must be byte-identical to the first run's. Wired into CI next to
-# snap-smoke.
+# topo-smoke.
 daemon-smoke:
 	@set -e; \
 	dir=$$(mktemp -d /tmp/cdnadsmoke.XXXXXX); \
@@ -70,7 +66,7 @@ daemon-smoke:
 
 # cover is the ratcheted coverage gate for the fabric-critical packages
 # (the switch, the bridge/link layer it extends, the event core under
-# them, and the snapshot envelope). Floors only move up: raise them
+# them) and the result store and sweep daemon. Floors only move up: raise them
 # when coverage rises, never lower them to make a change pass. Current
 # measured coverage is a few points above each floor.
 cover:
@@ -85,7 +81,6 @@ cover:
 	check ./internal/ether/ 90; \
 	check ./internal/topo/ 92; \
 	check ./internal/sim/ 94; \
-	check ./internal/snap/ 90; \
 	check ./internal/store/ 80; \
 	check ./internal/daemon/ 72
 
@@ -96,24 +91,6 @@ tables:
 # paper reproduces the full evaluation as one parallel campaign.
 paper:
 	$(GO) run ./cmd/cdnasweep -preset paper -json results.json -csv results.csv
-
-# bench measures the simulator itself (event-core micro-benchmarks +
-# end-to-end runs) and records the perf trajectory in BENCH_sim.json.
-# See EXPERIMENTS.md.
-bench:
-	$(GO) run ./cmd/cdnabench -out BENCH_sim.json
-
-# bench-check is the perf-regression gate: a short re-measurement
-# compared against the committed BENCH_sim.json, failing on any
-# ns/event metric more than BENCH_TOL percent worse (or any new
-# steady-state allocation). The 15% default is meaningful on hardware
-# comparable to the committed run's; CI overrides BENCH_TOL with a
-# loose bound, because a shared runner being ~20% slower than the
-# recording machine is normal variance, not a regression — there the
-# gate catches order-of-magnitude slips and allocation creep.
-BENCH_TOL ?= 15
-bench-check:
-	$(GO) run ./cmd/cdnabench -short -compare BENCH_sim.json -tol $(BENCH_TOL)
 
 # pprof captures CPU and allocation profiles of the canned end-to-end
 # hot-path scenario (4-host CDNA incast) into prof/. Inspect with
@@ -126,4 +103,4 @@ pprof:
 	@echo "profiles written: prof/cpu.out prof/allocs.out"
 
 clean:
-	rm -f results.json results.csv BENCH_sim.json
+	rm -f results.json results.csv

@@ -148,7 +148,7 @@ func BenchmarkAblationIOMMU(b *testing.B) {
 
 // BenchmarkSingleRun measures the simulator itself: events per wall
 // second for the standard CDNA transmit configuration — the end-to-end
-// companion to the internal/sim micro-benchmarks in BENCH_sim.json.
+// companion to the internal/sim micro-benchmarks.
 func BenchmarkSingleRun(b *testing.B) {
 	var events uint64
 	for i := 0; i < b.N; i++ {
@@ -184,6 +184,6 @@ func BenchmarkPrepareCDNA24(b *testing.B) {
 
 // BenchmarkEngineScheduleFire is the foundation-layer hot loop measured
 // at the repository root so `go test -bench .` covers both altitudes;
-// the body is shared with internal/sim and cmd/cdnabench via
+// the body is shared with internal/sim and perfbench's probe via
 // internal/sim/simbench.
 func BenchmarkEngineScheduleFire(b *testing.B) { simbench.ScheduleFire(b) }

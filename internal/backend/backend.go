@@ -153,8 +153,6 @@ type Netback struct {
 	physPort int
 	phys     guest.NetDevice
 
-	vifs []*Vif
-
 	// Frames arriving from the physical driver, queued into the bridge
 	// traversal task; wireInFn is bound once in NewNetback.
 	wireIn   sim.FIFO[*ether.Frame]
@@ -199,7 +197,6 @@ func (nb *Netback) AddVif(gdom *xen.Domain, mac ether.MAC, fc FrontCosts) *Netfr
 	}))
 	vif.toBack = nb.Hyp.NewChannel(nb.Dom0, "vif.tx", func() { nb.serveVif(vif) })
 	vif.toFront = nb.Hyp.NewChannel(gdom, "vif.rx", front.onVirq)
-	nb.vifs = append(nb.vifs, vif)
 	return front
 }
 

@@ -73,41 +73,3 @@ func TestMultiGuestDoubleRunByteIdentical(t *testing.T) {
 		})
 	}
 }
-
-// TestRestoreMidRunByteIdentical is the doublerun contract with a
-// checkpoint in the loop: a run snapshotted mid-window and resumed in
-// a fresh machine must be byte-identical to the uninterrupted run —
-// including across a live link-flap outage.
-func TestRestoreMidRunByteIdentical(t *testing.T) {
-	opts := Opts{Warmup: 20 * sim.Millisecond, Duration: 60 * sim.Millisecond}
-	for _, tc := range []struct {
-		name  string
-		hosts int
-		fault FaultKind
-	}{
-		{"CDNA/single", 0, FaultNone},
-		{"CDNA/3h-incast-flap", 3, FaultLinkFlap},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := DefaultConfig(ModeCDNA, NICRice, Tx)
-			cfg.Guests = 2
-			cfg.ConnsPerGuestPerNIC = connsFor(cfg.Guests)
-			if tc.hosts > 1 {
-				cfg.Hosts = tc.hosts
-				cfg.Pattern = PatternIncast
-			}
-			cfg.Warmup, cfg.Duration = opts.Warmup, opts.Duration
-			if tc.fault != FaultNone {
-				cfg.Fault = FaultSpec{Kind: tc.fault, After: cfg.Duration / 4, Outage: cfg.Duration / 4}
-			}
-			// Snapshot mid-window, between injection and healing.
-			snapAt := cfg.Warmup + cfg.Duration*3/8
-			cold, img := runWithSnapshot(t, cfg, snapAt)
-			resumed := resumeFromSnapshot(t, cfg, snapAt, img)
-			a, b := resultJSON(t, cold), resultJSON(t, resumed)
-			if a != b {
-				t.Fatalf("resumed run diverged:\n--- cold ---\n%s\n--- resumed ---\n%s", a, b)
-			}
-		})
-	}
-}

@@ -259,12 +259,10 @@ func RunTraced(cfg Config, traceN int) (*Machine, Result, error) {
 	return runMachine(cfg, traceN)
 }
 
-// runMachine is the canonical experiment lifecycle. Its phases are
-// exported separately so checkpoint flows can recompose them: a
-// warm-start fork replaces Launch-plus-warmup with a Restore, and a
-// round-trip test snapshots between any two phases — every path runs
-// the same code in the same order, which is what makes restored runs
-// byte-identical to cold ones.
+// runMachine is the canonical experiment lifecycle: Prepare, Launch,
+// RunTo the end of warmup, OpenWindow, RunTo the end of the window,
+// Collect. The phases are exported so harnesses that time or trace
+// them separately (perfbench) run the same code in the same order.
 func runMachine(cfg Config, traceN int) (*Machine, Result, error) {
 	m, err := Prepare(cfg)
 	if err != nil {
@@ -311,7 +309,7 @@ func (m *Machine) RunTo(t sim.Time) { m.Eng.Run(t) }
 // historical path: one CPU, one hypervisor), then the configured fault
 // scenario is armed. Arming here — not at build or launch — keeps the
 // pre-window event sequence identical between a fault variant and its
-// fault-free base, so a warm-start fork restores cleanly into either.
+// fault-free base, so their warmups are the same simulation.
 func (m *Machine) OpenWindow() {
 	for _, h := range m.Hosts {
 		h.CPU.StartWindow()

@@ -18,9 +18,9 @@ type FaultKind int
 
 // Fault scenarios.
 const (
-	// FaultNone injects nothing. The injector still exists so that a
-	// faulted configuration and its fault-free base build identical
-	// engine registries — the property warm-start forking relies on.
+	// FaultNone injects nothing. The injector is built regardless, so
+	// a faulted configuration and its fault-free base build identical
+	// machines and differ only in what OpenWindow arms.
 	FaultNone FaultKind = iota
 	// FaultLinkFlap takes one access link (both directions) down for the
 	// outage, then restores it. Frames sent meanwhile are dropped at the
@@ -95,8 +95,7 @@ func (k *FaultKind) UnmarshalText(b []byte) error {
 // FaultSpec schedules one fault scenario relative to the measurement
 // window: the fault fires After the window opens and heals Outage
 // later. Relative timing keeps the spec independent of the warmup
-// length — and therefore identical between a cold run and a warm-start
-// fork, which arm the injector at the same instant either way.
+// length.
 type FaultSpec struct {
 	Kind FaultKind `json:"kind"`
 	// After is the injection offset from window open.

@@ -4,10 +4,8 @@ package bench
 // The determinism contract makes a result a pure function of two
 // things: the normalized configuration and the model build that ran
 // it. Normalize pins the first; Fingerprint proxies the second with
-// the same engine registry fingerprint the snapshot layer uses, so a
-// model change that adds or removes any bound callback or timer
-// invalidates every cached result, exactly as it invalidates every
-// snapshot.
+// the engine registry fingerprint, so a model change that adds or
+// removes any bound callback or timer invalidates every cached result.
 
 // Normalize returns the fault-complete, connection-balanced form of a
 // configuration — the canonical identity under which results are
@@ -31,9 +29,8 @@ func Normalize(cfg Config) (Config, error) {
 }
 
 // Fingerprint returns the machine's engine registry fingerprint: the
-// bound-callback and timer counts — the same counts snapshot headers
-// carry (internal/snap), and therefore the same cheap proxy for "this
-// model build".
+// bound-callback and timer counts, a cheap proxy for "this model
+// build".
 func (m *Machine) Fingerprint() (binds, timers int) {
 	return m.Eng.Binds(), m.Eng.Timers()
 }

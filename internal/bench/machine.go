@@ -102,14 +102,9 @@ type Host struct {
 	Drivers   []*guest.CDNADriver    // CDNA drivers on this host
 	Stacks    []*guest.Stack         // one per guest (native: the host OS)
 
-	// Checkpoint rosters, in creation order: every bus, access-link pipe
-	// (both directions, NIC order), netback and native driver built into
-	// the host. The snapshot walk (snapshot.go) iterates these; identity
-	// is the index, which deterministic construction reproduces.
-	Buses      []*bus.Bus
-	Links      []*ether.Pipe
-	Netbacks   []*backend.Netback
-	NativeDrvs []*guest.NativeDriver
+	// Links is every access-link pipe built into the host, both
+	// directions, in NIC order: window counters and link faults walk it.
+	Links []*ether.Pipe
 
 	guestDoms []*xen.Domain
 	dom0      *xen.Domain
@@ -442,7 +437,6 @@ func buildNative(cfg Config, env hostEnv) error {
 	for i := 0; i < cfg.NICs; i++ {
 		nicOut, hostIn := env.newLink()
 		b := bus.New(env.eng, cal.Bus)
-		h.Buses = append(h.Buses, b)
 		n := intelnic.New(env.eng, b, h.Mem, nicOut, cal.Intel, ether.MakeMAC(1, env.macIndex(i)))
 		hostIn.Connect(ether.PortFunc(n.Receive))
 		drv, err := guest.NewNativeDriver(hostDom, hostID, h.Mem, n, cal.NativeDrv)
@@ -454,7 +448,6 @@ func buildNative(cfg Config, env hostEnv) error {
 		drv.Start()
 		st.AttachDevice(drv)
 		h.IntelNICs = append(h.IntelNICs, n)
-		h.NativeDrvs = append(h.NativeDrvs, drv)
 		h.recordDev(0, drv)
 		if env.wire != nil {
 			if err := env.wire(st, 0, i, drv); err != nil {
@@ -492,7 +485,6 @@ func buildXen(cfg Config, env hostEnv) error {
 	for i := 0; i < cfg.NICs; i++ {
 		nicOut, hostIn := env.newLink()
 		b := bus.New(env.eng, cal.Bus)
-		h.Buses = append(h.Buses, b)
 
 		// Physical device owned by the driver domain.
 		var phys guest.NetDevice
@@ -509,7 +501,6 @@ func buildXen(cfg Config, env hostEnv) error {
 			n.SetIRQ(irq.Raise)
 			drv.Start()
 			h.IntelNICs = append(h.IntelNICs, n)
-			h.NativeDrvs = append(h.NativeDrvs, drv)
 			phys = drv
 		case NICRice:
 			// RiceNIC under software virtualization: one context assigned
@@ -549,7 +540,6 @@ func buildXen(cfg Config, env hostEnv) error {
 		}
 
 		nb := backend.NewNetback(hyp, dom0, phys, cal.Back)
-		h.Netbacks = append(h.Netbacks, nb)
 		for g := range guests {
 			front := nb.AddVif(guests[g], ether.MakeMAC(10+i, env.macIndex(g)), cal.Front)
 			stacks[g].AttachDevice(front)
@@ -594,7 +584,6 @@ func buildCDNA(cfg Config, env hostEnv) error {
 	for i := 0; i < cfg.NICs; i++ {
 		nicOut, hostIn := env.newLink()
 		b := bus.New(env.eng, cal.Bus)
-		h.Buses = append(h.Buses, b)
 		n, err := ricenic.New(env.eng, b, h.Mem, nicOut, rice)
 		if err != nil {
 			return err

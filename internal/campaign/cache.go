@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"cdna/internal/bench"
-	"cdna/internal/snap"
 	"cdna/internal/store"
 )
 
@@ -60,13 +59,11 @@ func (c CacheCounts) HitRate() float64 {
 }
 
 // ResultKey derives the canonical cache key of a configuration: a hash
-// over the payload schema version, the snapshot format version, the
-// engine registry fingerprint of the configuration's machine, and the
-// canonical JSON of the normalized configuration plus its calibration.
-// Any model change that alters the machine's registries — and any
-// snapshot-format bump, the marker for state images changing shape —
-// lands every config on a fresh key, so a stale store can only miss,
-// never mislead. Configurations that fail validation are uncacheable
+// over the payload schema version, the engine registry fingerprint of
+// the configuration's machine, and the canonical JSON of the normalized
+// configuration plus its calibration. Any model change that alters the
+// machine's registries lands every config on a fresh key, so a stale
+// store can only miss, never mislead. Configurations that fail validation are uncacheable
 // and return an error.
 func ResultKey(cfg bench.Config) (key string, err error) {
 	// A malformed-but-validating config can still panic in the machine
@@ -98,7 +95,6 @@ func ResultKey(cfg bench.Config) (key string, err error) {
 	}
 	return store.Key(
 		[]byte(resultSchema),
-		[]byte(strconv.Itoa(snap.Version)),
 		[]byte(strconv.Itoa(binds)),
 		[]byte(strconv.Itoa(timers)),
 		cfgJSON,

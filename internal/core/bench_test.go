@@ -7,6 +7,5 @@ import (
 )
 
 // The hypercall DMA-protection enqueue path, runnable via
-// `go test -bench`; cmd/cdnabench runs the same function for the
-// committed BENCH_sim.json row.
+// `go test -bench`; perfbench's probe runs the same function.
 func BenchmarkGuestDMA(b *testing.B) { corebench.GuestDMA(b) }

@@ -60,7 +60,6 @@ type Domain struct {
 	cpu      *CPU
 	q        sim.FIFO[Task]
 	state    domState
-	boosted  bool
 	sliceEnd sim.Time
 
 	seqAtDesched   uint64 // global switch sequence when last descheduled
@@ -182,7 +181,6 @@ func (d *Domain) Exec(cat Cat, dur sim.Time, name string, fn sim.Fn) {
 	d.q.Push(Task{Cat: cat, Dur: dur, Name: name, Fn: fn})
 	if d.state == domBlocked {
 		d.state = domQueued
-		d.boosted = true
 		d.wakes.Inc()
 		d.cpu.boostQ.Push(d)
 	}
@@ -200,7 +198,6 @@ func (d *Domain) ExecFront(cat Cat, dur sim.Time, name string, fn sim.Fn) {
 	d.q.PushFront(Task{Cat: cat, Dur: dur, Name: name, Fn: fn})
 	if d.state == domBlocked {
 		d.state = domQueued
-		d.boosted = true
 		d.wakes.Inc()
 		d.cpu.boostQ.Push(d)
 	}
@@ -293,7 +290,6 @@ func (c *CPU) dispatch() {
 	}
 	c.cur = d
 	d.state = domRunning
-	d.boosted = false
 	d.sliceEnd = c.eng.Now() + switchCost + c.params.Slice
 	if switchCost > 0 {
 		// switchCost is always params.SwitchCost here, so the callback

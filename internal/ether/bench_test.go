@@ -7,6 +7,5 @@ import (
 )
 
 // The pooled-frame hot path, runnable via `go test -bench`;
-// cmd/cdnabench runs the same function for the committed BENCH_sim.json
-// row.
+// perfbench's probe runs the same function.
 func BenchmarkFrameArena(b *testing.B) { etherbench.FrameArena(b) }

@@ -42,11 +42,6 @@ func macKey(m MAC) uint64 {
 		uint64(m[3])<<16 | uint64(m[4])<<8 | uint64(m[5])
 }
 
-// keyMAC unpacks a forwarding database key.
-func keyMAC(k uint64) MAC {
-	return MAC{byte(k >> 40), byte(k >> 32), byte(k >> 24), byte(k >> 16), byte(k >> 8), byte(k)}
-}
-
 // AddPort attaches an output and returns its port number.
 func (b *Bridge) AddPort(out Port) int {
 	b.outputs = append(b.outputs, out)

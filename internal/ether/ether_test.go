@@ -373,3 +373,95 @@ func TestBridgeSingleDeliveryProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestBridgeUnlearn(t *testing.T) {
+	b := NewBridge()
+	for i := 0; i < 3; i++ {
+		b.AddPort(PortFunc(func(*Frame) {}))
+	}
+	if b.NumPorts() != 3 {
+		t.Fatalf("NumPorts = %d", b.NumPorts())
+	}
+	macs := []MAC{MakeMAC(7, 0), MakeMAC(7, 1), MakeMAC(7, 2)}
+	for i, m := range macs {
+		b.Input(i, &Frame{Src: m, Dst: Broadcast, Size: 60})
+	}
+	if n := b.Unlearn(1); n != 1 {
+		t.Fatalf("Unlearn removed %d entries, want 1", n)
+	}
+	if b.Lookup(macs[1]) != -1 {
+		t.Fatal("station still learned after Unlearn")
+	}
+	if b.Lookup(macs[0]) != 0 || b.Lookup(macs[2]) != 2 {
+		t.Fatal("Unlearn touched other ports' stations")
+	}
+	if n := b.Unlearn(1); n != 0 {
+		t.Fatalf("second Unlearn removed %d entries, want 0", n)
+	}
+}
+
+// TestPipeNextFreeAfterIdle: once the wire has drained, NextFree is the
+// current time, never the past.
+func TestPipeNextFreeAfterIdle(t *testing.T) {
+	eng := sim.New()
+	p := NewPipe(eng, 1.0, 0)
+	p.Connect(PortFunc(func(f *Frame) {}))
+	p.Send(&Frame{Size: 1514})
+	busy := p.NextFree()
+	eng.Run(busy + sim.Microsecond)
+	if got := p.NextFree(); got != eng.Now() || got <= busy {
+		t.Fatalf("idle NextFree = %v, want now %v", got, eng.Now())
+	}
+}
+
+// TestDuplexWindowCounters: a duplex link is two independent pipes,
+// and StartWindow opens (or reopens, zeroed) each pipe's windowed
+// counters without touching its totals.
+func TestDuplexWindowCounters(t *testing.T) {
+	eng := sim.New()
+	l := NewDuplex(eng, 1.0, 500*sim.Nanosecond)
+	var got [2]int
+	l.AtoB.Connect(PortFunc(func(f *Frame) { got[0]++ }))
+	l.BtoA.Connect(PortFunc(func(f *Frame) { got[1]++ }))
+	l.AtoB.StartWindow()
+	l.BtoA.StartWindow()
+	l.AtoB.Send(&Frame{Size: 1514})
+	l.AtoB.Send(&Frame{Size: 1514})
+	l.BtoA.Send(&Frame{Size: 60})
+	eng.Run(eng.Now() + sim.Millisecond)
+	if got != [2]int{2, 1} {
+		t.Fatalf("deliveries A→B, B→A = %v, want [2 1]", got)
+	}
+	if l.AtoB.Frames.Window() != 2 || l.BtoA.Frames.Window() != 1 {
+		t.Fatalf("window frames %d/%d", l.AtoB.Frames.Window(), l.BtoA.Frames.Window())
+	}
+	l.AtoB.StartWindow()
+	if l.AtoB.Frames.Window() != 0 || l.AtoB.Bytes.Window() != 0 || l.AtoB.Dropped.Window() != 0 {
+		t.Fatal("StartWindow left windowed counters nonzero")
+	}
+	if l.AtoB.Frames.Total() != 2 || l.BtoA.Frames.Window() != 1 {
+		t.Fatal("StartWindow touched totals or the other direction")
+	}
+}
+
+// TestBridgeLearnReturnsPreviousPort: Learn reports -1 for a new
+// station and the old port for a re-pointed one, and forwarding
+// follows the latest entry.
+func TestBridgeLearnReturnsPreviousPort(t *testing.T) {
+	b := NewBridge()
+	var got [2]int
+	for i := range got {
+		b.AddPort(PortFunc(func(*Frame) { got[i]++ }))
+	}
+	m := MakeMAC(9, 0)
+	if old := b.Learn(m, 0); old != -1 {
+		t.Fatalf("first Learn returned %d, want -1", old)
+	}
+	if old := b.Learn(m, 1); old != 0 {
+		t.Fatalf("re-Learn returned %d, want 0", old)
+	}
+	b.Input(0, &Frame{Src: MakeMAC(9, 1), Dst: m, Size: 60})
+	if got != [2]int{0, 1} || b.Forwarded.Total() != 1 {
+		t.Fatalf("deliveries %v forwarded %d, want unicast to port 1", got, b.Forwarded.Total())
+	}
+}

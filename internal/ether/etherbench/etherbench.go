@@ -1,6 +1,6 @@
 // Package etherbench holds the frame-arena hot-path benchmark in plain
-// func(*testing.B) form, shared by `go test -bench` and cmd/cdnabench —
-// the same split internal/sim/simbench uses for the event core.
+// func(*testing.B) form, shared by `go test -bench` and perfbench's
+// probe — the same split internal/sim/simbench uses for the event core.
 package etherbench
 
 import (

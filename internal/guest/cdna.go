@@ -65,7 +65,7 @@ type CDNADriver struct {
 	// (hypercall or direct): the op is pushed when the charged task is
 	// scheduled and popped by the task body, in task-queue order. A
 	// queue instead of a captured closure keeps in-flight enqueues
-	// checkpointable.
+	// allocation-free.
 	enqOps sim.FIFO[enqOp]
 
 	rxHandler func(*ether.Frame)

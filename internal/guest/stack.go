@@ -89,10 +89,6 @@ type Stack struct {
 	// closure disappears.
 	rxQ  sim.FIFO[*transport.Segment]
 	rxFn sim.Fn
-
-	// senders is the roster of transmit adapters created by Sender, in
-	// creation order (checkpoint walk order).
-	senders []*sender
 }
 
 // NewStack creates a stack on the domain's vCPU.
@@ -167,7 +163,6 @@ type sender struct {
 func (s *Stack) Sender(dev NetDevice, dstMAC ether.MAC) func(*transport.Segment) {
 	sn := &sender{s: s, dev: dev, dst: dstMAC}
 	sn.fn = s.Dom.Engine().Bind(sn.xmitTask)
-	s.senders = append(s.senders, sn)
 	return sn.send
 }
 

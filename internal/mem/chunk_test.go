@@ -2,7 +2,6 @@ package mem
 
 import (
 	"bytes"
-	"encoding/gob"
 	"reflect"
 	"testing"
 	"unsafe"
@@ -76,8 +75,8 @@ func TestNewAllocatesNoChunk(t *testing.T) {
 	if len(m.chunks) != 0 {
 		t.Fatalf("New allocated %d chunks", len(m.chunks))
 	}
-	if s := m.State(); len(s.Pages) != 1 || s.NextPFN != 1 {
-		t.Fatalf("fresh State: %d pages, next PFN %d", len(s.Pages), s.NextPFN)
+	if m.npages != 1 || m.nextPFN != 1 {
+		t.Fatalf("fresh table: %d entries, next PFN %d", m.npages, m.nextPFN)
 	}
 	m.AllocOne(guestA)
 	if len(m.chunks) != 1 {
@@ -124,8 +123,9 @@ func TestChunkBoundaryPageOps(t *testing.T) {
 }
 
 // TestEveryFrameHasItsOwnEntry gives each frame of three chunks a
-// distinct owner, so two frames sharing an entry, or State reading
-// entries in a different order than lookup, shows as a wrong owner.
+// distinct owner, so two frames sharing an entry, or the chunks laid
+// out in a different order than lookup reads them, shows as a wrong
+// owner.
 func TestEveryFrameHasItsOwnEntry(t *testing.T) {
 	m := New()
 	pfns := m.Alloc(guestA, 3*chunkPages)
@@ -135,10 +135,10 @@ func TestEveryFrameHasItsOwnEntry(t *testing.T) {
 			t.Fatalf("transfer page %d: %v", p, err)
 		}
 	}
-	s := m.State()
 	for _, p := range pfns {
-		if m.Owner(p) != owner(p) || s.Pages[p].Owner != owner(p) {
-			t.Fatalf("page %d: owner %d, image owner %d, want %d", p, m.Owner(p), s.Pages[p].Owner, owner(p))
+		entry := m.chunks[int(p)/chunkPages][int(p)%chunkPages]
+		if m.Owner(p) != owner(p) || DomID(entry.owner) != owner(p) {
+			t.Fatalf("page %d: owner %d, chunk entry owner %d, want %d", p, m.Owner(p), entry.owner, owner(p))
 		}
 	}
 }
@@ -207,52 +207,6 @@ func TestChunkBoundaryReuseZeroes(t *testing.T) {
 	if len(m.data) != written {
 		t.Fatalf("reuse grew the data side table from %d to %d pages", written, len(m.data))
 	}
-}
-
-func TestStateRoundTripAcrossChunks(t *testing.T) {
-	m := New()
-	m.Alloc(guestA, 2*chunkPages+3)
-	for _, p := range []PFN{lastOfChunk0 - 1, lastOfChunk0, firstOfChunk1, 2 * chunkPages} {
-		if err := m.Write(p.Base()+PageSize-3, stamp(p)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m.Get(firstOfChunk1)
-	m.Free(guestA, firstOfChunk1)
-	m.Free(guestA, lastOfChunk0-1)
-	m.SetHypExclusive(lastOfChunk0, true)
-	m.Transfer(firstOfChunk1+1, guestA, guestB)
-
-	s := m.State()
-	var r Memory
-	r.SetState(s)
-	if !bytes.Equal(gobBytes(t, s), gobBytes(t, r.State())) {
-		t.Fatal("State -> SetState -> State is not byte-identical")
-	}
-	got := make([]byte, 3)
-	if err := r.ReadInto(firstOfChunk1.Base()+PageSize-3, got); err != nil || !bytes.Equal(got, stamp(firstOfChunk1)) {
-		t.Fatalf("restored page reads %v, %v", got, err)
-	}
-	// The restored allocator continues the same PFN and FIFO sequence.
-	if p := r.AllocOne(guestB); p != lastOfChunk0-1 {
-		t.Fatalf("restored FIFO reuse returned %d, want %d", p, lastOfChunk0-1)
-	}
-	if p := r.AllocOne(guestB); p != 2*chunkPages+4 {
-		t.Fatalf("restored PFN sequence returned %d, want %d", p, 2*chunkPages+4)
-	}
-}
-
-// stamp is the 3 bytes TestStateRoundTripAcrossChunks writes at the end
-// of page p.
-func stamp(p PFN) []byte { return []byte{byte(p), byte(p >> 8), 0x5a} }
-
-func gobBytes(t *testing.T, s State) []byte {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
 }
 
 func TestHotPathsAllocateNothing(t *testing.T) {

@@ -7,6 +7,5 @@ import (
 )
 
 // The device transmit pipeline, runnable via `go test -bench`;
-// cmd/cdnabench runs the same function for the committed BENCH_sim.json
-// row.
+// perfbench's probe runs the same function.
 func BenchmarkTxPipeline(b *testing.B) { nicbench.TxPipeline(b) }

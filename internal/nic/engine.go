@@ -78,8 +78,6 @@ type queue struct {
 	rxFifo     sim.FIFO[txEntry]
 	txFetching bool
 	rxFetching bool
-	txConsumed uint32 // free-running count of tx descriptors completed
-	rxConsumed uint32
 
 	// In-flight descriptor-fetch parameters plus the completion
 	// callbacks bound at AddQueue: at most one fetch per direction is
@@ -378,7 +376,6 @@ func (e *Engine) completeTx(q *queue) {
 	if q.tx.Avail() > 0 {
 		q.tx.Consume(1) // host-visible consumer index writeback
 	}
-	q.txConsumed++
 	if e.Hooks.OnCompletion != nil {
 		e.Hooks.OnCompletion(q.id, true)
 	}
@@ -452,7 +449,6 @@ func (e *Engine) rxDmaDone() {
 	if q.rx.Avail() > 0 {
 		q.rx.Consume(1)
 	}
-	q.rxConsumed++
 	e.RxPackets.Inc()
 	if e.Hooks.OnRxDelivered != nil {
 		e.Hooks.OnRxDelivered(q.id, j.f, j.entry.desc)

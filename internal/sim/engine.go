@@ -60,8 +60,6 @@ type Event struct {
 	next  *Event // intrusive wheel-slot list links (nil when unqueued)
 	prev  *Event
 	index int32  // wheel slot (or overflowIdx); -1 when not queued
-	fnID  int32  // callback registry identity (see fn.go); -1 raw, 0 none
-	tm    int32  // owning Timer's registry index (meaningful iff timer)
 	gen   uint32 // bumped on every recycle; stale Handles mismatch
 	timer bool   // owned by a Timer, never returned to the pool
 }
@@ -114,12 +112,10 @@ type Engine struct {
 	tracer  *Tracer
 	q       wheelSched // the event queue
 
-	// Checkpoint registries (fn.go, snapshot.go): callbacks bound and
-	// timers created during machine construction, in construction
-	// order. Deterministic construction makes the indices stable
-	// identities a snapshot can record.
-	binds  []func()
-	timers []*Timer
+	// Registry sizes (fn.go, timer.go): callbacks bound and timers
+	// created during machine construction.
+	binds  int32
+	timers int
 }
 
 // New returns an Engine with the clock at zero.
@@ -160,7 +156,6 @@ func (e *Engine) release(ev *Event) {
 	}
 	ev.gen++
 	ev.fn = nil
-	ev.fnID = 0
 	ev.name = ""
 	e.free = append(e.free, ev)
 }
@@ -168,7 +163,7 @@ func (e *Engine) release(ev *Event) {
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it always indicates a model bug. The callback is raw (see
 // RawFn): fine for tests and tooling, but model layers schedule bound
-// callbacks through AtFn so pending events stay snapshotable.
+// callbacks through AtFn, which allocate no closure per event.
 func (e *Engine) At(t Time, name string, fn func()) Handle {
 	return e.AtFn(t, name, RawFn(fn))
 }
@@ -180,7 +175,7 @@ func (e *Engine) AtFn(t Time, name string, fn Fn) Handle {
 	}
 	e.seq++
 	ev := e.alloc()
-	ev.at, ev.seq, ev.name, ev.fn, ev.fnID = t, e.seq, name, fn.f, fn.id
+	ev.at, ev.seq, ev.name, ev.fn = t, e.seq, name, fn.f
 	e.q.push(ev)
 	return Handle{ev: ev, gen: ev.gen}
 }
@@ -207,7 +202,7 @@ func (e *Engine) AtFnKeyed(t Time, name string, fn Fn, key uint64) Handle {
 		panic(fmt.Sprintf("sim: keyed event %q without SeqBand in key %#x", name, key))
 	}
 	ev := e.alloc()
-	ev.at, ev.seq, ev.name, ev.fn, ev.fnID = t, key, name, fn.f, fn.id
+	ev.at, ev.seq, ev.name, ev.fn = t, key, name, fn.f
 	e.q.push(ev)
 	return Handle{ev: ev, gen: ev.gen}
 }

@@ -1,10 +1,9 @@
 package sim_test
 
-// The engine micro-benchmarks behind `make bench` / BENCH_sim.json.
-// Bodies live in internal/sim/simbench (shared with cmd/cdnabench and
-// the repository-root bench) so the committed perf artifact always
-// measures exactly these loops. External test package to avoid the
-// sim → simbench → sim cycle.
+// The engine micro-benchmarks. Bodies live in internal/sim/simbench
+// (shared with perfbench's probe and the repository-root bench) so
+// every harness measures exactly these loops. External test package to
+// avoid the sim → simbench → sim cycle.
 
 import (
 	"testing"

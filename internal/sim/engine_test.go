@@ -289,3 +289,77 @@ func TestKeyedEventsOrderAfterCounter(t *testing.T) {
 	}()
 	e.AtFnKeyed(200, "bad", Fn{}, 1)
 }
+
+func TestFnIdentity(t *testing.T) {
+	e := New()
+	if got := e.Binds(); got != 0 {
+		t.Fatalf("fresh engine Binds = %d", got)
+	}
+	var fired int
+	fn := e.Bind(func() { fired++ })
+	if fn.Nil() || fn.ID() != 1 || e.Binds() != 1 {
+		t.Fatalf("bound fn: nil=%v id=%d binds=%d", fn.Nil(), fn.ID(), e.Binds())
+	}
+	if second := e.Bind(func() {}); second.ID() != 2 || e.Binds() != 2 {
+		t.Fatalf("second bind: id=%d binds=%d", second.ID(), e.Binds())
+	}
+	fn.Call()
+	e.AfterFn(5, "bound", fn)
+	e.Run(10)
+	if fired != 2 {
+		t.Fatalf("bound callback fired %d times, want 2 (Call + event)", fired)
+	}
+
+	var zero Fn
+	zero.Call() // no-op by contract
+	if !zero.Nil() || zero.ID() != 0 {
+		t.Fatalf("zero Fn: nil=%v id=%d", zero.Nil(), zero.ID())
+	}
+	if raw := RawFn(func() {}); raw.ID() != -1 || raw.Nil() {
+		t.Fatalf("raw Fn: id=%d nil=%v", raw.ID(), raw.Nil())
+	}
+	if rawNil := RawFn(nil); !rawNil.Nil() || rawNil.ID() != 0 {
+		t.Fatalf("RawFn(nil): nil=%v id=%d", rawNil.Nil(), rawNil.ID())
+	}
+
+	if e.Timers() != 0 {
+		t.Fatalf("Timers = %d", e.Timers())
+	}
+	e.NewTimer("t", func() {})
+	if e.Timers() != 1 {
+		t.Fatalf("Timers = %d after NewTimer", e.Timers())
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Bind(nil) did not panic")
+		}
+	}()
+	e.Bind(nil)
+}
+
+// TestRNGExpAndPareto: both draws replay from the seed, stay in their
+// support, and have the closed-form mean (Exp: mean; Pareto with
+// alpha > 2: alpha*xm/(alpha-1), finite variance) within 5%.
+func TestRNGExpAndPareto(t *testing.T) {
+	const n = 20000
+	a, b := NewRNG(13), NewRNG(13)
+	var sumExp, sumPar float64
+	for i := 0; i < n; i++ {
+		x, y := a.Exp(2), a.Pareto(3, 1)
+		if x != b.Exp(2) || y != b.Pareto(3, 1) {
+			t.Fatalf("draw %d does not replay from the seed", i)
+		}
+		if x < 0 || y < 1 {
+			t.Fatalf("draw %d out of support: Exp %v, Pareto %v", i, x, y)
+		}
+		sumExp += x
+		sumPar += y
+	}
+	if m := sumExp / n; m < 1.9 || m > 2.1 {
+		t.Errorf("Exp(2) sample mean %.3f, want 2±5%%", m)
+	}
+	if m := sumPar / n; m < 1.425 || m > 1.575 {
+		t.Errorf("Pareto(3, 1) sample mean %.3f, want 1.5±5%%", m)
+	}
+}

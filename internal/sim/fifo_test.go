@@ -191,3 +191,33 @@ func TestDoubleBufSwapsBuffers(t *testing.T) {
 		t.Fatalf("len %d after Reset", b.Len())
 	}
 }
+
+// TestFIFOPushFront: PushFront puts an item ahead of the queue, also
+// when the ring is wrapped and when it must grow to take the item.
+func TestFIFOPushFront(t *testing.T) {
+	var q FIFO[int]
+	for i := 1; i <= 3; i++ {
+		q.Push(i)
+	}
+	q.PushFront(0)
+	if q.Len() != 4 || q.Peek() != 0 {
+		t.Fatalf("len=%d peek=%d", q.Len(), q.Peek())
+	}
+	// Wrap the ring: pop two, push five and one to the front (filling
+	// all 8 slots), then one more to the front, which grows the ring.
+	q.Pop()
+	q.Pop()
+	for i := 4; i <= 8; i++ {
+		q.Push(i)
+	}
+	q.PushFront(1)
+	q.PushFront(0)
+	for want := 0; want <= 8; want++ {
+		if got := q.Pop(); got != want {
+			t.Fatalf("pop %d = %d", want, got)
+		}
+	}
+	if q.Len() != 0 {
+		t.Fatalf("len = %d after draining", q.Len())
+	}
+}

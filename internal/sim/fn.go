@@ -1,19 +1,14 @@
 package sim
 
-import "fmt"
-
 // Fn is a schedulable callback with a registry identity. Model layers
-// bind their callbacks once at construction time with Engine.Bind; the
-// identity (a small integer assigned in bind order) is what lets a
-// checkpoint serialize a pending event or a queued task — a func value
-// has no portable representation, but "bound callback #17 of a machine
-// built from this config" does, because machine construction is
-// deterministic: the same config binds the same callbacks in the same
-// order, so an ID recorded by one machine resolves to the equivalent
-// callback in a freshly built one.
+// bind their callbacks once at construction time with Engine.Bind, so
+// scheduling one allocates no closure. The identity is a small integer
+// assigned in bind order; machine construction is deterministic, so
+// the same config binds the same callbacks in the same order, and the
+// bind count is a structural fingerprint of the machine (see Binds).
 //
 // The zero Fn is valid and means "no callback": calling it is a no-op
-// and it snapshots as ID 0.
+// and its ID is 0.
 type Fn struct {
 	f  func()
 	id int32
@@ -23,14 +18,12 @@ type Fn struct {
 //
 //	 0  — the zero Fn: no callback.
 //	-1  — raw: an unregistered func (tests, attack paths, one-off
-//	      tooling). Raw callbacks work normally but make the engine
-//	      unsnapshotable while one is pending.
-//	>0  — bound: index+1 into the engine's bind registry.
+//	      tooling).
+//	>0  — bound: the bind order, counting from 1.
 const rawFnID = -1
 
-// RawFn wraps an unregistered func. Events scheduled with a raw Fn
-// cannot be checkpointed; use Engine.Bind for anything that can be
-// pending when a snapshot is taken.
+// RawFn wraps an unregistered func. Raw callbacks work normally but
+// carry no bind identity; model layers use Engine.Bind.
 func RawFn(f func()) Fn {
 	if f == nil {
 		return Fn{}
@@ -42,30 +35,18 @@ func RawFn(f func()) Fn {
 // Fn. Bind must only be called during machine construction (before the
 // simulation runs), and construction must be deterministic — both are
 // what make bind IDs stable across machines built from the same
-// configuration, which checkpoint restore relies on.
+// configuration.
 func (e *Engine) Bind(f func()) Fn {
 	if f == nil {
 		panic("sim: Bind(nil)")
 	}
-	e.binds = append(e.binds, f)
-	return Fn{f: f, id: int32(len(e.binds))}
+	e.binds++
+	return Fn{f: f, id: e.binds}
 }
 
 // Binds returns the number of bound callbacks — a cheap structural
-// fingerprint snapshot headers carry to reject restoring into a
-// machine built differently.
-func (e *Engine) Binds() int { return len(e.binds) }
-
-// ResolveFn returns the Fn for a snapshot-recorded ID.
-func (e *Engine) ResolveFn(id int32) (Fn, error) {
-	switch {
-	case id == 0:
-		return Fn{}, nil
-	case id > 0 && int(id) <= len(e.binds):
-		return Fn{f: e.binds[id-1], id: id}, nil
-	}
-	return Fn{}, fmt.Errorf("sim: callback id %d not in registry (%d bound)", id, len(e.binds))
-}
+// fingerprint that tells machines built differently apart.
+func (e *Engine) Binds() int { return int(e.binds) }
 
 // Call invokes the callback; calling the zero Fn is a no-op.
 func (fn Fn) Call() {

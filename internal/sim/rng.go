@@ -19,13 +19,6 @@ func NewRNG(seed uint64) *RNG {
 	return &RNG{state: seed}
 }
 
-// State returns the generator's internal state (checkpoint capture).
-func (r *RNG) State() uint64 { return r.state }
-
-// SetState overwrites the generator's internal state (checkpoint
-// restore). The argument must come from State.
-func (r *RNG) SetState(s uint64) { r.state = s }
-
 // Uint64 returns the next 64 random bits (splitmix64).
 func (r *RNG) Uint64() uint64 {
 	r.state += 0x9e3779b97f4a7c15
@@ -51,7 +44,7 @@ func (r *RNG) Float64() float64 {
 // Exp returns an exponentially distributed value with the given mean —
 // the inter-arrival draw of a Poisson process. Inverse-CDF over the
 // uniform stream, so one Uint64 per draw and the sequence replays
-// identically from a stored state.
+// identically from the same seed.
 func (r *RNG) Exp(mean float64) float64 {
 	return -mean * math.Log1p(-r.Float64())
 }

@@ -1,10 +1,5 @@
 package sim
 
-// SchedulerName identifies the engine's event queue; cdnabench records
-// it in BENCH_sim.json so reports from different queue designs stay
-// distinguishable artifacts.
-const SchedulerName = "wheel"
-
 // tickShift is log2 of the wheel tick in nanoseconds: every engine's
 // wheel buckets time into 32 ns ticks. The tick is purely a performance
 // choice — a coarser tick shortens the radix distance long-range timers

@@ -1,8 +1,10 @@
 // Package simbench holds the engine micro-benchmark bodies in one
 // place, shared by `go test -bench` (internal/sim and the repository
-// root) and by cmd/cdnabench, so the rows committed to BENCH_sim.json
-// can never drift from the benchmarks the docs point readers at. It is
-// a separate package so internal/sim itself never imports testing.
+// root) and by perfbench's probe, so every harness measures the same
+// loops. It is a separate package so internal/sim itself never imports
+// testing. The loops that must not allocate also have op constructors
+// (NewScheduleFireDepth64, NewCancelHeavy, NewRTOChurn), which the
+// package's tests run under testing.AllocsPerRun.
 //
 // Reference point: the seed engine (heap-allocated events through
 // container/heap) measured ~81 ns and 1 alloc per schedule→fire on the
@@ -43,15 +45,17 @@ func ScheduleFireClosure(b *testing.B) {
 
 // ScheduleFireDepth64 exercises the queue at a realistic standing depth
 // (a loaded machine keeps tens of events queued).
-func ScheduleFireDepth64(b *testing.B) {
+func ScheduleFireDepth64(b *testing.B) { run(b, NewScheduleFireDepth64()) }
+
+// NewScheduleFireDepth64 queues 64 standing events and returns one op:
+// schedule an event ahead of them and fire it.
+func NewScheduleFireDepth64() func() {
 	e := sim.New()
 	fn := func() {}
 	for i := 0; i < 64; i++ {
 		e.After(sim.Time(1000+i), "standing", fn)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		e.After(10, "ev", fn)
 		e.Step()
 	}
@@ -87,15 +91,17 @@ func Cancel(b *testing.B) {
 // events spread over the near future while one-shot events are
 // scheduled and aborted. The heap pays an O(log n) re-sift per cancel
 // here; the wheel unlinks in O(1).
-func CancelHeavy(b *testing.B) {
+func CancelHeavy(b *testing.B) { run(b, NewCancelHeavy()) }
+
+// NewCancelHeavy queues the standing load and returns one op: schedule
+// a one-shot event and cancel it.
+func NewCancelHeavy() func() {
 	e := sim.New()
 	fn := func() {}
 	for i := 0; i < 64; i++ {
 		e.After(sim.Time(100_000+i*1000), "standing", fn)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return func() {
 		h := e.After(50, "ev", fn)
 		h.Cancel()
 	}
@@ -107,7 +113,11 @@ func CancelHeavy(b *testing.B) {
 // connections keep a realistic standing population queued; each op
 // re-keys a timer far from the clock — a deep sift for the heap, an
 // O(1) radix re-file for the wheel.
-func RTOChurn(b *testing.B) {
+func RTOChurn(b *testing.B) { run(b, NewRTOChurn()) }
+
+// NewRTOChurn arms the 16 connections' timers and returns one op: fire
+// the next acknowledgement, which re-arms its connection's timeout.
+func NewRTOChurn() func() {
 	e := sim.New()
 	const conns = 16
 	for i := 0; i < conns; i++ {
@@ -120,9 +130,14 @@ func RTOChurn(b *testing.B) {
 		})
 		ack.ArmAfter(10*sim.Microsecond + jitter)
 	}
+	return func() { e.Step() }
+}
+
+// run times op b.N times, reporting allocations.
+func run(b *testing.B, op func()) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.Step()
+		op()
 	}
 }

@@ -22,14 +22,14 @@ type Timer struct {
 // component the callback is a method of. The timer starts unarmed.
 func (e *Engine) NewTimer(name string, fn func()) *Timer {
 	t := &Timer{eng: e}
-	t.ev = Event{eng: e, name: name, fn: fn, index: -1, timer: true, tm: int32(len(e.timers))}
-	e.timers = append(e.timers, t)
+	t.ev = Event{eng: e, name: name, fn: fn, index: -1, timer: true}
+	e.timers++
 	return t
 }
 
-// Timers returns the number of registered timers — like Binds, a
-// structural fingerprint for snapshot headers.
-func (e *Engine) Timers() int { return len(e.timers) }
+// Timers returns the number of timers created — like Binds, a
+// structural fingerprint of the machine that was built.
+func (e *Engine) Timers() int { return e.timers }
 
 // Arm schedules (or reschedules) the timer to fire at absolute time at.
 func (t *Timer) Arm(at Time) {

@@ -7,6 +7,5 @@ import (
 )
 
 // The switch hot path, runnable via `go test -bench` (CI's short
-// benchmark smoke); cmd/cdnabench runs the same function for the
-// committed BENCH_sim.json row.
+// benchmark smoke); perfbench's probe runs the same function.
 func BenchmarkSwitchForward(b *testing.B) { topobench.Forward(b) }

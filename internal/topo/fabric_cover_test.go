@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"cdna/internal/ether"
-	"cdna/internal/sim"
 )
 
 // FabricKind must survive a JSON round-trip (campaign specs and result
@@ -149,51 +148,5 @@ func TestFabricECMPAllUplinksDown(t *testing.T) {
 	}
 	if r.fb.DropsWindow() == 0 {
 		t.Fatal("dead-uplink traffic not accounted as drops")
-	}
-}
-
-// intCodec round-trips the test payloads (small ints) for snapshot
-// error-path tests.
-type intCodec struct{}
-
-func (intCodec) EncodePayload(p any) ([]byte, error) { return []byte{byte(p.(int))}, nil }
-func (intCodec) DecodePayload(b []byte) (any, error) { return int(b[0]), nil }
-
-// Snapshot error paths: payload frames without a codec refuse to
-// capture; tampered images (short trunk roster, short port roster,
-// payload bytes restored without a codec) refuse to restore.
-func TestFabricSnapshotErrorPaths(t *testing.T) {
-	spec := FabricSpec{Kind: KindLeafSpine, HostsPerLeaf: 2, Spines: 2}
-	build := func() *fabRig { return newFabRig(t, 4, 1, DefaultParams(), spec) }
-	r := build()
-	r.learnAll()
-	for i := 0; i < 50; i++ {
-		r.ups[0].Send(&ether.Frame{Src: r.macs[0], Dst: r.macs[2], Size: 1514, Payload: i})
-	}
-	r.eng.Run(r.eng.Now() + 40*sim.Microsecond) // leave payload frames in flight
-
-	if _, err := r.fb.State(nil); err == nil {
-		t.Fatal("captured in-flight payload frames without a codec")
-	}
-	st, err := r.fb.State(intCodec{})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	short := st
-	short.Trunks = st.Trunks[:len(st.Trunks)-1]
-	if err := build().fb.SetState(short, intCodec{}); err == nil {
-		t.Fatal("short trunk roster accepted")
-	}
-
-	lame := st
-	lame.Switches = append([]SwitchState(nil), st.Switches...)
-	lame.Switches[0].Ports = lame.Switches[0].Ports[:1]
-	if err := build().fb.SetState(lame, intCodec{}); err == nil {
-		t.Fatal("short port roster accepted")
-	}
-
-	if err := build().fb.SetState(st, nil); err == nil {
-		t.Fatal("restored payload bytes without a codec")
 	}
 }

@@ -441,37 +441,3 @@ func TestFabricToRMatchesSwitch(t *testing.T) {
 			len(r.log[2]), r.fb.ForwardedWindow(), r.fb.FloodedWindow())
 	}
 }
-
-// Fabric snapshot round-trip: capture mid-flight, restore into a fresh
-// identically-shaped fabric, and the forwarding databases, counters and
-// queued frames all carry over.
-func TestFabricSnapshotRoundTrip(t *testing.T) {
-	spec := FabricSpec{Kind: KindLeafSpine, HostsPerLeaf: 2, Spines: 2, Seed: 11}
-	build := func() *fabRig { return newFabRig(t, 4, 1, DefaultParams(), spec) }
-	r := build()
-	r.learnAll()
-	for i := 0; i < 50; i++ {
-		r.ups[0].Send(&ether.Frame{Src: r.macs[0], Dst: r.macs[2], Size: 1514})
-	}
-	r.eng.Run(r.eng.Now() + 100*sim.Microsecond) // leave frames in flight
-
-	st, err := r.fb.State(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := build()
-	if err := r2.fb.SetState(st, nil); err != nil {
-		t.Fatal(err)
-	}
-	if r.fb.InputsWindow() != r2.fb.InputsWindow() || r.fb.ForwardedWindow() != r2.fb.ForwardedWindow() {
-		t.Fatal("restored fabric counters differ")
-	}
-	if si, pi := r2.fb.Lookup(r.macs[0]); si < 0 || pi < 0 {
-		t.Fatal("restored fabric lost the forwarding database")
-	}
-	// Shape mismatch is rejected.
-	r3 := newFabRig(t, 4, 1, DefaultParams(), FabricSpec{Kind: KindLeafSpine, HostsPerLeaf: 2, Spines: 1})
-	if err := r3.fb.SetState(st, nil); err == nil {
-		t.Fatal("mismatched fabric shape accepted a snapshot")
-	}
-}

@@ -1,5 +1,5 @@
 // Package topobench holds the switch hot-path benchmark in plain
-// func(*testing.B) form, so cmd/cdnabench can run it through
+// func(*testing.B) form, so perfbench's probe can run it through
 // testing.Benchmark and `go test -bench` can wrap it — the same
 // split internal/sim/simbench uses for the event core.
 package topobench

@@ -7,6 +7,5 @@ import (
 )
 
 // The pooled-segment round trip, runnable via `go test -bench`;
-// cmd/cdnabench runs the same function for the committed BENCH_sim.json
-// row.
+// perfbench's probe runs the same function.
 func BenchmarkSegment(b *testing.B) { transportbench.Segment(b) }

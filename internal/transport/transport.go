@@ -57,10 +57,9 @@ func (a Addr) String() string {
 // reference-counted: the frame carrying a segment owns one reference
 // (released when the frame is freed), and a receive path that keeps
 // the segment past the frame's lifetime (a stack rx queue) retains its
-// own. Segments built as plain literals (tests, snapshot restore) have
-// no pool; their Retain/Release are no-ops and the garbage collector
-// owns them. Pooled segments are immutable once handed to the send
-// path.
+// own. Segments built as plain literals (tests) have no pool; their
+// Retain/Release are no-ops and the garbage collector owns them.
+// Pooled segments are immutable once handed to the send path.
 type Segment struct {
 	Conn   *Conn
 	Seq    uint32 // data sequence number (in segments)
@@ -278,6 +277,10 @@ func (c *Conn) Send(n int) {
 	c.limit += uint32(n)
 	c.Pump()
 }
+
+// Limit returns the send budget's sequence bound: every Send raises it
+// by its segment count.
+func (c *Conn) Limit() uint32 { return c.limit }
 
 // Pause stops the sender from transmitting new segments; in-flight data
 // still completes and acks are still processed. Resume continues.

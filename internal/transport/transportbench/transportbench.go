@@ -1,6 +1,6 @@
 // Package transportbench holds the transport hot-path benchmark in
 // plain func(*testing.B) form, shared by `go test -bench` and
-// cmd/cdnabench — the same split internal/sim/simbench uses for the
+// perfbench's probe — the same split internal/sim/simbench uses for the
 // event core.
 package transportbench
 

@@ -45,13 +45,10 @@ type Generator struct {
 	eps  []*endpoint
 
 	// trace is the parsed flow trace (Trace kind), loaded at
-	// construction; events are assigned to endpoints at Launch (or at
-	// SetState on a restored machine, which is never launched).
+	// construction; events are assigned to endpoints at Launch.
 	trace *FlowTrace
 	// traceSkipped counts trace events with no matching endpoint.
 	traceSkipped int
-	// traceDone guards the one-shot trace assignment.
-	traceDone bool
 
 	// Requests counts completed RPC exchanges (RequestResponse).
 	Requests stats.Counter
@@ -172,7 +169,9 @@ func (g *Generator) Add(ep Endpoint) error {
 // exactly: the same "conn.start" events at the same times in the same
 // order.
 func (g *Generator) Launch(warmup sim.Time) {
-	g.assignTraceOnce()
+	if g.spec.Kind == Trace {
+		g.traceSkipped = assignTrace(g.trace, g.eps)
+	}
 	var name string
 	switch g.spec.Kind {
 	case Bulk, Burst:
@@ -188,19 +187,6 @@ func (g *Generator) Launch(warmup sim.Time) {
 	for i, e := range g.eps {
 		g.eng.AtFn(launchAt(warmup, i, n), name, e.startFn)
 	}
-}
-
-// assignTraceOnce distributes the trace's events over the endpoint
-// roster (Trace kind only). It runs once, from Launch on a cold start
-// or from SetState on a restore: a restored machine is never launched,
-// its timers ride the engine snapshot, but the replay cursor still
-// needs the assigned rows to index into.
-func (g *Generator) assignTraceOnce() {
-	if g.traceDone || g.spec.Kind != Trace {
-		return
-	}
-	g.traceDone = true
-	g.traceSkipped = assignTrace(g.trace, g.eps)
 }
 
 // TraceSkipped returns how many trace events had no matching endpoint

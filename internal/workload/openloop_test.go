@@ -1,7 +1,9 @@
 package workload
 
 import (
-	"reflect"
+	"fmt"
+	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -216,13 +218,73 @@ func TestParseTrace(t *testing.T) {
 	if tr.Events[2].Segs != 3 { // ceil(3000/1448)
 		t.Fatalf("3000 bytes = %d segs, want 3", tr.Events[2].Segs)
 	}
-	for _, bad := range []string{
-		"", "0.1,0,1", "x,y,z,w\n0.1,a,1,10", "0.1,0,1,-5", "-0.1,0,1,10",
-	} {
-		if _, err := ParseTrace(strings.NewReader(bad)); err == nil {
-			t.Fatalf("bad trace accepted: %q", bad)
+}
+
+// badTraceRows are traces ParseTrace must refuse, each with the line
+// number its error names. Most bad rows follow a valid first row, so the
+// error must point past it.
+var badTraceRows = []struct {
+	csv  string
+	line int // 0: the trace as a whole (empty, or no events)
+}{
+	{"", 0},
+	{"0.1,0,1", 1},
+	{"x,y,z,w\n0.1,a,1,10", 2},
+	{"0.1,0,1,-5", 1},
+	{"-0.1,0,1,10", 1},
+	{"0.1,0,1,10\nNaN,0,1,100", 2},
+	{"0.1,0,1,10\nInf,0,1,100", 2},
+	{"0.1,0,1,10\n+Inf,0,1,100", 2},
+	{"0.1,0,1,10\n1e300,0,1,100", 2},
+	{"1e400,0,1,100\n0.1,0,1,10", 1},      // out of float64 range, not a header
+	{"0.1,0,1,10\n9223372037,0,1,100", 2}, // 2^63 ns rounded up
+	{"0.1,0,1,10\n0.5,0,1,9223372036854775807", 2},
+	{"0.1,0,1,10\n0.5,0,1,3109556320857", 2}, // MaxInt32 segments + 1 byte
+}
+
+func TestParseTraceRejects(t *testing.T) {
+	for _, c := range badTraceRows {
+		_, err := ParseTrace(strings.NewReader(c.csv))
+		if err == nil {
+			t.Fatalf("bad trace accepted: %q", c.csv)
+		}
+		if c.line > 0 && !strings.Contains(err.Error(), fmt.Sprintf("line %d:", c.line)) {
+			t.Fatalf("%q: error %q does not name line %d", c.csv, err, c.line)
 		}
 	}
+	// The largest flow and the latest arrival that still fit parse.
+	tr, err := ParseTrace(strings.NewReader("9223372036,0,1,3109556320856"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := tr.Events[0]; ev.Segs != math.MaxInt32 || ev.At != 9223372036*sim.Second {
+		t.Fatalf("boundary row parsed as %+v", ev)
+	}
+}
+
+// FuzzParseTrace: any input parses to an error or to a trace whose
+// every event has a non-negative arrival and at least one segment —
+// never a panic.
+func FuzzParseTrace(f *testing.F) {
+	smoke, err := os.ReadFile("testdata/smoke_trace.csv")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(string(smoke))
+	for _, c := range badTraceRows {
+		f.Add(c.csv)
+	}
+	f.Fuzz(func(t *testing.T, csv string) {
+		tr, err := ParseTrace(strings.NewReader(csv))
+		if err != nil {
+			return
+		}
+		for i, ev := range tr.Events {
+			if ev.At < 0 || ev.Segs < 1 {
+				t.Fatalf("event %d of %q: %+v", i, csv, ev)
+			}
+		}
+	})
 }
 
 // TestSmokeTraceFixture pins the checked-in trace fixture that `make
@@ -281,76 +343,5 @@ func TestTraceReplay(t *testing.T) {
 	}
 	if _, err := NewGenerator(eng, Spec{Kind: Trace, TracePath: MemPrefix + "nope"}.Resolved(true, false)); err == nil {
 		t.Fatal("unknown mem trace accepted")
-	}
-}
-
-func TestOpenLoopSnapshotRoundTrip(t *testing.T) {
-	build := func() (*sim.Engine, *Generator) {
-		eng := sim.New()
-		g, err := NewGenerator(eng, Spec{Kind: Poisson, FlowRate: 50000}.Resolved(true, false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.Add(Endpoint{Fwd: loop(eng, 32)}); err != nil {
-			t.Fatal(err)
-		}
-		return eng, g
-	}
-	eng, g := build()
-	g.Launch(10 * sim.Millisecond)
-	eng.Run(50 * sim.Millisecond) // overload: backlog is non-empty
-	img := g.State()
-	if len(img.Endpoints) != 1 || img.Endpoints[0].Pending <= 0 {
-		t.Fatalf("expected a queued backlog in the image: %+v", img.Endpoints)
-	}
-	_, g2 := build()
-	if err := g2.SetState(img); err != nil {
-		t.Fatal(err)
-	}
-	if got := g2.State(); !reflect.DeepEqual(got, img) {
-		t.Fatalf("state round-trip differs:\n got %+v\nwant %+v", got, img)
-	}
-	if err := g2.SetState(GeneratorState{}); err == nil {
-		t.Fatal("roster mismatch accepted")
-	}
-	bad := img
-	bad.Endpoints = []EndpointState{img.Endpoints[0]}
-	bad.Endpoints[0].Pending = -1
-	if err := g2.SetState(bad); err == nil {
-		t.Fatal("negative backlog accepted")
-	}
-}
-
-// TestTraceSetStateRejectsBadBacklog: a Trace endpoint's backlog is the
-// trace rows just behind its cursor, so an image whose backlog reaches
-// before the first row, or whose cursor is past the last, cannot be
-// replayed and must be refused with an error, not a later panic.
-func TestTraceSetStateRejectsBadBacklog(t *testing.T) {
-	RegisterTrace("badbacklog", &FlowTrace{Events: []TraceEvent{
-		{At: 0, Src: 0, Dst: 1, Segs: 2},
-		{At: 0, Src: 0, Dst: 1, Segs: 3},
-		{At: sim.Millisecond, Src: 0, Dst: 1, Segs: 1},
-	}})
-	eng := sim.New()
-	g, err := NewGenerator(eng, Spec{Kind: Trace, TracePath: MemPrefix + "badbacklog"}.Resolved(true, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Add(Endpoint{Fwd: loop(eng, 32), Remote: transport.Addr{Host: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	ok := GeneratorState{Endpoints: []EndpointState{{Cursor: 2, Pending: 2, InFlight: true}}}
-	if err := g.SetState(ok); err != nil {
-		t.Fatalf("valid trace backlog rejected: %v", err)
-	}
-	for _, es := range []EndpointState{
-		{Cursor: 1, Pending: 2},
-		{Cursor: 0, Pending: -1},
-		{Cursor: 4, Pending: 0},
-		{Cursor: -1, Pending: 0},
-	} {
-		if err := g.SetState(GeneratorState{Endpoints: []EndpointState{es}}); err == nil {
-			t.Fatalf("unreplayable trace backlog accepted: cursor %d, pending %d", es.Cursor, es.Pending)
-		}
 	}
 }

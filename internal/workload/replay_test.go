@@ -130,7 +130,7 @@ func runReplayDiff(t *testing.T, spec Spec, seed uint64) {
 					t.Fatalf("endpoint %d started a flow at %v with the reference backlog empty", i, eng.Now())
 				}
 				deepest = max(deepest, ref.q.Len())
-				started[i] = append(started[i], startedFlow{t0: g.eps[i].t0, limit: c.State().Limit, want: ref.q.Pop()})
+				started[i] = append(started[i], startedFlow{t0: g.eps[i].t0, limit: c.Limit(), want: ref.q.Pop()})
 			},
 		}
 		if err := g.Add(ep); err != nil {
@@ -156,7 +156,7 @@ func runReplayDiff(t *testing.T, spec Spec, seed uint64) {
 	flows := 0
 	for i, fl := range started {
 		e := g.eps[i]
-		final := e.Fwd.State().Limit
+		final := e.Fwd.Limit()
 		for k, f := range fl {
 			next := final
 			if k+1 < len(fl) {

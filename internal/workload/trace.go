@@ -2,7 +2,9 @@ package workload
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -54,7 +56,9 @@ func RegisterTrace(name string, tr *FlowTrace) {
 // with arrival in seconds (fractions allowed), src/dst as host indices,
 // and bytes as the flow's payload size (converted to segments at the
 // default MSS). Blank lines and #-comments are skipped, as is an
-// optional non-numeric header row. Files are parsed once and cached.
+// optional non-numeric header row. An arrival must be finite and fit
+// sim.Time in nanoseconds, and a flow must fit math.MaxInt32 segments.
+// Files are parsed once and cached.
 func LoadTrace(path string) (*FlowTrace, error) {
 	traceMu.Lock()
 	defer traceMu.Unlock()
@@ -99,7 +103,7 @@ func ParseTrace(r interface{ Read([]byte) (int, error) }) (*FlowTrace, error) {
 		}
 		sec, err := strconv.ParseFloat(strings.TrimSpace(cols[0]), 64)
 		if err != nil {
-			if line == 1 { // header row
+			if line == 1 && errors.Is(err, strconv.ErrSyntax) { // header row
 				continue
 			}
 			return nil, fmt.Errorf("line %d: bad arrival %q", line, cols[0])
@@ -113,15 +117,20 @@ func ParseTrace(r interface{ Read([]byte) (int, error) }) (*FlowTrace, error) {
 		if sec < 0 || src < 0 || dst < 0 || bytes <= 0 {
 			return nil, fmt.Errorf("line %d: negative field (or empty flow) in %q", line, text)
 		}
-		segs := int((bytes + transport.DefaultSegSize - 1) / transport.DefaultSegSize)
-		if segs < 1 {
-			segs = 1
+		// float64(math.MaxInt64) is 2^63, the first value past sim.Time.
+		ns := sec * float64(sim.Second)
+		if math.IsNaN(ns) || ns >= float64(math.MaxInt64) {
+			return nil, fmt.Errorf("line %d: arrival %q is not a finite time within %v", line, cols[0], sim.Time(math.MaxInt64))
+		}
+		segs := (bytes-1)/transport.DefaultSegSize + 1 // ceil, without overflow
+		if segs > math.MaxInt32 {
+			return nil, fmt.Errorf("line %d: flow of %d bytes exceeds %d segments", line, bytes, math.MaxInt32)
 		}
 		tr.Events = append(tr.Events, TraceEvent{
-			At:   sim.Time(sec * float64(sim.Second)),
+			At:   sim.Time(ns),
 			Src:  src,
 			Dst:  dst,
-			Segs: segs,
+			Segs: int(segs),
 		})
 	}
 	if err := sc.Err(); err != nil {

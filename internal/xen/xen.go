@@ -76,12 +76,6 @@ type Hypervisor struct {
 	domains   []*Domain
 	nextDomID mem.DomID
 
-	// channels and decoders are append-only creation rosters; like the
-	// bind registry, ordinal position is the checkpoint identity of a
-	// channel or decoder, stable because construction is deterministic.
-	channels []*EventChannel
-	decoders []*BitVecDecoder
-
 	pendFaults sim.FIFO[faultOp]
 	faultFn    sim.Fn
 
@@ -160,7 +154,6 @@ func (h *Hypervisor) NewChannel(target *Domain, name string, handler func()) *Ev
 	ch := &EventChannel{Name: name, target: target, handler: handler, virqName: "virq:" + name}
 	ch.deliverFn = h.Eng.Bind(ch.deliver)
 	ch.notifyFn = h.Eng.Bind(ch.Notify)
-	h.channels = append(h.channels, ch)
 	return ch
 }
 
@@ -234,8 +227,8 @@ func (h *Hypervisor) StartTimers() {
 // descriptor batch (§3.3): it scales with the number of descriptors and
 // the pages they span. The guest driver issues the hypercall itself —
 // d.Hypercall(cost, "cdna_enqueue", fn) with its own bound callback —
-// so the pending operation lives in the driver's snapshotable queue
-// instead of a captured closure.
+// so the pending operation lives in the driver's queue instead of a
+// per-call capturing closure.
 func (d *Domain) CDNAEnqueueCost(descs []ring.Desc) sim.Time {
 	pages := 0
 	for _, desc := range descs {
@@ -255,8 +248,8 @@ func (d *Domain) CDNAValidate(r *ring.Ring, descs []ring.Desc) (int, error) {
 // for one NIC: drain the bit-vector queue, then notify the event channel
 // of every context with a set bit. The per-context decode cost is
 // charged as additional ISR work; the drained masks await that charged
-// decode in a queue rather than a captured closure, so in-flight
-// interrupts checkpoint cleanly.
+// decode in a queue rather than a captured closure, so an interrupt
+// allocates nothing.
 //
 // channels is indexed by context ID (nil entries are contexts without a
 // registered channel). A dense slice instead of a map keeps delivery
@@ -278,7 +271,6 @@ type BitVecDecoder struct {
 func (h *Hypervisor) NewBitVecDecoder(q *core.BitVectorQueue, channels []*EventChannel) *BitVecDecoder {
 	d := &BitVecDecoder{hyp: h, q: q, channels: channels}
 	d.decodeFn = h.Eng.Bind(d.decode)
-	h.decoders = append(h.decoders, d)
 	return d
 }
 
@@ -313,7 +305,7 @@ func (d *BitVecDecoder) decode() {
 // ContextManager (contexts are per-device); pass the manager for the
 // faulting NIC — or nil to use the hypervisor's default manager. Faults
 // awaiting service queue on the hypervisor (they only occur in attack
-// scenarios; a checkpoint with one outstanding is refused).
+// scenarios).
 func (h *Hypervisor) HandleFault(cm *core.ContextManager, f *core.Fault) {
 	if cm == nil {
 		cm = h.CtxMgr
