@@ -63,8 +63,8 @@ func (c CacheCounts) HitRate() float64 {
 // the configuration's machine, and the canonical JSON of the normalized
 // configuration plus its calibration. Any model change that alters the
 // machine's registries lands every config on a fresh key, so a stale
-// store can only miss, never mislead. Configurations that fail validation are uncacheable
-// and return an error.
+// store can only miss, never mislead. Configurations that fail
+// validation are uncacheable and return an error.
 func ResultKey(cfg bench.Config) (key string, err error) {
 	// A malformed-but-validating config can still panic in the machine
 	// builder; RunCaptured owns reporting that. Treat it as uncacheable.
