@@ -73,3 +73,62 @@ func TestMultiGuestDoubleRunByteIdentical(t *testing.T) {
 		})
 	}
 }
+
+// TestRestoreMidRunByteIdentical drives the experiment phases by hand
+// and stops the engine mid-window, between fault injection and
+// healing, before resuming it to the end: the result must be
+// byte-identical to the uninterrupted Run, including across a live
+// link-flap outage.
+func TestRestoreMidRunByteIdentical(t *testing.T) {
+	opts := Opts{Warmup: 20 * sim.Millisecond, Duration: 60 * sim.Millisecond}
+	for _, tc := range []struct {
+		name  string
+		hosts int
+		fault FaultKind
+	}{
+		{"CDNA/single", 0, FaultNone},
+		{"CDNA/3h-incast-flap", 3, FaultLinkFlap},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(ModeCDNA, NICRice, Tx)
+			cfg.Guests = 2
+			cfg.ConnsPerGuestPerNIC = connsFor(cfg.Guests)
+			if tc.hosts > 1 {
+				cfg.Hosts = tc.hosts
+				cfg.Pattern = PatternIncast
+			}
+			cfg.Warmup, cfg.Duration = opts.Warmup, opts.Duration
+			if tc.fault != FaultNone {
+				cfg.Fault = FaultSpec{Kind: tc.fault, After: cfg.Duration / 4, Outage: cfg.Duration / 4}
+			}
+			whole, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := Prepare(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := m.Config()
+			m.Launch()
+			m.RunTo(c.Warmup)
+			m.OpenWindow()
+			m.RunTo(c.Warmup + c.Duration*3/8)
+			m.RunTo(c.Warmup + c.Duration)
+			a, b := resultJSON(t, whole), resultJSON(t, m.Collect())
+			if a != b {
+				t.Fatalf("resumed run diverged:\n--- whole ---\n%s\n--- resumed ---\n%s", a, b)
+			}
+		})
+	}
+}
+
+// resultJSON marshals a result for byte comparison.
+func resultJSON(t *testing.T, res Result) string {
+	t.Helper()
+	buf, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(buf)
+}

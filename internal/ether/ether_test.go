@@ -1,8 +1,10 @@
 package ether
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -371,6 +373,36 @@ func TestBridgeSingleDeliveryProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBridgeImageSortedByMAC: the forwarding database is keyed by a
+// packed integer, whose order must be MAC byte order, and every learned
+// MAC must be looked up exactly. The MACs differ in each byte position,
+// high bytes included.
+func TestBridgeImageSortedByMAC(t *testing.T) {
+	b := NewBridge()
+	b.AddPort(PortFunc(func(f *Frame) {}))
+	b.AddPort(PortFunc(func(f *Frame) {}))
+	macs := []MAC{
+		{0xfe, 0, 0, 0, 0, 1}, {0x02, 0xff, 0, 0, 0, 0}, {0x02, 0, 0, 0, 0, 0xff},
+		{0x02, 0, 0x80, 0, 0, 0}, {0x02, 0, 0, 0, 0x01, 0}, {0x02, 0, 0, 0x7f, 0, 0},
+		{0x00, 0, 0, 0, 0, 0},
+	}
+	for i, m := range macs {
+		b.Learn(m, i%2)
+	}
+	byKey := append([]MAC(nil), macs...)
+	sort.Slice(byKey, func(i, j int) bool { return macKey(byKey[i]) < macKey(byKey[j]) })
+	for i := 1; i < len(byKey); i++ {
+		if bytes.Compare(byKey[i-1][:], byKey[i][:]) >= 0 {
+			t.Fatalf("key order is not MAC order at %d: %v then %v", i, byKey[i-1], byKey[i])
+		}
+	}
+	for i, m := range macs {
+		if got := b.Lookup(m); got != i%2 {
+			t.Fatalf("Lookup(%v) = %d, want %d", m, got, i%2)
+		}
 	}
 }
 

@@ -217,6 +217,49 @@ func TestNativeDriverPoolRecycling(t *testing.T) {
 	}
 }
 
+// TestNativeDriverStateListsLiveSlots checks the driver's per-slot
+// tables after its free-running ring indices have wrapped them: exactly
+// the live descriptors, from the last reaped index up to the producer,
+// hold a buffer (and, on transmit, an in-flight frame); every other
+// slot is empty.
+func TestNativeDriverStateListsLiveSlots(t *testing.T) {
+	r := newNativeRig(t)
+	for i := 0; i < RingEntries+500; i++ {
+		r.drv.StartXmit(&ether.Frame{Size: 1514})
+	}
+	for i := 0; i < 10; i++ {
+		r.nic.Receive(&ether.Frame{Size: 1514})
+	}
+	d := r.drv
+	for d.lastTxCons <= RingEntries+10 || d.tx.Prod()-d.lastTxCons < 10 {
+		if r.eng.Now() > sim.Second {
+			t.Fatal("transmit drained before the tx slots wrapped")
+		}
+		r.eng.Run(r.eng.Now() + 10*sim.Microsecond)
+	}
+	live := func(name string, bufs *[RingEntries]mem.PFN, frames *[RingEntries]*ether.Frame, from, to uint32) {
+		t.Helper()
+		if to-from > RingEntries {
+			t.Fatalf("%s: live window %d..%d exceeds the ring", name, from, to)
+		}
+		in := make(map[uint32]bool, to-from)
+		for i := from; i != to; i++ {
+			in[slot(i)] = true
+		}
+		for s := uint32(0); s < RingEntries; s++ {
+			hasFrame := frames != nil && frames[s] != nil
+			if in[s] && (bufs[s] == 0 || frames != nil && !hasFrame) {
+				t.Fatalf("%s: live slot %d is empty (pfn %d, frame %v)", name, s, bufs[s], hasFrame)
+			}
+			if !in[s] && (bufs[s] != 0 || hasFrame) {
+				t.Fatalf("%s: slot %d outside indices %d..%d holds pfn %d, frame %v", name, s, from, to, bufs[s], hasFrame)
+			}
+		}
+	}
+	live("tx", &d.txBufs, &d.inflight, d.lastTxCons, d.tx.Prod())
+	live("rx", &d.rxBufs, nil, d.lastRxCons, d.rx.Prod())
+}
+
 // --- CDNADriver ---
 
 type cdnaRig struct {
