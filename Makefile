@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test check smoke topo-smoke daemon-smoke cover tables paper pprof clean
+.PHONY: all build vet test check smoke topo-smoke cover tables paper pprof clean
 
 all: check
 
@@ -42,31 +42,9 @@ topo-smoke:
 		-patterns incast -faults none,linkflap,portfail,blackout \
 		-warmup 0.02 -duration 0.05 -workers 0 -json /dev/null
 
-# daemon-smoke drives the campaign service end to end: a sweep daemon
-# is started, a small sweep runs remotely, the daemon is drained and
-# restarted on the same durable store, and the same sweep runs again —
-# the restarted run must be served ≥95% from the store and its JSON
-# must be byte-identical to the first run's. Wired into CI next to
-# topo-smoke.
-daemon-smoke:
-	@set -e; \
-	dir=$$(mktemp -d /tmp/cdnadsmoke.XXXXXX); \
-	trap 'rm -rf "$$dir"' EXIT; \
-	$(GO) build -o $$dir/cdnasweep ./cmd/cdnasweep; \
-	run() { $$dir/cdnasweep -remote -socket $$dir/d.sock -progress=false \
-		-modes xen,cdna -dirs tx,rx -warmup 0.02 -duration 0.05 "$$@"; }; \
-	$$dir/cdnasweep -daemon -socket $$dir/d.sock -store $$dir/store & pid=$$!; \
-	run -json $$dir/a.json; \
-	run -drain; wait $$pid; \
-	$$dir/cdnasweep -daemon -socket $$dir/d.sock -store $$dir/store & pid=$$!; \
-	run -json $$dir/b.json -require-hit-rate 0.95; \
-	run -drain; wait $$pid; \
-	cmp $$dir/a.json $$dir/b.json; \
-	echo "daemon-smoke ok: restarted run fully cached, byte-identical JSON"
-
 # cover is the ratcheted coverage gate for the fabric-critical packages
 # (the switch, the bridge/link layer it extends, the event core under
-# them) and the result store and sweep daemon. Floors only move up: raise them
+# them) and the result store. Floors only move up: raise them
 # when coverage rises, never lower them to make a change pass. Current
 # measured coverage is a few points above each floor.
 cover:
@@ -81,8 +59,7 @@ cover:
 	check ./internal/ether/ 90; \
 	check ./internal/topo/ 92; \
 	check ./internal/sim/ 94; \
-	check ./internal/store/ 80; \
-	check ./internal/daemon/ 72
+	check ./internal/store/ 80
 
 # tables regenerates the paper's tables with short windows.
 tables:

@@ -20,10 +20,7 @@
 //	cdnasweep -preset openloop -quick -csv openloop.csv
 //	cdnasweep -modes xen,cdna -hosts 4 -patterns incast -fabrics tor,leafspine,fattree
 //	cdnasweep -spec grid.json -workers 4
-//	cdnasweep -store .cdna-store -preset faults     # local run, durable result cache
-//	cdnasweep -daemon -socket d.sock -store st      # serve sweeps as a daemon
-//	cdnasweep -remote -socket d.sock -preset faults # submit to the daemon
-//	cdnasweep -remote -socket d.sock -drain         # graceful daemon shutdown
+//	cdnasweep -store .cdna-store -preset faults     # durable result cache
 //
 // The -modes/-nics/-dirs/... axis flags define one cross-product grid;
 // -spec reads one or more grids from a JSON file (the same schema
@@ -32,30 +29,23 @@
 // aborts the sweep; the exit status is 1 if any point failed.
 //
 // -store caches results in a content-addressed durable store, so
-// repeated and overlapping sweeps only simulate the delta. -daemon
-// serves the same store behind a unix-socket HTTP API (crash-safe:
-// accepted sweeps are journaled and resume after a kill); -remote
-// submits the grid there instead of running locally, with retries and
-// backoff riding out a busy or restarting daemon. Remote JSON output
-// is byte-identical to a local run's. DESIGN.md ("Campaign service")
-// documents the protocol.
+// repeated and overlapping sweeps only simulate the delta, and a killed
+// sweep resumes by being rerun: the points it finished are served from
+// the store, and the output is byte-identical to an uninterrupted run.
+// DESIGN.md ("Result store") documents the store.
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
 
 	"cdna/internal/bench"
 	"cdna/internal/campaign"
 	"cdna/internal/core"
-	"cdna/internal/daemon"
 	"cdna/internal/sim"
 	"cdna/internal/store"
 	"cdna/internal/topo"
@@ -139,85 +129,19 @@ func main() {
 	csvPath := flag.String("csv", "", "CSV output path (- = stdout)")
 	progress := flag.Bool("progress", true, "report per-experiment completion on stderr")
 
-	daemonMode := flag.Bool("daemon", false, "serve sweeps as a long-running daemon on -socket (requires -store); SIGINT/SIGTERM drain gracefully")
-	remote := flag.Bool("remote", false, "submit the sweep to the daemon at -socket instead of running locally")
-	socket := flag.String("socket", "", "unix socket path of the sweep daemon (with -daemon / -remote)")
-	storeDir := flag.String("store", "", "durable result-store directory: the daemon's storage with -daemon, a local result cache otherwise")
-	queueDepth := flag.Int("queue", 0, "daemon work-queue depth (0 = 8); submissions beyond it are shed with a retryable 429")
-	expTimeout := flag.Duration("exp-timeout", 0, "per-experiment watchdog wall-clock deadline (0 = none; local and -daemon runs)")
-	drain := flag.Bool("drain", false, "with -remote: ask the daemon to drain gracefully, then exit")
-	requireHitRate := flag.Float64("require-hit-rate", -1, "with -remote or -store: exit 1 unless the sweep's cache hit rate reaches this fraction (0..1)")
+	storeDir := flag.String("store", "", "durable result-store directory: results already stored are not re-simulated")
+	expTimeout := flag.Duration("exp-timeout", 0, "per-experiment watchdog wall-clock deadline (0 = none)")
+	requireHitRate := flag.Float64("require-hit-rate", -1, "with -store: exit 1 unless the sweep's cache hit rate reaches this fraction (0..1)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fatal("unexpected arguments %q", flag.Args())
 	}
 
 	switch {
-	case *daemonMode && *remote:
-		fatal("-daemon and -remote are mutually exclusive")
-	case *daemonMode && *socket == "":
-		fatal("-daemon requires -socket")
-	case *daemonMode && *storeDir == "":
-		fatal("-daemon requires -store (the durable result store)")
-	case *remote && *socket == "":
-		fatal("-remote requires -socket")
-	case *remote && *storeDir != "":
-		fatal("-store is the daemon's side of a -remote run; set it on the -daemon process")
-	case *drain && !*remote:
-		fatal("-drain requires -remote")
-	case *requireHitRate >= 0 && !*remote && *storeDir == "":
-		fatal("-require-hit-rate needs a cache: combine with -remote or -store")
+	case *requireHitRate >= 0 && *storeDir == "":
+		fatal("-require-hit-rate needs a cache: combine with -store")
 	case *requireHitRate > 1:
 		fatal("-require-hit-rate is a fraction in [0, 1]")
-	}
-
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "cdnasweep: "+format+"\n", args...)
-	}
-
-	if *daemonMode {
-		// The daemon defines no grid of its own — clients submit grids,
-		// windows, and outputs. Reject anything sweep-shaped.
-		allowed := map[string]bool{
-			"daemon": true, "socket": true, "store": true, "queue": true,
-			"exp-timeout": true, "workers": true, "progress": true,
-		}
-		flag.Visit(func(f *flag.Flag) {
-			if !allowed[f.Name] {
-				fatal("-%s does not apply to -daemon (clients define sweeps and outputs)", f.Name)
-			}
-		})
-		d, err := daemon.New(daemon.Config{
-			Socket:     *socket,
-			StoreDir:   *storeDir,
-			QueueDepth: *queueDepth,
-			Workers:    *workers,
-			ExpTimeout: *expTimeout,
-			Logf:       logf,
-		})
-		if err != nil {
-			fatal("%v", err)
-		}
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		go func() {
-			<-sig
-			logf("signal received; draining")
-			d.Drain()
-		}()
-		if err := d.Serve(); err != nil {
-			fatal("%v", err)
-		}
-		return
-	}
-
-	if *drain {
-		c := daemon.NewClient(*socket)
-		c.Logf = logf
-		if err := c.Drain(); err != nil {
-			fatal("%v", err)
-		}
-		return
 	}
 
 	// Axis flags define an ad-hoc grid; they cannot constrain a canned
@@ -339,65 +263,6 @@ func main() {
 		}
 	}
 
-	if *remote {
-		c := daemon.NewClient(*socket)
-		c.Logf = logf
-		req := daemon.SweepRequest{Grids: grids, Warmup: wu, Duration: du, Workers: *workers}
-		var onEvent func(daemon.ProgressEvent)
-		if *progress {
-			onEvent = func(ev daemon.ProgressEvent) {
-				if ev.State != "" || ev.Name == "" {
-					return // terminal marker, not an experiment
-				}
-				status := fmt.Sprintf("%7.0f Mb/s", ev.Mbps)
-				if ev.Error != "" {
-					status = "FAILED: " + ev.Error
-				}
-				fmt.Fprintf(os.Stderr, "[%3d/%3d] %-32s %s\n", ev.Done, ev.Total, ev.Name, status)
-			}
-		}
-		start := time.Now()
-		// RunSweep rides out queue-full and draining rejections with
-		// backoff, re-attaches across daemon restarts (submission is
-		// idempotent by content), and returns the daemon's result bytes
-		// verbatim — byte-identical to a local run's JSON.
-		raw, err := c.RunSweep(req, onEvent)
-		if err != nil {
-			fatal("%v", err)
-		}
-		recs, err := campaign.ReadJSON(bytes.NewReader(raw))
-		if err != nil {
-			fatal("decoding daemon results: %v", err)
-		}
-		if *progress {
-			fmt.Fprintf(os.Stderr, "%d experiments in %.1fs wall clock (remote)\n", len(recs), time.Since(start).Seconds())
-		}
-		id, err := req.ID()
-		if err != nil {
-			fatal("%v", err)
-		}
-		st, err := c.Status(id)
-		if err != nil {
-			fatal("fetching sweep status: %v", err)
-		}
-		logf("cache: %d hits / %d misses (hit rate %.0f%%)",
-			st.Cache.Hits, st.Cache.Misses, st.Cache.HitRate()*100)
-		emit(*jsonPath, func(f *os.File) error { _, err := f.Write(raw); return err })
-		emit(*csvPath, func(f *os.File) error { return campaign.WriteCSVRecords(f, recs) })
-		if *requireHitRate >= 0 && st.Cache.HitRate() < *requireHitRate {
-			fmt.Fprintf(os.Stderr, "cdnasweep: cache hit rate %.2f below required %.2f\n",
-				st.Cache.HitRate(), *requireHitRate)
-			os.Exit(1)
-		}
-		for _, rec := range recs {
-			if rec.Failed() {
-				fmt.Fprintf(os.Stderr, "cdnasweep: %s failed: %s\n", rec.Name, rec.Error)
-				os.Exit(1)
-			}
-		}
-		return
-	}
-
 	opt := campaign.Options{Workers: *workers, Timeout: *expTimeout}
 	var cacheStats campaign.CacheStats
 	if *storeDir != "" {
@@ -423,7 +288,7 @@ func main() {
 	}
 	if *storeDir != "" {
 		c := cacheStats.Counts()
-		logf("cache: %d hits / %d misses (hit rate %.0f%%)", c.Hits, c.Misses, c.HitRate()*100)
+		fmt.Fprintf(os.Stderr, "cdnasweep: cache: %d hits / %d misses (hit rate %.0f%%)\n", c.Hits, c.Misses, c.HitRate()*100)
 	}
 
 	emit(*jsonPath, func(f *os.File) error { return campaign.WriteJSON(f, outs) })

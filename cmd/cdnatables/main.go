@@ -18,8 +18,8 @@
 // Each table's experiments run in parallel through the campaign worker
 // pool; results are deterministic regardless of worker count. With
 // -store, every row is looked up in (and persisted to) the same
-// content-addressed result store cdnasweep and the sweep daemon use,
-// so regenerating tables after a sweep — or re-running them at all —
+// content-addressed result store cdnasweep -store uses, so
+// regenerating tables after a sweep — or re-running them at all —
 // only simulates the delta; the printed tables are identical either
 // way.
 package main
@@ -47,7 +47,7 @@ func main() {
 	fabrics := flag.Bool("fabrics", false, "run only the multi-tier fabric scenarios (cross-rack incast, oversubscription, open-loop load)")
 	workers := flag.Int("workers", 0, "concurrent experiments per table (0 = GOMAXPROCS)")
 	csvDir := flag.String("csvdir", "", "also write each table as CSV into this directory")
-	storeDir := flag.String("store", "", "durable result-store directory (shared with cdnasweep/the daemon); rows already stored are not re-simulated")
+	storeDir := flag.String("store", "", "durable result-store directory (shared with cdnasweep -store); rows already stored are not re-simulated")
 	flag.Parse()
 
 	if *csvDir != "" {

@@ -8,6 +8,7 @@ import (
 
 	"cdna/internal/bench"
 	"cdna/internal/store"
+	"cdna/internal/workload"
 )
 
 // Result caching. Determinism makes every experiment result a pure
@@ -24,20 +25,19 @@ import (
 const resultSchema = "cdna-result-v1"
 
 // CacheStats counts cache traffic for one consumer (a sweep, a table
-// run). Safe for concurrent use; the daemon reports a snapshot per
-// sweep through its status API.
+// run). Safe for concurrent use.
 type CacheStats struct {
 	hits, misses, uncacheable atomic.Uint64
 }
 
-// CacheCounts is the JSON snapshot of CacheStats.
+// CacheCounts is a point-in-time snapshot of CacheStats.
 type CacheCounts struct {
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
+	Hits   uint64
+	Misses uint64
 	// Uncacheable counts experiments bypassing the cache entirely —
 	// configurations that fail validation (their error outcome is
 	// recomputed, not stored).
-	Uncacheable uint64 `json:"uncacheable,omitempty"`
+	Uncacheable uint64
 }
 
 // Counts returns a point-in-time snapshot.
@@ -60,8 +60,9 @@ func (c CacheCounts) HitRate() float64 {
 
 // ResultKey derives the canonical cache key of a configuration: a hash
 // over the payload schema version, the engine registry fingerprint of
-// the configuration's machine, and the canonical JSON of the normalized
-// configuration plus its calibration. Any model change that alters the
+// the configuration's machine, the canonical JSON of the normalized
+// configuration plus its calibration and, for a trace-driven workload,
+// the trace's parsed events. Any model change that alters the
 // machine's registries lands every config on a fresh key, so a stale
 // store can only miss, never mislead. Configurations that fail
 // validation are uncacheable and return an error.
@@ -93,13 +94,28 @@ func ResultKey(cfg bench.Config) (key string, err error) {
 	if err != nil {
 		return "", err
 	}
-	return store.Key(
+	parts := [][]byte{
 		[]byte(resultSchema),
 		[]byte(strconv.Itoa(binds)),
 		[]byte(strconv.Itoa(timers)),
 		cfgJSON,
 		calJSON,
-	), nil
+	}
+	// The config names a trace only by its path (or mem: name), so the
+	// trace's content is hashed too: a file rewritten in place, or a
+	// name registered again, lands on a new key.
+	if norm.Workload.Kind == workload.Trace {
+		tr, err := workload.LoadTrace(norm.Workload.TracePath)
+		if err != nil {
+			return "", err
+		}
+		events, err := json.Marshal(tr.Events)
+		if err != nil {
+			return "", err
+		}
+		parts = append(parts, events)
+	}
+	return store.Key(parts...), nil
 }
 
 // CachedExec returns an experiment executor that consults the store
@@ -110,7 +126,8 @@ func ResultKey(cfg bench.Config) (key string, err error) {
 // re-reported) on every submission, so a transient failure — a
 // watchdog timeout, a panic — cannot poison the store. Results served
 // from cache are byte-identical to recomputed ones (JSON float
-// round-tripping is exact), which the daemon's recovery suite pins.
+// round-tripping is exact), which TestCachedExecByteIdentity and
+// cdnasweep's kill-and-rerun test pin.
 //
 // stats may be nil; s must not be.
 func CachedExec(s *store.Store, stats *CacheStats) func(bench.Config) bench.Outcome {
@@ -146,8 +163,8 @@ func CachedExec(s *store.Store, stats *CacheStats) func(bench.Config) bench.Outc
 }
 
 // CachedRunner is Runner with a store behind it: the injection point
-// for cmd/cdnatables -store, so CI's table jobs consume the same cache
-// the daemon fills. stats may be nil.
+// for cmd/cdnatables -store, so tables reuse the results any
+// cdnasweep -store run has stored. stats may be nil.
 func CachedRunner(workers int, s *store.Store, stats *CacheStats) bench.Runner {
 	return func(cfgs []bench.Config) []bench.Outcome {
 		return Run(cfgs, Options{Workers: workers, Exec: CachedExec(s, stats)})

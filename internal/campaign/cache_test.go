@@ -3,11 +3,14 @@ package campaign
 import (
 	"bytes"
 	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"cdna/internal/bench"
 	"cdna/internal/sim"
 	"cdna/internal/store"
+	"cdna/internal/workload"
 )
 
 // tinyGrid returns a fast-running grid (very short windows) for cache
@@ -122,6 +125,43 @@ func TestResultKeyIdentity(t *testing.T) {
 	}
 	if km1 == k1 {
 		t.Fatal("host axis did not change the key")
+	}
+}
+
+// TestResultKeyFollowsTraceContent: a trace file rewritten at the same
+// path is read afresh and lands on a new key, so a store never serves
+// results computed from the old content.
+func TestResultKeyFollowsTraceContent(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.csv")
+	cfg := bench.DefaultConfig(bench.ModeCDNA, bench.NICRice, bench.Tx)
+	cfg.Hosts = 4
+	cfg.Pattern = bench.PatternIncast
+	cfg.Workload = workload.Spec{Kind: workload.Trace, TracePath: path}
+	load := func(rows string) (*workload.FlowTrace, string) {
+		t.Helper()
+		if err := os.WriteFile(path, []byte(rows), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tr, err := workload.LoadTrace(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := ResultKey(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tr, key
+	}
+	tr1, k1 := load("0.0005,1,0,1448\n")
+	tr2, k2 := load("0.0005,2,0,1448\n0.0010,3,0,2896\n")
+	if reflect.DeepEqual(tr1.Events, tr2.Events) || len(tr2.Events) != 2 {
+		t.Fatalf("rewritten trace loaded stale flows: %+v", tr2.Events)
+	}
+	if k1 == k2 {
+		t.Fatal("rewritten trace kept its ResultKey")
+	}
+	if _, k := load("0.0005,1,0,1448\n"); k != k1 {
+		t.Fatal("restored trace content did not restore its ResultKey")
 	}
 }
 

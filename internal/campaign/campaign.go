@@ -11,11 +11,9 @@
 //
 // The package is the engine behind cmd/cdnasweep (grid in, JSON/CSV
 // out) and supplies the parallel bench.Runner that cmd/cdnatables
-// injects to regenerate the paper's tables concurrently. The service
-// layers stack on the same entry point: cache.go supplies a
-// store-backed executor (Options.Exec) and internal/daemon drives Run
-// with a watchdog deadline (Options.Timeout) and a drain signal
-// (Options.Cancel).
+// injects to regenerate the paper's tables concurrently. cache.go
+// supplies a store-backed executor (Options.Exec), and Options.Timeout
+// puts a watchdog deadline on every experiment.
 package campaign
 
 import (
@@ -32,12 +30,6 @@ import (
 // it ran past Options.Timeout and its worker was released. Wrapped in
 // the outcome's Err; test with errors.Is.
 var ErrTimeout = errors.New("campaign: experiment exceeded watchdog deadline")
-
-// ErrCanceled marks an experiment that never started because the
-// campaign's Cancel channel closed first (a daemon drain, a shutdown).
-// Its grid point is simply unrun — resubmitting the grid completes the
-// delta, served from cache for the points that did finish.
-var ErrCanceled = errors.New("campaign: sweep canceled before experiment started")
 
 // Options controls campaign execution.
 type Options struct {
@@ -60,13 +52,6 @@ type Options struct {
 	// here. The watchdog wraps whatever executor is configured.
 	Exec func(bench.Config) bench.Outcome
 
-	// Cancel, when non-nil, aborts the campaign when closed: experiments
-	// already running finish (and report), experiments not yet started
-	// are marked with ErrCanceled and never run. This is the graceful
-	// half of a daemon drain — in-flight work completes, queued work is
-	// left for the resumed sweep.
-	Cancel <-chan struct{}
-
 	// Progress, when non-nil, is called once per finished experiment
 	// with the completion count so far and the experiment's outcome.
 	// Calls are serialized; completion order is nondeterministic under
@@ -80,17 +65,6 @@ func (o Options) workers() int {
 		return o.Workers
 	}
 	return runtime.GOMAXPROCS(0)
-}
-
-// canceled reports whether the options' cancel channel has closed.
-// Safe with a nil channel (never canceled).
-func (o Options) canceled() bool {
-	select {
-	case <-o.Cancel:
-		return true
-	default:
-		return false
-	}
 }
 
 // runOne executes one experiment through the configured executor,
@@ -118,16 +92,10 @@ func (o Options) runOne(cfg bench.Config) bench.Outcome {
 	}
 }
 
-func cancelOutcome(cfg bench.Config) bench.Outcome {
-	return bench.Outcome{Config: cfg, Err: ErrCanceled}
-}
-
 // Run executes every configuration of the campaign and returns one
 // outcome per configuration, in input order. Errors (including panics
 // from malformed configurations and watchdog timeouts) are captured per
-// experiment; the rest of the sweep always completes — unless
-// Options.Cancel closes, in which case the unstarted remainder is
-// marked ErrCanceled.
+// experiment; the rest of the sweep always completes.
 func Run(cfgs []bench.Config, opt Options) []bench.Outcome {
 	outs := make([]bench.Outcome, len(cfgs))
 	workers := opt.workers()
@@ -136,10 +104,6 @@ func Run(cfgs []bench.Config, opt Options) []bench.Outcome {
 	}
 	if workers <= 1 {
 		for i, cfg := range cfgs {
-			if opt.canceled() {
-				outs[i] = cancelOutcome(cfg)
-				continue
-			}
 			outs[i] = opt.runOne(cfg)
 			report(opt, i+1, len(cfgs), outs[i])
 		}
@@ -164,23 +128,8 @@ func Run(cfgs []bench.Config, opt Options) []bench.Outcome {
 			}
 		}()
 	}
-	// Dispatch in input order; a close of Cancel stops dispatch and
-	// marks the undispatched tail canceled. Indices past the cancel
-	// point were never sent to a worker, so writing their outcomes here
-	// cannot race.
-dispatch:
 	for i := range cfgs {
-		if !opt.canceled() {
-			select {
-			case jobs <- i:
-				continue
-			case <-opt.Cancel:
-			}
-		}
-		for j := i; j < len(cfgs); j++ {
-			outs[j] = cancelOutcome(cfgs[j])
-		}
-		break dispatch
+		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
@@ -212,16 +161,4 @@ func Errs(outs []bench.Outcome) []error {
 		}
 	}
 	return errs
-}
-
-// Interrupted reports whether any experiment in the batch was canceled
-// before starting — the signature of a drained (incomplete) sweep,
-// which a journaled daemon resumes on restart.
-func Interrupted(outs []bench.Outcome) bool {
-	for _, out := range outs {
-		if errors.Is(out.Err, ErrCanceled) {
-			return true
-		}
-	}
-	return false
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -138,6 +139,15 @@ func TestProgressReporting(t *testing.T) {
 	}
 }
 
+// readJSON reads a Record array written by WriteJSON.
+func readJSON(r io.Reader) ([]Record, error) {
+	var recs []Record
+	if err := json.NewDecoder(r).Decode(&recs); err != nil {
+		return nil, err
+	}
+	return recs, nil
+}
+
 // TestJSONRoundTrip runs a tiny campaign (including one failure),
 // writes it as JSON, reads it back, and checks the records survive.
 func TestJSONRoundTrip(t *testing.T) {
@@ -152,7 +162,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := WriteJSON(&buf, outs); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := ReadJSON(&buf)
+	recs, err := readJSON(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,16 +49,6 @@ func WriteJSON(w io.Writer, outs []bench.Outcome) error {
 	return err
 }
 
-// ReadJSON reads a Record array written by WriteJSON.
-func ReadJSON(r io.Reader) ([]Record, error) {
-	var recs []Record
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&recs); err != nil {
-		return nil, fmt.Errorf("campaign: decoding records: %w", err)
-	}
-	return recs, nil
-}
-
 // csvHeader is the flat column set of WriteCSV, one column per
 // configuration axis and result metric.
 var csvHeader = []string{
@@ -86,20 +76,13 @@ func enumCell(v interface{ MarshalText() ([]byte, error) }) string {
 // WriteCSV writes the outcomes as one flat CSV row per experiment, for
 // spreadsheet and dataframe import.
 func WriteCSV(w io.Writer, outs []bench.Outcome) error {
-	return WriteCSVRecords(w, Records(outs))
-}
-
-// WriteCSVRecords is WriteCSV over already-serialized records — the
-// path the remote client takes, which receives records (not outcomes)
-// from the daemon and must emit CSV byte-identical to a local run's.
-func WriteCSVRecords(w io.Writer, recs []Record) error {
 	cw := csv.NewWriter(w)
 	if err := cw.Write(csvHeader); err != nil {
 		return err
 	}
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
-	for _, rec := range recs {
+	for _, rec := range Records(outs) {
 		cfg, res := rec.Result.Config, rec.Result
 		row := []string{
 			rec.Name,

@@ -98,55 +98,3 @@ func TestWatchdogDisabled(t *testing.T) {
 		}
 	}
 }
-
-// TestCancelMarksUnstartedTail: closing Cancel stops dispatch; finished
-// experiments keep their results, unstarted ones carry ErrCanceled, and
-// Interrupted flags the batch.
-func TestCancelMarksUnstartedTail(t *testing.T) {
-	cfgs := watchdogGrid()
-	cancel := make(chan struct{})
-	started := make(chan struct{})
-	var once bool
-	outs := Run(cfgs, Options{
-		Workers: 1,
-		Cancel:  cancel,
-		Exec: func(cfg bench.Config) bench.Outcome {
-			if !once {
-				once = true
-				close(started)
-				close(cancel) // drain arrives while the first experiment runs
-			}
-			return bench.Outcome{Config: cfg}
-		},
-	})
-	<-started
-	if outs[0].Err != nil {
-		t.Fatalf("in-flight experiment should finish: %v", outs[0].Err)
-	}
-	for i := 1; i < len(outs); i++ {
-		if !errors.Is(outs[i].Err, ErrCanceled) {
-			t.Fatalf("outcome %d err = %v; want ErrCanceled", i, outs[i].Err)
-		}
-	}
-	if !Interrupted(outs) {
-		t.Fatal("Interrupted = false for a canceled batch")
-	}
-}
-
-// TestCancelPreClosedParallel: a cancel that is already closed cancels
-// everything, on the parallel path too, and never leaves a zero-value
-// outcome behind.
-func TestCancelPreClosedParallel(t *testing.T) {
-	cfgs := watchdogGrid()
-	cancel := make(chan struct{})
-	close(cancel)
-	outs := Run(cfgs, Options{Workers: 4, Cancel: cancel})
-	for i, out := range outs {
-		if !errors.Is(out.Err, ErrCanceled) {
-			t.Fatalf("outcome %d err = %v; want ErrCanceled", i, out.Err)
-		}
-		if out.Config.Name() != cfgs[i].Name() {
-			t.Fatalf("outcome %d lost its config", i)
-		}
-	}
-}

@@ -83,7 +83,7 @@ func TestWorkloadCampaignParallelDeterminism(t *testing.T) {
 
 	// Every point must actually have run its workload: the non-bulk
 	// shapes report their own columns.
-	recs, err := ReadJSON(bytes.NewReader(serial))
+	recs, err := readJSON(bytes.NewReader(serial))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -204,9 +204,6 @@ func (d *Domain) ExecFront(cat Cat, dur sim.Time, name string, fn sim.Fn) {
 	d.cpu.kick()
 }
 
-// QueueLen returns the number of tasks waiting on the domain.
-func (d *Domain) QueueLen() int { return d.q.Len() }
-
 // Wakes returns the windowed count of blocked→runnable transitions.
 func (d *Domain) Wakes() *stats.Counter { return &d.wakes }
 

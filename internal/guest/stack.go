@@ -73,7 +73,6 @@ type Stack struct {
 	// plain heap allocation with identical behavior.
 	Arena *ether.Arena
 
-	devs      []NetDevice
 	userAcc   int
 	Delivered stats.Counter // data packets handed to transport
 	// Foreign counts unicast frames dropped at the device boundary
@@ -107,7 +106,6 @@ func NewStack(dom *cpu.Domain, costs StackCosts) *Stack {
 // they are flood copies the fabric sprayed at every port, filtered by
 // address exactly as a non-promiscuous endpoint device would.
 func (s *Stack) AttachDevice(dev NetDevice) {
-	s.devs = append(s.devs, dev)
 	dev.SetRxHandler(func(f *ether.Frame) {
 		if f.Dst != dev.MAC() && !f.Dst.IsBroadcast() {
 			s.Foreign.Inc()
@@ -117,9 +115,6 @@ func (s *Stack) AttachDevice(dev NetDevice) {
 		s.deliver(f)
 	})
 }
-
-// Devices returns the attached devices.
-func (s *Stack) Devices() []NetDevice { return s.devs }
 
 // ChargeFlowSetup charges one connection establishment to the stack's
 // domain (the workload layer's per-flow open hook).

@@ -458,12 +458,6 @@ func (e *Engine) rxDmaDone() {
 	}
 }
 
-// TxBacklog returns fetched-but-untransmitted descriptors on a queue.
-func (e *Engine) TxBacklog(qid int) int { return e.queues[qid].txFifo.Len() }
-
-// RxPosted returns fetched receive buffers ready for arrivals.
-func (e *Engine) RxPosted(qid int) int { return e.queues[qid].rxFifo.Len() }
-
 // StartWindow resets windowed counters.
 func (e *Engine) StartWindow() {
 	e.TxPackets.StartWindow()

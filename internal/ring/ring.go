@@ -182,12 +182,6 @@ func (r *Ring) Consume(n int) error {
 	return nil
 }
 
-// SetProd force-sets the free-running producer index. This models the
-// mailbox write: the NIC trusts the value, which is exactly the attack
-// surface the sequence-number check closes (§3.3). It is exported for
-// the fault-injection tests and the malicious-driver example.
-func (r *Ring) SetProd(v uint32) { r.prod = v }
-
 // WriteDesc encodes d into slot i via memory m, using writer identity
 // dom (mem enforces hypervisor-exclusive ring protection).
 func (r *Ring) WriteDesc(m *mem.Memory, dom mem.DomID, i uint32, d Desc) error {

@@ -35,6 +35,9 @@ type FlowTrace struct {
 // touching the filesystem.
 const MemPrefix = "mem:"
 
+// traceReg holds the MemPrefix registrations: the one package-level
+// mutable state (DESIGN.md, determinism rule 2). Files are not cached
+// here; LoadTrace parses them on every call.
 var (
 	traceMu  sync.Mutex
 	traceReg = map[string]*FlowTrace{}
@@ -58,18 +61,16 @@ func RegisterTrace(name string, tr *FlowTrace) {
 // default MSS). Blank lines and #-comments are skipped, as is an
 // optional non-numeric header row. An arrival must be finite and fit
 // sim.Time in nanoseconds, and a flow must fit math.MaxInt32 segments.
-// Files are parsed once and cached.
+// A file is parsed on every call, so a trace rewritten in place is
+// read afresh.
 func LoadTrace(path string) (*FlowTrace, error) {
-	traceMu.Lock()
-	defer traceMu.Unlock()
 	if name, ok := strings.CutPrefix(path, MemPrefix); ok {
+		traceMu.Lock()
+		defer traceMu.Unlock()
 		tr := traceReg[name]
 		if tr == nil {
 			return nil, fmt.Errorf("workload: no registered trace %q", name)
 		}
-		return tr, nil
-	}
-	if tr := traceReg[path]; tr != nil {
 		return tr, nil
 	}
 	f, err := os.Open(path)
@@ -81,7 +82,6 @@ func LoadTrace(path string) (*FlowTrace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: trace %s: %w", path, err)
 	}
-	traceReg[path] = tr
 	return tr, nil
 }
 

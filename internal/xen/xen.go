@@ -320,9 +320,6 @@ func (h *Hypervisor) serviceFault() {
 	op.cm.HandleFault(op.f)
 }
 
-// PendingFaults reports faults fielded but not yet serviced.
-func (h *Hypervisor) PendingFaults() int { return h.pendFaults.Len() }
-
 // StartWindow resets hypervisor-level windowed counters.
 func (h *Hypervisor) StartWindow() {
 	h.PhysIRQs.StartWindow()
