@@ -35,9 +35,8 @@ type FlowTrace struct {
 // touching the filesystem.
 const MemPrefix = "mem:"
 
-// traceReg holds the MemPrefix registrations: the one package-level
-// mutable state (DESIGN.md, determinism rule 2). Files are not cached
-// here; LoadTrace parses them on every call.
+// traceReg holds the MemPrefix registrations, the one package-level
+// mutable state that DESIGN.md's determinism rule 2 allows.
 var (
 	traceMu  sync.Mutex
 	traceReg = map[string]*FlowTrace{}
