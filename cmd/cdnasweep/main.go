@@ -73,35 +73,45 @@ func splitList[T any](name, s string, parse func(string) (T, error)) []T {
 	return vals
 }
 
-func presetGrids(name string) []campaign.Grid {
-	switch name {
-	case "table1":
-		return campaign.Table1Grids()
-	case "tables":
-		return campaign.Tables234Grids()
-	case "figures":
-		return campaign.FigureGrids()
-	case "ablations":
-		return campaign.AblationGrids()
-	case "workloads":
-		return campaign.WorkloadGrids()
-	case "topology":
-		return campaign.TopologyGrids()
-	case "faults":
-		return campaign.FaultGrids()
-	case "fabrics":
-		return campaign.FabricGrids()
-	case "openloop":
-		return campaign.OpenLoopGrids()
-	case "paper":
-		return campaign.PaperGrids()
+// presets are the canned campaigns -preset selects, declared once for
+// the help text, the lookup and the unknown-preset error.
+var presets = []struct {
+	name  string
+	grids func() []campaign.Grid
+}{
+	{"table1", campaign.Table1Grids},
+	{"tables", campaign.Tables234Grids},
+	{"figures", campaign.FigureGrids},
+	{"ablations", campaign.AblationGrids},
+	{"workloads", campaign.WorkloadGrids},
+	{"topology", campaign.TopologyGrids},
+	{"faults", campaign.FaultGrids},
+	{"fabrics", campaign.FabricGrids},
+	{"openloop", campaign.OpenLoopGrids},
+	{"paper", campaign.PaperGrids},
+}
+
+// presetNames lists the preset names as the help text shows them.
+func presetNames() string {
+	names := make([]string, len(presets))
+	for i, p := range presets {
+		names[i] = p.name
 	}
-	fatal("unknown preset %q (want table1 | tables | figures | ablations | workloads | topology | faults | fabrics | openloop | paper)", name)
+	return strings.Join(names, " | ")
+}
+
+func presetGrids(name string) []campaign.Grid {
+	for _, p := range presets {
+		if p.name == name {
+			return p.grids()
+		}
+	}
+	fatal("unknown preset %q (want %s)", name, presetNames())
 	return nil
 }
 
 func main() {
-	preset := flag.String("preset", "", "canned campaign: table1 | tables | figures | ablations | workloads | topology | paper")
+	preset := flag.String("preset", "", "canned campaign: "+presetNames())
 	spec := flag.String("spec", "", "JSON grid spec file (a campaign.Grid object or array)")
 
 	modes := flag.String("modes", "", "comma list: native | xen | cdna")
@@ -131,16 +141,18 @@ func main() {
 
 	storeDir := flag.String("store", "", "durable result-store directory: results already stored are not re-simulated")
 	expTimeout := flag.Duration("exp-timeout", 0, "per-experiment watchdog wall-clock deadline (0 = none)")
-	requireHitRate := flag.Float64("require-hit-rate", -1, "with -store: exit 1 unless the sweep's cache hit rate reaches this fraction (0..1)")
+	requireHitRate := flag.Float64("require-hit-rate", 0, "with -store: exit 1 unless the sweep's cache hit rate reaches this fraction (0..1)")
 	flag.Parse()
 	if flag.NArg() > 0 {
 		fatal("unexpected arguments %q", flag.Args())
 	}
 
+	gateHitRate := false
+	flag.Visit(func(f *flag.Flag) { gateHitRate = gateHitRate || f.Name == "require-hit-rate" })
 	switch {
-	case *requireHitRate >= 0 && *storeDir == "":
+	case gateHitRate && *storeDir == "":
 		fatal("-require-hit-rate needs a cache: combine with -store")
-	case *requireHitRate > 1:
+	case gateHitRate && !(*requireHitRate >= 0 && *requireHitRate <= 1):
 		fatal("-require-hit-rate is a fraction in [0, 1]")
 	}
 
@@ -294,7 +306,7 @@ func main() {
 	emit(*jsonPath, func(f *os.File) error { return campaign.WriteJSON(f, outs) })
 	emit(*csvPath, func(f *os.File) error { return campaign.WriteCSV(f, outs) })
 
-	if *requireHitRate >= 0 {
+	if gateHitRate {
 		if hr := cacheStats.Counts().HitRate(); hr < *requireHitRate {
 			fmt.Fprintf(os.Stderr, "cdnasweep: cache hit rate %.2f below required %.2f\n", hr, *requireHitRate)
 			os.Exit(1)

@@ -7,6 +7,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -161,6 +162,8 @@ func TestFlagValidation(t *testing.T) {
 			"-require-hit-rate needs a cache: combine with -store"},
 		{"hit rate above one", []string{"-preset", "faults", "-store", dir, "-require-hit-rate", "1.5"},
 			"-require-hit-rate is a fraction in [0, 1]"},
+		{"hit rate negative", []string{"-preset", "faults", "-store", dir, "-require-hit-rate", "-0.5"},
+			"-require-hit-rate is a fraction in [0, 1]"},
 		{"preset with spec", []string{"-preset", "faults", "-spec", spec},
 			"-preset and -spec are mutually exclusive"},
 		{"axis flag with preset", []string{"-preset", "faults", "-modes", "xen"},
@@ -181,5 +184,30 @@ func TestFlagValidation(t *testing.T) {
 				t.Fatalf("stderr lacks %q:\n%s", tc.msg, stderr)
 			}
 		})
+	}
+}
+
+// TestHelpNamesEveryPreset: -h lists exactly the presets the lookup
+// accepts, in declaration order, and every one of them expands to a
+// non-empty campaign.
+func TestHelpNamesEveryPreset(t *testing.T) {
+	cmd, stderr := sweepCmd("-h")
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("-h: %v\n%s", err, stderr)
+	}
+	m := regexp.MustCompile(`canned campaign: ([a-z0-9 |]+)`).FindStringSubmatch(stderr.String())
+	if m == nil {
+		t.Fatalf("-h has no -preset line:\n%s", stderr)
+	}
+	help := strings.Split(strings.TrimSpace(m[1]), " | ")
+	var accepted []string
+	for _, p := range presets {
+		accepted = append(accepted, p.name)
+		if len(presetGrids(p.name)) == 0 {
+			t.Errorf("preset %s expands to no grids", p.name)
+		}
+	}
+	if !slices.Equal(help, accepted) {
+		t.Fatalf("-h lists presets %v; the lookup accepts %v", help, accepted)
 	}
 }

@@ -356,14 +356,15 @@ func (m *Machine) Collect() Result {
 		Events:      m.Eng.Fired(),
 	}
 	res.PktPerSec = float64(m.Conns.DeliveredBytes()) / 1448 / cfg.Duration.Seconds()
-	res.LatencyP50us = m.Conns.LatencyQuantile(0.5)
-	res.LatencyP90us = m.Conns.LatencyQuantile(0.9)
+	lat := m.Conns.LatencyQuantiles(0.5, 0.9)
+	res.LatencyP50us, res.LatencyP90us = lat[0], lat[1]
 	res.RPCPerSec = m.Work.Requests.Rate(cfg.Duration)
 	res.FlowsPerSec = m.Work.Flows.Rate(cfg.Duration)
 	res.ArrivalsPerSec = m.Work.Arrivals.Rate(cfg.Duration)
 	res.TraceSkipped = m.Work.TraceSkipped()
-	res.MsgLatP50us = m.Work.Latency.Quantile(0.5)
-	res.MsgLatP99us = m.Work.Latency.Quantile(0.99)
+	var msgLat [2]float64
+	m.Work.Latency.Quantiles([]float64{0.5, 0.99}, msgLat[:])
+	res.MsgLatP50us, res.MsgLatP99us = msgLat[0], msgLat[1]
 	for _, h := range m.Hosts {
 		if h.Hyp != nil {
 			res.PhysIRQPerSec += h.Hyp.PhysIRQs.Rate(cfg.Duration)

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // --- Oracle replay: the timing wheel must replay any schedule / fire /
@@ -85,23 +86,26 @@ type oracleRun struct {
 }
 
 func newOracleRun(t testing.TB, gshift uint, src opSource) *oracleRun {
-	r := &oracleRun{t: t, src: src, horizon: Time(1) << (wheelBits*wheelLevels + gshift)}
+	r := &oracleRun{t: t, src: src, horizon: Time(1) << (horizonBits + gshift)}
 	r.w.init(gshift)
 	return r
 }
 
-// delay spans the current slot, every wheel level, and the overflow
-// list beyond the horizon.
+// delay spans the current slot, the level-0 bitmap words, every wheel
+// level, and the overflow list beyond the horizon. Ranges are whole
+// level spans (in ticks, scaled by the granularity), so every tick size
+// reaches every level.
 func (r *oracleRun) delay() Time {
+	span := func(ticks Time) int { return int(ticks << r.w.gshift) }
 	switch r.src.Intn(10) {
 	case 0:
 		return 0 // same timestamp as now
 	case 1, 2, 3:
-		return Time(r.src.Intn(100)) // level 0 neighbourhood
+		return Time(r.src.Intn(span(3 * 64))) // level 0, across bitmap words
 	case 4, 5:
-		return Time(r.src.Intn(100_000)) // levels 1-2
+		return Time(r.src.Intn(span(wheel0Slots * wheelSlots * wheelSlots))) // levels 0-2
 	case 6, 7:
-		return Time(r.src.Intn(50_000_000)) // levels 3-4
+		return Time(r.src.Intn(span(wheel0Slots << (3 * wheelBits)))) // levels 3-4
 	case 8:
 		return Time(r.src.Intn(int(r.horizon))) // anywhere in the wheel
 	default:
@@ -246,15 +250,18 @@ func FuzzWheelOracle(f *testing.F) {
 
 const tick = Time(1) << tickShift
 
-// TestWheelCascadeBoundary schedules events exactly at level rollovers
-// (64^l ticks) and one tick either side: the points where an event's
-// wheel level and slot digits change, and where a mis-derived level
+// TestWheelCascadeBoundary schedules events exactly at the wheel's
+// digit edges and one tick either side: a level-0 bitmap word edge
+// (64 ticks), the level 0→1 rollover (wheel0Slots ticks), level 1→2
+// and level 2→3. These are the points where an event's occupancy word,
+// wheel level or slot digit changes, and where a mis-derived level
 // would file it into a stale slot.
 func TestWheelCascadeBoundary(t *testing.T) {
 	boundaries := []Time{
-		wheelSlots * tick,                           // level 0→1 rollover
-		wheelSlots * wheelSlots * tick,              // level 1→2
-		wheelSlots * wheelSlots * wheelSlots * tick, // level 2→3
+		64 * tick,                       // level-0 bitmap word edge
+		wheel0Slots * tick,              // level 0→1 rollover
+		wheel0Slots * wheelSlots * tick, // level 1→2
+		wheel0Slots * wheelSlots * wheelSlots * tick, // level 2→3
 	}
 	e := New()
 	var want []Time
@@ -267,29 +274,54 @@ func TestWheelCascadeBoundary(t *testing.T) {
 	for _, at := range want {
 		e.At(at, "edge", func() { got = append(got, e.Now()) })
 	}
-	e.Run(boundaries[len(boundaries)-1] * 2)
+	// The same edges again, relative to a clock that has moved off
+	// zero: an event one tick past a rollover of the current epoch
+	// differs from cur in a higher digit than its distance suggests.
+	base := boundaries[len(boundaries)-1] * 2
+	e.Run(base)
+	if !slices.Equal(got, want) {
+		t.Fatalf("fired %v, want %v", got, want)
+	}
+	got, want = got[:0], want[:0]
+	for _, b := range boundaries {
+		for _, at := range []Time{b - tick, b, b + tick} {
+			want = append(want, base+at)
+		}
+	}
+	for _, at := range want {
+		e.At(at, "edge", func() { got = append(got, e.Now()) })
+	}
+	e.Run(base * 2)
 	if !slices.Equal(got, want) {
 		t.Fatalf("fired %v, want %v", got, want)
 	}
 }
 
 // TestWheelFarFutureOverflow exercises the overflow list: events beyond
-// the wheel horizon (64^6 ticks) in two different top-level epochs,
-// interleaved with near events. The far events must re-file into the
-// wheel when the clock crosses into their epoch and still fire in exact
-// order.
+// the wheel horizon (2^horizonBits ticks, the same ~2199 s as the
+// six-level 64-slot wheel) in two different epochs, interleaved with
+// near events. The far events must re-file into the wheel when the
+// clock crosses into their epoch and still fire in exact order.
 func TestWheelFarFutureOverflow(t *testing.T) {
+	const horizon = tick << horizonBits
+	if horizon != tick<<36 {
+		t.Fatalf("horizon = %v ticks, want 2^36", horizon/tick)
+	}
 	e := New()
-	const horizon = tick << (wheelBits * wheelLevels)
 	ats := []Time{
 		Second,             // in-wheel
+		horizon - tick,     // last tick inside the horizon
+		horizon,            // first tick of the first overflow epoch
 		horizon + Second,   // first overflow epoch
 		2*horizon + Second, // second overflow epoch
 		2*horizon + Second + 1,
 	}
 	var got []Time
 	for _, at := range ats {
-		e.At(at, "far", func() { got = append(got, e.Now()) })
+		h := e.At(at, "far", func() { got = append(got, e.Now()) })
+		if wantOver := at >= horizon; (h.ev.index == overflowIdx) != wantOver {
+			t.Fatalf("event at %v filed at index %d; overflow want %v", at, h.ev.index, wantOver)
+		}
 	}
 	// A near chain keeps the wheel busy while the far events wait.
 	count := 0
@@ -310,29 +342,42 @@ func TestWheelFarFutureOverflow(t *testing.T) {
 	}
 }
 
+// TestWheelFootprint bounds the wheel's size per engine: 4096 one-tick
+// slots stay affordable only because a slot is a 16-byte {head, tail}
+// pair, not a sentinel Event.
+func TestWheelFootprint(t *testing.T) {
+	if n := unsafe.Sizeof(wheelSched{}); n > 80<<10 {
+		t.Fatalf("wheelSched is %d bytes, want <= 80 KiB", n)
+	}
+}
+
 // TestWheelCancelAfterCascade cancels an event that has been cascaded
-// out of its original higher-level slot but has not fired: the Handle's
+// out of its original upper-level slot but has not fired: the Handle's
 // recorded position must track the event through relocation.
 func TestWheelCancelAfterCascade(t *testing.T) {
 	e := New()
 	var got []Time
 	rec := func() { got = append(got, e.Now()) }
-	// Ticks 70, 100, 101 share level-1 slot 1 (all have digit 1 at
-	// level 1 from time 0). Firing 70 advances the clock into the slot
-	// and cascades 100 and 101 down to level 0.
-	e.At(70*tick, "a", rec)
-	h := e.At(100*tick, "b", func() { t.Fatal("cancelled event fired") })
-	e.At(101*tick, "c", rec)
-	e.Run(71 * tick) // fire 70 only; 100 and 101 have cascaded
-	if !h.Scheduled() {
-		t.Fatal("cascaded event lost its scheduled state")
+	// Ticks L+70, L+100 and L+101 (L = wheel0Slots) share level-1 slot
+	// 1 (all have digit 1 at level 1 from time 0). Firing L+70 advances
+	// the clock into the slot and cascades the other two to level 0.
+	const l = wheel0Slots * tick
+	e.At(l+70*tick, "a", rec)
+	h := e.At(l+100*tick, "b", func() { t.Fatal("cancelled event fired") })
+	if h.ev.index != wheel0Slots+1 {
+		t.Fatalf("event filed at index %d, want level-1 slot 1", h.ev.index)
+	}
+	e.At(l+101*tick, "c", rec)
+	e.Run(l + 71*tick) // fire L+70 only; the other two have cascaded
+	if !h.Scheduled() || h.ev.index >= wheel0Slots {
+		t.Fatalf("cascaded event: Scheduled=%v index=%d, want level 0", h.Scheduled(), h.ev.index)
 	}
 	h.Cancel()
 	if h.Scheduled() || e.Pending() != 1 {
 		t.Fatalf("after cancel: Scheduled=%v Pending=%d", h.Scheduled(), e.Pending())
 	}
 	e.Run(Second)
-	if want := []Time{70 * tick, 101 * tick}; !slices.Equal(got, want) {
+	if want := []Time{l + 70*tick, l + 101*tick}; !slices.Equal(got, want) {
 		t.Fatalf("fired %v, want %v", got, want)
 	}
 }

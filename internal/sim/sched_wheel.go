@@ -2,15 +2,30 @@ package sim
 
 import "math/bits"
 
-// wheelSched is a hierarchical timing wheel (Linux-kernel style
-// cascading levels): wheelLevels levels of wheelSlots slots each, where
-// a level-l slot spans wheelSlots^l ticks and one tick is the wheel
-// granularity (1<<gshift nanoseconds). Events hang off per-slot
-// intrusive circular doubly-linked lists threaded through the pooled
-// Event's next/prev fields, so schedule and cancel are O(1) pointer
-// splices with zero allocation; per-level occupancy bitmaps (one uint64
-// per level — wheelSlots is 64 precisely so a level's occupancy is one
-// word) make "find the next non-empty slot" a single TrailingZeros64.
+// wheelSched is a hierarchical timing wheel (Varghese & Lauck, SOSP
+// '87; Linux-kernel style cascading levels). Level 0 has wheel0Slots
+// slots of one tick each, where one tick is the wheel granularity
+// (1<<gshift nanoseconds; 32 ns in every engine, so level 0 spans about
+// 131 µs). Above it sit upperLevels levels of wheelSlots slots, where a
+// slot of upper level l (1-based) spans wheel0Slots·wheelSlots^(l-1)
+// ticks. Events hang off per-slot intrusive doubly-linked lists threaded
+// through the pooled Event's next/prev fields and terminated by nil;
+// each slot is a 16-byte {head, tail} pair, so schedule and cancel are
+// O(1) pointer splices with zero allocation. Occupancy bitmaps make
+// "find the next non-empty slot" a TrailingZeros64 per level: one word
+// per upper level, and for level 0 a summary word over 64 words, so the
+// lowest occupied level-0 slot is two TrailingZeros64.
+//
+// Why level 0 is wide: the model's packet-scale delays (NIC processing,
+// DMA, wire and switch latency) are 1–100 µs. With a 64-slot level 0
+// (2 µs) nearly every such event was filed on level 1 first, scanned
+// there for the minimum by peek, and filed again by a cascade. On the
+// openloop benchmark batch (seed 1, 31.3M pushes) the 4096-slot level 0
+// cut slot placements from 49.7M to 33.4M and minInList scan steps from
+// 18.0M to 1.7M (paper: 52.4M → 40.6M placements, 14.5M → 2.6M scan
+// steps; rack16: 11.7M → 7.0M, 4.86M → 0.23M). The slot heads keep the
+// wheel at about 70 KB per engine; 4096 sentinel Events would take
+// 348 KB. See DESIGN.md ("Scheduler") for the A/B measurement.
 //
 // Exact (at, seq) total order — the engine's determinism contract — is
 // preserved by two rules:
@@ -20,67 +35,56 @@ import "math/bits"
 //     monotonic-append pattern), so the head of the lowest occupied
 //     level-0 slot is the global minimum and same-timestamp events
 //     drain in seq order;
-//   - higher-level lists are unsorted (append), but their events are
-//     cascaded — re-placed one level down — when the clock enters
-//     their slot's span, and every cascade lands same-tick events back
-//     in a sorted level-0 list before they can fire. A cascaded event
-//     keeps its (at, seq) key, so ordering survives any number of
-//     cascade hops.
+//   - upper-level lists are unsorted (append), but their events are
+//     cascaded — re-placed one level down or more — when the clock
+//     enters their slot's span, and every cascade lands same-tick
+//     events back in a sorted level-0 list before they can fire. A
+//     cascaded event keeps its (at, seq) key, so ordering survives any
+//     number of cascade hops.
 //
-// Events beyond the wheel horizon (wheelSlots^wheelLevels ticks) go to
-// an unsorted overflow list and are re-placed into the wheel when the
-// clock crosses into their top-level epoch.
+// Events beyond the wheel horizon (2^horizonBits ticks) go to an
+// unsorted overflow list and are re-placed into the wheel when the
+// clock crosses into their horizon-sized epoch.
 //
 // The wheel never scans time: the clock (cur, in ticks) advances only
 // to popped events' timestamps, so an idle span costs nothing.
 const (
-	wheelBits   = 6
-	wheelSlots  = 1 << wheelBits // 64: one occupancy word per level
-	wheelMask   = wheelSlots - 1
-	wheelLevels = 6 // horizon: 64^6 ticks (~2199 s at the 32 ns tick)
+	wheel0Bits  = 12
+	wheel0Slots = 1 << wheel0Bits // 4096 one-tick slots
+	wheel0Mask  = wheel0Slots - 1
+	wheel0Words = wheel0Slots / 64 // 64: the summary word has a bit per word
 
-	// overflowIdx is the Event.index marker for the overflow list; slot
-	// indices are level*wheelSlots+slot in [0, overflowIdx).
-	overflowIdx = wheelLevels * wheelSlots
+	wheelBits   = 6
+	wheelSlots  = 1 << wheelBits // 64: one occupancy word per upper level
+	wheelMask   = wheelSlots - 1
+	upperLevels = 4
+
+	// horizonBits is log2 of the wheel horizon in ticks: 2^36 ticks,
+	// about 2199 s at the 32 ns tick.
+	horizonBits = wheel0Bits + upperLevels*wheelBits
+
+	// Event.index is the slot's position in heads: level-0 slot s is s,
+	// slot s of upper level l (1-based) is wheel0Slots+(l-1)*wheelSlots+s,
+	// and overflowIdx marks the overflow list.
+	overflowIdx = wheel0Slots + upperLevels*wheelSlots
 )
+
+// slotHead is one slot's event list: nil-terminated, both ends held so
+// appending and the sorted insert's backward walk start at the tail.
+type slotHead struct{ head, tail *Event }
 
 type wheelSched struct {
 	gshift uint   // log2 of granularity: tick = at >> gshift
 	cur    uint64 // tick of the last popped event; never ahead of one
 	count  int
 
-	occ   [wheelLevels]uint64            // per-level slot occupancy bitmaps
-	slots [wheelLevels][wheelSlots]Event // circular-list sentinels
-	over  Event                          // overflow-list sentinel
+	occ0Sum uint64                    // bit w set iff occ0[w] != 0
+	occ0    [wheel0Words]uint64       // level-0 slot occupancy
+	occ     [upperLevels]uint64       // upper-level slot occupancy
+	heads   [overflowIdx + 1]slotHead // every slot's list, then overflow
 }
 
-func (w *wheelSched) init(gshift uint) {
-	w.gshift = gshift
-	for l := range w.slots {
-		for s := range w.slots[l] {
-			sentinelInit(&w.slots[l][s])
-		}
-	}
-	sentinelInit(&w.over)
-}
-
-func sentinelInit(s *Event) { s.next, s.prev = s, s }
-
-func listEmpty(s *Event) bool { return s.next == s }
-
-// insertAfter splices ev in after p.
-func insertAfter(p, ev *Event) {
-	ev.prev = p
-	ev.next = p.next
-	p.next.prev = ev
-	p.next = ev
-}
-
-func listUnlink(ev *Event) {
-	ev.prev.next = ev.next
-	ev.next.prev = ev.prev
-	ev.next, ev.prev = nil, nil
-}
+func (w *wheelSched) init(gshift uint) { w.gshift = gshift }
 
 func (w *wheelSched) len() int { return w.count }
 
@@ -96,79 +100,132 @@ func (w *wheelSched) push(ev *Event) {
 // and simply land closer to level 0.
 func (w *wheelSched) place(ev *Event) {
 	t := w.tick(ev.at)
-	// The level is the highest 6-bit digit in which t differs from cur:
-	// same digit everywhere above level l means t is within the current
-	// level-(l+1) epoch, and l is the smallest such level.
+	// t shares every digit above level 0 with cur: it is within the
+	// current level-0 span.
 	d := t ^ w.cur
-	if d == 0 {
-		w.insert(0, int(t&wheelMask), ev)
+	if d < wheel0Slots {
+		w.insert0(int(t&wheel0Mask), ev)
 		return
 	}
-	l := (63 - bits.LeadingZeros64(d)) / wheelBits
-	if l >= wheelLevels {
-		ev.index = overflowIdx
-		insertAfter(w.over.prev, ev) // append; overflow is unsorted
+	// Otherwise the level is the highest 6-bit digit above level 0 in
+	// which t differs from cur: same digit everywhere above it means t
+	// is within that level's current epoch.
+	l := (63 - bits.LeadingZeros64(d) - wheel0Bits) / wheelBits
+	if l >= upperLevels {
+		w.appendTo(overflowIdx, ev) // overflow is unsorted
 		return
 	}
-	w.insert(l, int((t>>(uint(l)*wheelBits))&wheelMask), ev)
-}
-
-func (w *wheelSched) insert(l, s int, ev *Event) {
-	sent := &w.slots[l][s]
-	if l == 0 {
-		// Sorted insert, scanning backwards from the tail: new events
-		// carry fresh sequence numbers, so appending at the tail is the
-		// common case and the walk is O(1) amortized.
-		p := sent.prev
-		for p != sent && eventLess(ev, p) {
-			p = p.prev
-		}
-		insertAfter(p, ev)
-	} else {
-		insertAfter(sent.prev, ev)
-	}
+	s := int(t>>(wheel0Bits+uint(l)*wheelBits)) & wheelMask
 	w.occ[l] |= 1 << uint(s)
-	ev.index = int32(l*wheelSlots + s)
+	w.appendTo(wheel0Slots+l*wheelSlots+s, ev)
 }
 
-// unlink removes a queued event and maintains the occupancy bitmap.
+// insert0 files ev into level-0 slot s, keeping the list sorted.
+func (w *wheelSched) insert0(s int, ev *Event) {
+	h := &w.heads[s]
+	// Scan backwards from the tail: new events carry fresh sequence
+	// numbers, so appending at the tail is the common case and the
+	// walk is O(1) amortized.
+	p := h.tail
+	for p != nil && eventLess(ev, p) {
+		p = p.prev
+	}
+	ev.prev = p
+	if p == nil {
+		ev.next = h.head
+		h.head = ev
+	} else {
+		ev.next = p.next
+		p.next = ev
+	}
+	if ev.next == nil {
+		h.tail = ev
+	} else {
+		ev.next.prev = ev
+	}
+	ev.index = int32(s)
+	w.occ0[s>>6] |= 1 << uint(s&63)
+	w.occ0Sum |= 1 << uint(s>>6)
+}
+
+// appendTo links ev at the tail of list idx (an upper slot or the
+// overflow list); the caller maintains occupancy.
+func (w *wheelSched) appendTo(idx int, ev *Event) {
+	h := &w.heads[idx]
+	ev.prev, ev.next = h.tail, nil
+	if h.tail == nil {
+		h.head = ev
+	} else {
+		h.tail.next = ev
+	}
+	h.tail = ev
+	ev.index = int32(idx)
+}
+
+// unlink removes a queued event and maintains the occupancy bitmaps.
 func (w *wheelSched) unlink(ev *Event) {
 	idx := int(ev.index)
-	listUnlink(ev)
-	ev.index = -1
-	if idx < overflowIdx {
-		l, s := idx>>wheelBits, idx&wheelMask
-		if listEmpty(&w.slots[l][s]) {
-			w.occ[l] &^= 1 << uint(s)
-		}
+	h := &w.heads[idx]
+	if ev.prev == nil {
+		h.head = ev.next
+	} else {
+		ev.prev.next = ev.next
 	}
+	if ev.next == nil {
+		h.tail = ev.prev
+	} else {
+		ev.next.prev = ev.prev
+	}
+	ev.next, ev.prev = nil, nil
+	ev.index = -1
+	if h.head == nil {
+		w.clearOcc(idx)
+	}
+}
+
+// clearOcc marks slot idx empty (the overflow list has no bit).
+func (w *wheelSched) clearOcc(idx int) {
+	switch {
+	case idx < wheel0Slots:
+		wi := idx >> 6
+		w.occ0[wi] &^= 1 << uint(idx&63)
+		if w.occ0[wi] == 0 {
+			w.occ0Sum &^= 1 << uint(wi)
+		}
+	case idx < overflowIdx:
+		u := idx - wheel0Slots
+		w.occ[u>>wheelBits] &^= 1 << uint(u&wheelMask)
+	}
+}
+
+// min0 returns the lowest occupied level-0 slot; occ0Sum must be
+// non-zero.
+func (w *wheelSched) min0() int {
+	wi := bits.TrailingZeros64(w.occ0Sum)
+	return wi<<6 | bits.TrailingZeros64(w.occ0[wi])
 }
 
 // peek returns the (at, seq)-minimum queued event without removing it.
-// Level 0 is O(1); a non-empty higher slot or the overflow list is
+// Level 0 is O(1); a non-empty upper slot or the overflow list is
 // scanned for its minimum (each event is scanned this way at most once
 // per level it cascades through, so the amortized cost stays O(1)).
 func (w *wheelSched) peek() *Event {
 	if w.count == 0 {
 		return nil
 	}
-	if w.occ[0] != 0 {
-		s := bits.TrailingZeros64(w.occ[0])
-		return w.slots[0][s].next // sorted: head is the minimum
+	if w.occ0Sum != 0 {
+		return w.heads[w.min0()].head // sorted: head is the minimum
 	}
-	for l := 1; l < wheelLevels; l++ {
-		if w.occ[l] == 0 {
-			continue
+	for l, o := range w.occ {
+		if o != 0 {
+			return minInList(w.heads[wheel0Slots+l*wheelSlots+bits.TrailingZeros64(o)].head)
 		}
-		s := bits.TrailingZeros64(w.occ[l])
-		return minInList(&w.slots[l][s])
 	}
-	return minInList(&w.over)
+	return minInList(w.heads[overflowIdx].head)
 }
 
-func minInList(sent *Event) *Event {
-	best := sent.next
-	for ev := best.next; ev != sent; ev = ev.next {
+func minInList(best *Event) *Event {
+	for ev := best.next; ev != nil; ev = ev.next {
 		if eventLess(ev, best) {
 			best = ev
 		}
@@ -183,27 +240,26 @@ func (w *wheelSched) pop(ev *Event) {
 	w.unlink(ev)
 	w.count--
 	w.advance(w.tick(ev.at))
-	if idx >= wheelSlots && idx < overflowIdx {
-		// ev came from a level >= 1 slot whose span the clock has now
+	if idx >= wheel0Slots && idx < overflowIdx {
+		// ev came from an upper slot whose span the clock has now
 		// entered: relocate its remaining events. Every one of them
-		// shares ev's level-l digit (that is what a slot is), so each
-		// lands at a strictly lower level — same-tick events reach the
-		// sorted level-0 list before they can fire.
-		w.cascade(idx>>wheelBits, idx&wheelMask)
+		// shares ev's digit at that level (that is what a slot is), so
+		// each lands at a strictly lower level — same-tick events reach
+		// the sorted level-0 list before they can fire.
+		w.cascade(idx)
 	}
 }
 
 // popAt removes and returns the next event if it fires exactly at t.
 // After a pop at time t, every remaining event at t sits at the head of
 // the lowest occupied level-0 slot (same tick ⇒ level 0, sorted), so
-// same-timestamp batch dispatch is one bitmap probe + one splice per
-// event — never a heap sift or a hierarchy walk.
+// same-timestamp batch dispatch is two bitmap probes + one splice per
+// event — never a hierarchy walk.
 func (w *wheelSched) popAt(t Time) *Event {
-	if w.occ[0] == 0 {
+	if w.occ0Sum == 0 {
 		return nil
 	}
-	s := bits.TrailingZeros64(w.occ[0])
-	ev := w.slots[0][s].next
+	ev := w.heads[w.min0()].head
 	if ev.at != t {
 		return nil
 	}
@@ -224,39 +280,38 @@ func (w *wheelSched) reschedule(ev *Event) {
 
 // advance moves the wheel clock to tick t (the tick of an event being
 // popped, so nothing earlier can exist or be scheduled later). Crossing
-// into a new top-level epoch re-files overflow events that are now
+// into a new horizon-sized epoch re-files overflow events that are now
 // within the wheel horizon.
 func (w *wheelSched) advance(t uint64) {
-	const topShift = wheelBits * wheelLevels
-	crossed := (t >> topShift) != (w.cur >> topShift)
+	crossed := (t >> horizonBits) != (w.cur >> horizonBits)
 	w.cur = t
-	if !crossed || listEmpty(&w.over) {
+	if !crossed {
 		return
 	}
-	top := t >> topShift
-	for ev := w.over.next; ev != &w.over; {
+	top := t >> horizonBits
+	for ev := w.heads[overflowIdx].head; ev != nil; {
 		next := ev.next
-		if w.tick(ev.at)>>topShift == top {
-			listUnlink(ev)
+		if w.tick(ev.at)>>horizonBits == top {
+			w.unlink(ev)
 			w.place(ev)
 		}
 		ev = next
 	}
 }
 
-// cascade relocates every event remaining in slot (l, s) one or more
+// cascade relocates every event remaining in upper slot idx one or more
 // levels down after the clock entered the slot's span.
-func (w *wheelSched) cascade(l, s int) {
-	sent := &w.slots[l][s]
-	if listEmpty(sent) {
+func (w *wheelSched) cascade(idx int) {
+	ev := w.heads[idx].head
+	if ev == nil {
 		return
 	}
-	w.occ[l] &^= 1 << uint(s)
-	for ev := sent.next; ev != sent; {
+	w.heads[idx] = slotHead{}
+	w.clearOcc(idx)
+	for ev != nil {
 		next := ev.next
 		ev.next, ev.prev = nil, nil
 		w.place(ev)
 		ev = next
 	}
-	sentinelInit(sent)
 }

@@ -3,8 +3,9 @@
 // root) and by perfbench's probe, so every harness measures the same
 // loops. It is a separate package so internal/sim itself never imports
 // testing. The loops that must not allocate also have op constructors
-// (NewScheduleFireDepth64, NewCancelHeavy, NewRTOChurn), which the
-// package's tests run under testing.AllocsPerRun.
+// (NewScheduleFireDepth64, NewSpreadDepth512, NewCancelHeavy,
+// NewRTOChurn), which the package's tests run under
+// testing.AllocsPerRun.
 //
 // Reference point: the seed engine (heap-allocated events through
 // container/heap) measured ~81 ns and 1 alloc per schedule→fire on the
@@ -58,6 +59,31 @@ func NewScheduleFireDepth64() func() {
 	return func() {
 		e.After(10, "ev", fn)
 		e.Step()
+	}
+}
+
+// SpreadDepth512 holds the queue at a deep standing population spread
+// over the band the model's packet-scale costs fall in: NIC processing,
+// DMA, wire and switch delays of 1–100 µs, the range a wheel level must
+// span for those events to skip the cascade.
+func SpreadDepth512(b *testing.B) { run(b, NewSpreadDepth512()) }
+
+// NewSpreadDepth512 queues 512 events at delays drawn uniformly from
+// 1–100 µs and returns one op: fire the earliest and schedule its
+// replacement at a fresh delay, so the depth stays 512.
+func NewSpreadDepth512() func() {
+	e := sim.New()
+	rng := sim.NewRNG(1)
+	fn := func() {}
+	delay := func() sim.Time {
+		return sim.Microsecond + sim.Time(rng.Intn(int(99*sim.Microsecond)+1))
+	}
+	for i := 0; i < 512; i++ {
+		e.After(delay(), "spread", fn)
+	}
+	return func() {
+		e.Step()
+		e.After(delay(), "spread", fn)
 	}
 }
 

@@ -9,6 +9,7 @@ import "testing"
 func BenchmarkScheduleFire(b *testing.B)        { ScheduleFire(b) }
 func BenchmarkScheduleFireClosure(b *testing.B) { ScheduleFireClosure(b) }
 func BenchmarkScheduleFireDepth64(b *testing.B) { ScheduleFireDepth64(b) }
+func BenchmarkSpreadDepth512(b *testing.B)      { SpreadDepth512(b) }
 func BenchmarkTimerRearm(b *testing.B)          { TimerRearm(b) }
 func BenchmarkCancel(b *testing.B)              { Cancel(b) }
 func BenchmarkCancelHeavy(b *testing.B)         { CancelHeavy(b) }
@@ -23,6 +24,7 @@ func TestLoadedQueueOpsZeroAlloc(t *testing.T) {
 		op   func()
 	}{
 		{"schedule_fire_depth64", NewScheduleFireDepth64()},
+		{"spread_depth512", NewSpreadDepth512()},
 		{"cancel_heavy", NewCancelHeavy()},
 		{"rto_churn", NewRTOChurn()},
 	} {

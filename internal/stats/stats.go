@@ -8,6 +8,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -193,14 +194,78 @@ func (d *Distribution) Quantile(q float64) float64 {
 		sort.Float64s(d.samples)
 		d.sorted = true
 	}
-	idx := int(q * float64(len(d.samples)-1))
-	if idx < 0 {
-		idx = 0
+	return d.samples[d.rank(q)]
+}
+
+// rank is the index of the q-quantile in the sorted samples.
+func (d *Distribution) rank(q float64) int {
+	return min(max(int(q*float64(len(d.samples)-1)), 0), len(d.samples)-1)
+}
+
+// Quantiles sets out[i] to the qs[i]-quantile, exactly as Quantile
+// would, but selects those order statistics instead of sorting: about
+// n work per distinct rank rather than n log n, for a caller that reads
+// a few quantiles of many samples once. It reorders the samples, and
+// like Quantile it assumes none is NaN. With no samples every out[i] is
+// 0.
+func (d *Distribution) Quantiles(qs, out []float64) {
+	a := d.samples
+	lo, prev := 0, 0
+	for i, q := range qs {
+		if len(a) == 0 {
+			out[i] = 0
+			continue
+		}
+		k := d.rank(q)
+		if !d.sorted {
+			// Selecting k left a[k] final and nothing smaller after it,
+			// so a later rank at or above the last one searches only
+			// from there.
+			if k < prev {
+				lo = 0
+			}
+			selectKth(a[lo:], k-lo)
+			lo, prev = k, k
+		}
+		out[i] = a[k]
 	}
-	if idx >= len(d.samples) {
-		idx = len(d.samples) - 1
+}
+
+// selectKth reorders a so that a[k] is the value sorting a would put
+// there, with no greater value before it and no smaller one after it.
+// It narrows a median-of-three three-way partition (equal keys end a
+// round at once, so heavy ties stay linear) and sorts what is left once
+// the range is small or the rounds exceed twice log2 of the length.
+func selectKth(a []float64, k int) {
+	lo, hi := 0, len(a)
+	for rounds := 2 * bits.Len(uint(hi)); hi-lo > 16 && rounds > 0; rounds-- {
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi-1]
+		p := max(min(x, y), min(max(x, y), z)) // median of three
+		// Partition into [lo, lt) < p, [lt, gt) == p, [gt, hi) > p.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := a[i]; {
+			case v < p:
+				a[lt], a[i] = v, a[lt]
+				lt++
+				i++
+			case v > p:
+				gt--
+				a[i], a[gt] = a[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return // a[k] == p, in its place
+		}
 	}
-	return d.samples[idx]
+	sort.Float64s(a[lo:hi])
 }
 
 // Max returns the largest sample (0 for no samples).

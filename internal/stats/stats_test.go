@@ -1,7 +1,10 @@
 package stats
 
 import (
+	"fmt"
 	"math"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -122,5 +125,69 @@ func TestDistribution(t *testing.T) {
 	d.Observe(1000)
 	if d.Max() != 1000 {
 		t.Fatalf("Max after re-observe = %v", d.Max())
+	}
+}
+
+// TestQuantilesMatchSort: selecting order statistics must return
+// exactly what sort-then-index returns, on random and heavily tied
+// samples, at the smallest sizes, and for ranks asked in any order.
+func TestQuantilesMatchSort(t *testing.T) {
+	rng := sim.NewRNG(7)
+	inputs := map[string][]float64{
+		"n=1": {3.5},
+		"n=2": {9, -1},
+	}
+	for _, n := range []int{3, 17, 100, 1000, 4099} {
+		random, tied := make([]float64, n), make([]float64, n)
+		for i := range random {
+			random[i] = rng.Float64()*200 - 50
+			tied[i] = float64(rng.Intn(4))
+		}
+		inputs[fmt.Sprintf("random n=%d", n)] = random
+		inputs[fmt.Sprintf("tied n=%d", n)] = tied
+	}
+	sortedAsc := make([]float64, 1000)
+	for i := range sortedAsc {
+		sortedAsc[i] = float64(i / 3)
+	}
+	inputs["sorted n=1000"] = sortedAsc
+	qsets := [][]float64{
+		{0.1, 0.3, 0.5, 0.7, 0.9},
+		{0.5, 0.9},
+		{0, 1},
+		{0.9, 0.1, 0.5, 0.5, 0.99}, // out of order and repeated
+	}
+	for name, in := range inputs {
+		ref := slices.Clone(in)
+		sort.Float64s(ref)
+		for _, qs := range qsets {
+			var d Distribution
+			for _, v := range in {
+				d.Observe(v)
+			}
+			got := make([]float64, len(qs))
+			d.Quantiles(qs, got)
+			for i, q := range qs {
+				want := ref[int(q*float64(len(ref)-1))]
+				if got[i] != want {
+					t.Fatalf("%s: Quantiles(%v)[%d] = %v, sort-then-index gives %v", name, qs, i, got[i], want)
+				}
+				if q := d.Quantile(q); q != want {
+					t.Fatalf("%s: Quantile after Quantiles = %v, want %v", name, q, want)
+				}
+			}
+			// Now sorted: Quantiles indexes instead of selecting.
+			again := make([]float64, len(qs))
+			d.Quantiles(qs, again)
+			if !slices.Equal(again, got) {
+				t.Fatalf("%s: Quantiles on sorted samples = %v, want %v", name, again, got)
+			}
+		}
+	}
+	var empty Distribution
+	out := []float64{7, 7}
+	empty.Quantiles([]float64{0.5, 0.9}, out)
+	if out[0] != 0 || out[1] != 0 {
+		t.Fatalf("empty Quantiles = %v, want zeros", out)
 	}
 }

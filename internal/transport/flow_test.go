@@ -124,8 +124,8 @@ func TestGroupEmptyAndZeroGuards(t *testing.T) {
 	if v := g.DeliveredMbps(sim.Second); v != 0 {
 		t.Fatalf("empty DeliveredMbps = %v, want 0", v)
 	}
-	if v := g.LatencyQuantile(0.5); v != 0 {
-		t.Fatalf("empty LatencyQuantile = %v, want 0", v)
+	if v := g.LatencyQuantiles(0.5, 0.9); v[0] != 0 || v[1] != 0 {
+		t.Fatalf("empty LatencyQuantiles = %v, want zeros", v)
 	}
 	if v := g.FairnessIndex(); v != 1 {
 		t.Fatalf("empty FairnessIndex = %v, want 1 (vacuously fair)", v)
@@ -138,7 +138,7 @@ func TestGroupEmptyAndZeroGuards(t *testing.T) {
 	g.Add(c)
 	for _, v := range []float64{
 		g.DeliveredMbps(0), g.DeliveredMbps(-sim.Second), g.DeliveredMbps(sim.Second),
-		g.LatencyQuantile(0.5), g.LatencyQuantile(0.9), g.FairnessIndex(),
+		g.LatencyQuantiles(0.5)[0], g.LatencyQuantiles(0.9)[0], g.FairnessIndex(),
 	} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("aggregate produced %v on an idle group", v)
@@ -147,8 +147,8 @@ func TestGroupEmptyAndZeroGuards(t *testing.T) {
 	if v := g.DeliveredMbps(0); v != 0 {
 		t.Fatalf("zero-duration DeliveredMbps = %v, want 0", v)
 	}
-	if v := g.LatencyQuantile(0.5); v != 0 {
-		t.Fatalf("sampleless LatencyQuantile = %v, want 0", v)
+	if v := g.LatencyQuantiles(0.5)[0]; v != 0 {
+		t.Fatalf("sampleless LatencyQuantiles = %v, want 0", v)
 	}
 	if v := g.FairnessIndex(); v != 1 {
 		t.Fatalf("zero-delivery FairnessIndex = %v, want 1", v)

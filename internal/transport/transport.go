@@ -512,23 +512,32 @@ func (g *Group) Retransmits() uint64 {
 	return total
 }
 
-// LatencyQuantile returns the q-quantile of end-to-end segment latency
-// in microseconds, pooled across connections. With no connections or no
-// samples at all it returns 0, never NaN.
-func (g *Group) LatencyQuantile(q float64) float64 {
-	if len(g.Conns) == 0 {
-		return 0
-	}
+// latencyDeciles are the per-connection order statistics
+// LatencyQuantiles pools.
+var latencyDeciles = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
+
+// LatencyQuantiles returns the qs-quantiles of end-to-end segment
+// latency in microseconds, pooled across connections: each connection
+// with samples contributes its latency deciles, selected rather than
+// sorted, and the quantiles are read off that pool. Asking for every
+// quantile a result needs in one call selects each connection's
+// deciles once. With no connections or no samples at all every
+// quantile is 0, never NaN.
+func (g *Group) LatencyQuantiles(qs ...float64) []float64 {
 	var pool stats.Distribution
+	dec := make([]float64, len(latencyDeciles))
 	for _, c := range g.Conns {
-		n := c.Latency.Count()
-		for _, p := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-			if n > 0 {
-				pool.Observe(c.Latency.Quantile(p))
-			}
+		if c.Latency.Count() == 0 {
+			continue
+		}
+		c.Latency.Quantiles(latencyDeciles, dec)
+		for _, v := range dec {
+			pool.Observe(v)
 		}
 	}
-	return pool.Quantile(q)
+	out := make([]float64, len(qs))
+	pool.Quantiles(qs, out)
+	return out
 }
 
 // FairnessIndex returns Jain's fairness index over per-connection
