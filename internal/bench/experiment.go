@@ -362,8 +362,7 @@ func (m *Machine) Collect() Result {
 	res.FlowsPerSec = m.Work.Flows.Rate(cfg.Duration)
 	res.ArrivalsPerSec = m.Work.Arrivals.Rate(cfg.Duration)
 	res.TraceSkipped = m.Work.TraceSkipped()
-	var msgLat [2]float64
-	m.Work.Latency.Quantiles([]float64{0.5, 0.99}, msgLat[:])
+	msgLat := m.Work.Latency.Quantiles(0.5, 0.99)
 	res.MsgLatP50us, res.MsgLatP99us = msgLat[0], msgLat[1]
 	for _, h := range m.Hosts {
 		if h.Hyp != nil {

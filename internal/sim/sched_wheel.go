@@ -100,8 +100,8 @@ func (w *wheelSched) push(ev *Event) {
 // and simply land closer to level 0.
 func (w *wheelSched) place(ev *Event) {
 	t := w.tick(ev.at)
-	// t shares every digit above level 0 with cur: it is within the
-	// current level-0 span.
+	// A distance below wheel0Slots means t shares every digit above
+	// level 0 with cur: it is within the current level-0 span.
 	d := t ^ w.cur
 	if d < wheel0Slots {
 		w.insert0(int(t&wheel0Mask), ev)

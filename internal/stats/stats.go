@@ -202,33 +202,32 @@ func (d *Distribution) rank(q float64) int {
 	return min(max(int(q*float64(len(d.samples)-1)), 0), len(d.samples)-1)
 }
 
-// Quantiles sets out[i] to the qs[i]-quantile, exactly as Quantile
-// would, but selects those order statistics instead of sorting: about
-// n work per distinct rank rather than n log n, for a caller that reads
-// a few quantiles of many samples once. It reorders the samples, and
-// like Quantile it assumes none is NaN. With no samples every out[i] is
-// 0.
-func (d *Distribution) Quantiles(qs, out []float64) {
+// Quantiles returns the qs-quantiles, each exactly as Quantile would,
+// but selects those order statistics instead of sorting: about n work
+// per distinct rank rather than n log n, for a caller that reads a few
+// quantiles of many samples once. It reorders the samples, and like
+// Quantile it assumes none is NaN. With no samples every quantile is 0.
+func (d *Distribution) Quantiles(qs ...float64) []float64 {
+	out := make([]float64, len(qs))
 	a := d.samples
-	lo, prev := 0, 0
+	if len(a) == 0 {
+		return out
+	}
+	lo := 0
 	for i, q := range qs {
-		if len(a) == 0 {
-			out[i] = 0
-			continue
-		}
 		k := d.rank(q)
 		if !d.sorted {
 			// Selecting k left a[k] final and nothing smaller after it,
-			// so a later rank at or above the last one searches only
-			// from there.
-			if k < prev {
+			// so a later rank at or above it searches only from there.
+			if k < lo {
 				lo = 0
 			}
 			selectKth(a[lo:], k-lo)
-			lo, prev = k, k
+			lo = k
 		}
 		out[i] = a[k]
 	}
+	return out
 }
 
 // selectKth reorders a so that a[k] is the value sorting a would put

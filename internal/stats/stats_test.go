@@ -165,8 +165,7 @@ func TestQuantilesMatchSort(t *testing.T) {
 			for _, v := range in {
 				d.Observe(v)
 			}
-			got := make([]float64, len(qs))
-			d.Quantiles(qs, got)
+			got := d.Quantiles(qs...)
 			for i, q := range qs {
 				want := ref[int(q*float64(len(ref)-1))]
 				if got[i] != want {
@@ -177,17 +176,13 @@ func TestQuantilesMatchSort(t *testing.T) {
 				}
 			}
 			// Now sorted: Quantiles indexes instead of selecting.
-			again := make([]float64, len(qs))
-			d.Quantiles(qs, again)
-			if !slices.Equal(again, got) {
+			if again := d.Quantiles(qs...); !slices.Equal(again, got) {
 				t.Fatalf("%s: Quantiles on sorted samples = %v, want %v", name, again, got)
 			}
 		}
 	}
 	var empty Distribution
-	out := []float64{7, 7}
-	empty.Quantiles([]float64{0.5, 0.9}, out)
-	if out[0] != 0 || out[1] != 0 {
+	if out := empty.Quantiles(0.5, 0.9); !slices.Equal(out, []float64{0, 0}) {
 		t.Fatalf("empty Quantiles = %v, want zeros", out)
 	}
 }

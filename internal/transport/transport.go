@@ -525,19 +525,15 @@ var latencyDeciles = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 // quantile is 0, never NaN.
 func (g *Group) LatencyQuantiles(qs ...float64) []float64 {
 	var pool stats.Distribution
-	dec := make([]float64, len(latencyDeciles))
 	for _, c := range g.Conns {
 		if c.Latency.Count() == 0 {
 			continue
 		}
-		c.Latency.Quantiles(latencyDeciles, dec)
-		for _, v := range dec {
+		for _, v := range c.Latency.Quantiles(latencyDeciles...) {
 			pool.Observe(v)
 		}
 	}
-	out := make([]float64, len(qs))
-	pool.Quantiles(qs, out)
-	return out
+	return pool.Quantiles(qs...)
 }
 
 // FairnessIndex returns Jain's fairness index over per-connection
