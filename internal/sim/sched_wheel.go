@@ -23,9 +23,12 @@ import "math/bits"
 // openloop benchmark batch (seed 1, 31.3M pushes) the 4096-slot level 0
 // cut slot placements from 49.7M to 33.4M and minInList scan steps from
 // 18.0M to 1.7M (paper: 52.4M → 40.6M placements, 14.5M → 2.6M scan
-// steps; rack16: 11.7M → 7.0M, 4.86M → 0.23M). The slot heads keep the
-// wheel at about 70 KB per engine; 4096 sentinel Events would take
-// 348 KB. See DESIGN.md ("Scheduler") for the A/B measurement.
+// steps; rack16: 11.7M → 7.0M, 4.86M → 0.23M). That took the queue's
+// share of openloop CPU samples from 28% to 17%, and openloop wall time
+// to 0.97× and 0.88× in two 10-pair interleaved A/B runs on a noisy
+// 2-core machine (DESIGN.md, "Scheduler"). The
+// slot heads keep the wheel at about 70 KB per engine; 4096 sentinel
+// Events would take 348 KB.
 //
 // Exact (at, seq) total order — the engine's determinism contract — is
 // preserved by two rules:
