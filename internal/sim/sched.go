@@ -10,9 +10,8 @@ package sim
 // shortens the radix distance long-range timers (retransmit timeouts,
 // coalescer delays) travel through the levels, a finer one keeps fewer
 // distinct timestamps per level-0 slot. 32 ns sits just under the
-// calibration's finest recurring cost quantum (45 ns); on the earlier
-// 64-slot level 0, a 1 ns or a 256 ns tick ran the 16-host rack
-// benchmark no faster (4-8% slower in median).
+// calibration's finest recurring cost quantum (45 ns). The tick has not
+// been re-measured against other sizes on the 4096-slot level 0.
 const tickShift = 5
 
 func eventLess(a, b *Event) bool {

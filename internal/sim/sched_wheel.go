@@ -19,16 +19,10 @@ import "math/bits"
 // Why level 0 is wide: the model's packet-scale delays (NIC processing,
 // DMA, wire and switch latency) are 1–100 µs. With a 64-slot level 0
 // (2 µs) nearly every such event was filed on level 1 first, scanned
-// there for the minimum by peek, and filed again by a cascade. On the
-// openloop benchmark batch (seed 1, 31.3M pushes) the 4096-slot level 0
-// cut slot placements from 49.7M to 33.4M and minInList scan steps from
-// 18.0M to 1.7M (paper: 52.4M → 40.6M placements, 14.5M → 2.6M scan
-// steps; rack16: 11.7M → 7.0M, 4.86M → 0.23M). That took the queue's
-// share of openloop CPU samples from 28% to 17%, and openloop wall time
-// to 0.97× and 0.88× in two 10-pair interleaved A/B runs on a noisy
-// 2-core machine (DESIGN.md, "Scheduler"). The
-// slot heads keep the wheel at about 70 KB per engine; 4096 sentinel
-// Events would take 348 KB.
+// there for the minimum by peek, and filed again by a cascade; DESIGN.md
+// ("Scheduler") has the measured placement and scan counts. The 16-byte
+// slot heads keep the wheel at about 70 KB per engine, where 4096
+// sentinel Events would take 348 KB.
 //
 // Exact (at, seq) total order — the engine's determinism contract — is
 // preserved by two rules:

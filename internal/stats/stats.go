@@ -153,13 +153,11 @@ func (t *Table) WriteCSV(w io.Writer) error {
 // and batch-size diagnostics.
 type Distribution struct {
 	samples []float64
-	sorted  bool
 }
 
 // Observe records one sample.
 func (d *Distribution) Observe(v float64) {
 	d.samples = append(d.samples, v)
-	d.sorted = false
 }
 
 // Count returns the number of samples.
@@ -170,7 +168,6 @@ func (d *Distribution) Count() int { return len(d.samples) }
 // excluded from reported quantiles.
 func (d *Distribution) Reset() {
 	d.samples = d.samples[:0]
-	d.sorted = false
 }
 
 // Mean returns the sample mean (0 for no samples).
@@ -185,28 +182,14 @@ func (d *Distribution) Mean() float64 {
 	return s / float64(len(d.samples))
 }
 
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) by nearest rank.
-func (d *Distribution) Quantile(q float64) float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	if !d.sorted {
-		sort.Float64s(d.samples)
-		d.sorted = true
-	}
-	return d.samples[d.rank(q)]
-}
+// Quantile returns the q-quantile (0 ≤ q ≤ 1): the value at index
+// ⌊q·(n−1)⌋ of the sorted samples (0 for no samples).
+func (d *Distribution) Quantile(q float64) float64 { return d.Quantiles(q)[0] }
 
-// rank is the index of the q-quantile in the sorted samples.
-func (d *Distribution) rank(q float64) int {
-	return min(max(int(q*float64(len(d.samples)-1)), 0), len(d.samples)-1)
-}
-
-// Quantiles returns the qs-quantiles, each exactly as Quantile would,
-// but selects those order statistics instead of sorting: about n work
-// per distinct rank rather than n log n, for a caller that reads a few
-// quantiles of many samples once. It reorders the samples, and like
-// Quantile it assumes none is NaN. With no samples every quantile is 0.
+// Quantiles returns the qs-quantiles, each as defined for Quantile. It
+// selects those order statistics instead of sorting: about n work per
+// distinct rank rather than n log n. It reorders the samples and
+// assumes none is NaN. With no samples every quantile is 0.
 func (d *Distribution) Quantiles(qs ...float64) []float64 {
 	out := make([]float64, len(qs))
 	a := d.samples
@@ -215,16 +198,14 @@ func (d *Distribution) Quantiles(qs ...float64) []float64 {
 	}
 	lo := 0
 	for i, q := range qs {
-		k := d.rank(q)
-		if !d.sorted {
-			// Selecting k left a[k] final and nothing smaller after it,
-			// so a later rank at or above it searches only from there.
-			if k < lo {
-				lo = 0
-			}
-			selectKth(a[lo:], k-lo)
-			lo = k
+		k := min(max(int(q*float64(len(a)-1)), 0), len(a)-1)
+		// Selecting k left a[k] final and nothing smaller after it, so
+		// a later rank at or above it searches only from there.
+		if k < lo {
+			lo = 0
 		}
+		selectKth(a[lo:], k-lo)
+		lo = k
 		out[i] = a[k]
 	}
 	return out
