@@ -78,7 +78,7 @@ func (f *Netfront) StartXmit(frame *ether.Frame) {
 
 func (f *Netfront) txInTask() {
 	frame := f.txIn.Pop()
-	f.vif.txQ = append(f.vif.txQ, frame)
+	f.vif.txQ.Push(frame)
 	f.scheduleNotify()
 }
 
@@ -126,8 +126,8 @@ type Vif struct {
 	back  *Netback
 	port  int // bridge port
 
-	txQ []*ether.Frame // guest -> driver domain
-	rxQ []*ether.Frame // driver domain -> guest
+	txQ sim.FIFO[*ether.Frame] // guest -> driver domain
+	rxQ []*ether.Frame         // driver domain -> guest
 
 	toBack   *xen.EventChannel
 	toFront  *xen.EventChannel
@@ -218,25 +218,21 @@ func (nb *Netback) visitTask(v *Vif) {
 	if budget <= 0 {
 		budget = 16
 	}
-	n := len(v.txQ)
-	if n > budget {
-		n = budget
-	}
-	frames := v.txQ[:n]
-	v.txQ = v.txQ[n:]
-	for _, f := range frames {
+	n := min(v.txQ.Len(), budget)
+	for range n {
+		f := v.txQ.Pop()
 		v.txOut.Push(f)
 		nb.Dom0.VCPU.Exec(cpu.CatHyp, nb.Costs.FlipPerPkt, "netback.flip", sim.Fn{})
 		nb.Dom0.VCPU.Exec(cpu.CatKernel, guest.ScaleCost(nb.Costs.TxPerPkt, f.Size)+nb.Costs.BridgePerPkt, "netback.tx", v.txOutFn)
 	}
-	if len(frames) > 0 {
+	if n > 0 {
 		// Transmit-completion notification back to the guest: the
 		// back end interrupts the front end whenever it generates
 		// new work for it (§5.2's discussion of guest interrupt
 		// rates), so the front end can clean its shared ring.
 		nb.scheduleFrontNotify(v)
 	}
-	if len(v.txQ) > 0 {
+	if v.txQ.Len() > 0 {
 		// Budget exhausted: reschedule the remainder.
 		nb.serveVif(v)
 	}

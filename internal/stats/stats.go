@@ -8,8 +8,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"math/bits"
-	"sort"
 	"strings"
 
 	"cdna/internal/sim"
@@ -148,105 +146,3 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	cw.Flush()
 	return cw.Error()
 }
-
-// Distribution collects samples and reports quantiles; used for latency
-// and batch-size diagnostics.
-type Distribution struct {
-	samples []float64
-}
-
-// Observe records one sample.
-func (d *Distribution) Observe(v float64) {
-	d.samples = append(d.samples, v)
-}
-
-// Count returns the number of samples.
-func (d *Distribution) Count() int { return len(d.samples) }
-
-// Reset discards all samples, keeping the backing array — the
-// distribution analogue of StartWindow, so warmup samples can be
-// excluded from reported quantiles.
-func (d *Distribution) Reset() {
-	d.samples = d.samples[:0]
-}
-
-// Mean returns the sample mean (0 for no samples).
-func (d *Distribution) Mean() float64 {
-	if len(d.samples) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, v := range d.samples {
-		s += v
-	}
-	return s / float64(len(d.samples))
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1): the value at index
-// ⌊q·(n−1)⌋ of the sorted samples (0 for no samples).
-func (d *Distribution) Quantile(q float64) float64 { return d.Quantiles(q)[0] }
-
-// Quantiles returns the qs-quantiles, each as defined for Quantile. It
-// selects those order statistics instead of sorting: about n work per
-// distinct rank rather than n log n. It reorders the samples and
-// assumes none is NaN. With no samples every quantile is 0.
-func (d *Distribution) Quantiles(qs ...float64) []float64 {
-	out := make([]float64, len(qs))
-	a := d.samples
-	if len(a) == 0 {
-		return out
-	}
-	lo := 0
-	for i, q := range qs {
-		k := min(max(int(q*float64(len(a)-1)), 0), len(a)-1)
-		// Selecting k left a[k] final and nothing smaller after it, so
-		// a later rank at or above it searches only from there.
-		if k < lo {
-			lo = 0
-		}
-		selectKth(a[lo:], k-lo)
-		lo = k
-		out[i] = a[k]
-	}
-	return out
-}
-
-// selectKth reorders a so that a[k] is the value sorting a would put
-// there, with no greater value before it and no smaller one after it.
-// It narrows a median-of-three three-way partition (equal keys end a
-// round at once, so heavy ties stay linear) and sorts what is left once
-// the range is small or the rounds exceed twice log2 of the length.
-func selectKth(a []float64, k int) {
-	lo, hi := 0, len(a)
-	for rounds := 2 * bits.Len(uint(hi)); hi-lo > 16 && rounds > 0; rounds-- {
-		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi-1]
-		p := max(min(x, y), min(max(x, y), z)) // median of three
-		// Partition into [lo, lt) < p, [lt, gt) == p, [gt, hi) > p.
-		lt, i, gt := lo, lo, hi
-		for i < gt {
-			switch v := a[i]; {
-			case v < p:
-				a[lt], a[i] = v, a[lt]
-				lt++
-				i++
-			case v > p:
-				gt--
-				a[i], a[gt] = a[gt], v
-			default:
-				i++
-			}
-		}
-		switch {
-		case k < lt:
-			hi = lt
-		case k >= gt:
-			lo = gt
-		default:
-			return // a[k] == p, in its place
-		}
-	}
-	sort.Float64s(a[lo:hi])
-}
-
-// Max returns the largest sample (0 for no samples).
-func (d *Distribution) Max() float64 { return d.Quantile(1) }

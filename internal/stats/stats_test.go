@@ -1,10 +1,7 @@
 package stats
 
 import (
-	"fmt"
 	"math"
-	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -98,87 +95,5 @@ func TestTableWriteCSV(t *testing.T) {
 	}
 	if lines[1] != `"Xen, with commas",1602` {
 		t.Fatalf("comma cell not quoted: %q", lines[1])
-	}
-}
-
-func TestDistribution(t *testing.T) {
-	var d Distribution
-	if d.Mean() != 0 || d.Quantile(0.5) != 0 {
-		t.Fatal("empty distribution must report zeros")
-	}
-	for i := 1; i <= 100; i++ {
-		d.Observe(float64(i))
-	}
-	if d.Count() != 100 {
-		t.Fatalf("Count = %d", d.Count())
-	}
-	if math.Abs(d.Mean()-50.5) > 1e-9 {
-		t.Fatalf("Mean = %v", d.Mean())
-	}
-	if q := d.Quantile(0.5); q < 49 || q > 52 {
-		t.Fatalf("median = %v", q)
-	}
-	if d.Max() != 100 {
-		t.Fatalf("Max = %v", d.Max())
-	}
-	// Observing after a quantile query must keep working.
-	d.Observe(1000)
-	if d.Max() != 1000 {
-		t.Fatalf("Max after re-observe = %v", d.Max())
-	}
-}
-
-// TestQuantilesMatchSort: selecting order statistics must return
-// exactly what sort-then-index returns, on random and heavily tied
-// samples, at the smallest sizes, and for ranks asked in any order.
-func TestQuantilesMatchSort(t *testing.T) {
-	rng := sim.NewRNG(7)
-	inputs := map[string][]float64{
-		"n=1": {3.5},
-		"n=2": {9, -1},
-	}
-	for _, n := range []int{3, 17, 100, 1000, 4099} {
-		random, tied := make([]float64, n), make([]float64, n)
-		for i := range random {
-			random[i] = rng.Float64()*200 - 50
-			tied[i] = float64(rng.Intn(4))
-		}
-		inputs[fmt.Sprintf("random n=%d", n)] = random
-		inputs[fmt.Sprintf("tied n=%d", n)] = tied
-	}
-	sortedAsc := make([]float64, 1000)
-	for i := range sortedAsc {
-		sortedAsc[i] = float64(i / 3)
-	}
-	inputs["sorted n=1000"] = sortedAsc
-	qsets := [][]float64{
-		{0.1, 0.3, 0.5, 0.7, 0.9},
-		{0.5, 0.9},
-		{0, 1},
-		{0.9, 0.1, 0.5, 0.5, 0.99}, // out of order and repeated
-	}
-	for name, in := range inputs {
-		ref := slices.Clone(in)
-		sort.Float64s(ref)
-		for _, qs := range qsets {
-			var d Distribution
-			for _, v := range in {
-				d.Observe(v)
-			}
-			got := d.Quantiles(qs...)
-			for i, q := range qs {
-				want := ref[int(q*float64(len(ref)-1))]
-				if got[i] != want {
-					t.Fatalf("%s: Quantiles(%v)[%d] = %v, sort-then-index gives %v", name, qs, i, got[i], want)
-				}
-				if q := d.Quantile(q); q != want {
-					t.Fatalf("%s: Quantile after Quantiles = %v, want %v", name, q, want)
-				}
-			}
-		}
-	}
-	var empty Distribution
-	if out := empty.Quantiles(0.5, 0.9); !slices.Equal(out, []float64{0, 0}) {
-		t.Fatalf("empty Quantiles = %v, want zeros", out)
 	}
 }

@@ -222,8 +222,8 @@ type Conn struct {
 	DupDrops    stats.Counter // out-of-order/duplicate segments discarded
 	AcksSent    stats.Counter
 	// Latency samples end-to-end segment delay (send to in-order
-	// delivery) in microseconds.
-	Latency stats.Distribution
+	// delivery).
+	Latency stats.Durations
 }
 
 // NewConn creates a connection. Window is in segments; ackEvery is the
@@ -409,7 +409,7 @@ func (c *Conn) OnData(s *Segment) {
 	if s.Seq == c.rcvNext {
 		c.rcvNext++
 		c.Delivered.Add(uint64(s.Len))
-		c.Latency.Observe(float64(c.eng.Now()-s.SentAt) / 1000)
+		c.Latency.Observe(c.eng.Now() - s.SentAt)
 		c.unacked++
 		if c.markArmed && int32(c.rcvNext-c.rcvMark) >= 0 {
 			c.markArmed = false
@@ -518,19 +518,20 @@ var latencyDeciles = []float64{0.1, 0.3, 0.5, 0.7, 0.9}
 
 // LatencyQuantiles returns the qs-quantiles of end-to-end segment
 // latency in microseconds, pooled across connections: each connection
-// with samples contributes its latency deciles, selected rather than
-// sorted, and the quantiles are read off that pool. Asking for every
-// quantile a result needs in one call selects each connection's
-// deciles once. With no connections or no samples at all every
-// quantile is 0, never NaN.
+// with samples contributes its latency deciles, selected in one scratch
+// buffer shared by every connection, and the quantiles are read off
+// that pool. Asking for every quantile a result needs in one call
+// selects each connection's deciles once. With no connections or no
+// samples at all every quantile is 0, never NaN.
 func (g *Group) LatencyQuantiles(qs ...float64) []float64 {
-	var pool stats.Distribution
+	var sel stats.Selector
+	var pool stats.Durations
 	for _, c := range g.Conns {
 		if c.Latency.Count() == 0 {
 			continue
 		}
-		for _, v := range c.Latency.Quantiles(latencyDeciles...) {
-			pool.Observe(v)
+		for _, ns := range sel.Nanos(&c.Latency, latencyDeciles...) {
+			pool.Observe(ns)
 		}
 	}
 	return pool.Quantiles(qs...)

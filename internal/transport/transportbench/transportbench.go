@@ -45,8 +45,8 @@ func Segment(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c.Send(2)
 		drain()
-		// Latency samples accumulate per delivery; recycle the backing
-		// array so the measurement loop stays allocation-free.
+		// Latency samples accumulate per delivery; Reset keeps their
+		// blocks so the measurement loop stays allocation-free.
 		c.Latency.Reset()
 	}
 }

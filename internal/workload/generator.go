@@ -58,10 +58,10 @@ type Generator struct {
 	// Arrivals counts open-loop flow arrivals (offered load); compared
 	// with Flows it exposes the backlog an overloaded fabric accrues.
 	Arrivals stats.Counter
-	// Latency samples message-completion latency in microseconds:
+	// Latency samples message-completion latency:
 	// request-issue to response-delivered for RequestResponse, flow
 	// open to final ack for Churn. Empty for Bulk and Burst.
-	Latency stats.Distribution
+	Latency stats.Durations
 }
 
 // endpoint is the per-attachment runtime state.
@@ -233,7 +233,7 @@ func (e *endpoint) serve() {
 // onResponse runs at the client when the response is fully delivered:
 // record the RPC's end-to-end latency, think, go again.
 func (e *endpoint) onResponse() {
-	e.g.Latency.Observe(float64(e.g.eng.Now()-e.t0) / 1000)
+	e.g.Latency.Observe(e.g.eng.Now() - e.t0)
 	e.g.Requests.Inc()
 	e.timer.ArmAfter(e.rng.Jitter(e.g.spec.Think, jitterFrac))
 }
@@ -262,7 +262,7 @@ func (e *endpoint) onFlowDone() {
 		e.OnFlowTeardown()
 	}
 	e.g.Flows.Inc()
-	e.g.Latency.Observe(float64(e.g.eng.Now()-e.t0) / 1000)
+	e.g.Latency.Observe(e.g.eng.Now() - e.t0)
 	if gap := e.g.spec.FlowGap; gap > 0 {
 		e.timer.ArmAfter(e.rng.Jitter(gap, jitterFrac))
 		return

@@ -179,7 +179,7 @@ func (e *endpoint) onOpenFlowDone() {
 		e.OnFlowTeardown()
 	}
 	e.g.Flows.Inc()
-	e.g.Latency.Observe(float64(e.g.eng.Now()-e.t0) / 1000)
+	e.g.Latency.Observe(e.g.eng.Now() - e.t0)
 	e.inFlight = false
 	if e.pending > 0 {
 		e.startNextFlow()

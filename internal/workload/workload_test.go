@@ -156,7 +156,7 @@ func TestRequestResponseClosedLoop(t *testing.T) {
 	if max := uint64(100); n > max {
 		t.Fatalf("%d RPCs in 100ms with 1ms think: loop is not closed", n)
 	}
-	if g.Latency.Count() == 0 || g.Latency.Quantile(0.5) <= 0 {
+	if g.Latency.Count() == 0 || g.Latency.Quantiles(0.5)[0] <= 0 {
 		t.Fatalf("no RPC latency samples (count=%d)", g.Latency.Count())
 	}
 }
@@ -241,7 +241,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 		}
 		g.Launch(30 * sim.Millisecond)
 		eng.Run(80 * sim.Millisecond)
-		return g.Flows.Total(), g.Latency.Quantile(0.9)
+		return g.Flows.Total(), g.Latency.Quantiles(0.9)[0]
 	}
 	f1, q1 := run()
 	f2, q2 := run()
