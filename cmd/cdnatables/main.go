@@ -39,16 +39,25 @@ import (
 )
 
 func main() {
-	quick := flag.Bool("quick", false, "short measurement windows")
+	flags := campaign.Bind(flag.CommandLine, campaign.Tables)
 	table := flag.Int("table", 0, "run only this table (1-4)")
 	figure := flag.Int("figure", 0, "run only this figure (3-4)")
 	ablations := flag.Bool("ablations", false, "run only the ablation studies")
 	topology := flag.Bool("topology", false, "run only the cross-host fabric scenarios (incast, all-to-all)")
 	fabrics := flag.Bool("fabrics", false, "run only the multi-tier fabric scenarios (cross-rack incast, oversubscription, open-loop load)")
-	workers := flag.Int("workers", 0, "concurrent experiments per table (0 = GOMAXPROCS)")
 	csvDir := flag.String("csvdir", "", "also write each table as CSV into this directory")
-	storeDir := flag.String("store", "", "durable result-store directory (shared with cdnasweep -store); rows already stored are not re-simulated")
-	flag.Parse()
+	err := flags.Parse(os.Args[1:])
+	switch {
+	case err != nil:
+	case *table < 0 || *table > 4:
+		err = fmt.Errorf("-table %d: no such table (want 1-4; 0 runs every table)", *table)
+	case *figure != 0 && *figure != 3 && *figure != 4:
+		err = fmt.Errorf("-figure %d: no such figure (want 3-4; 0 runs every figure)", *figure)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cdnatables: %v\n", err)
+		os.Exit(2)
+	}
 
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
@@ -58,18 +67,18 @@ func main() {
 	}
 
 	opts := bench.Full()
-	if *quick {
+	if flags.Quick {
 		opts = bench.Quick()
 	}
-	opts.Runner = campaign.Runner(*workers)
+	opts.Runner = campaign.Runner(flags.Workers)
 	var cacheStats campaign.CacheStats
-	if *storeDir != "" {
-		s, err := store.Open(*storeDir)
+	if flags.Store != "" {
+		s, err := store.Open(flags.Store)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 			os.Exit(1)
 		}
-		opts.Runner = campaign.CachedRunner(*workers, s, &cacheStats)
+		opts.Runner = campaign.CachedRunner(flags.Workers, s, &cacheStats)
 	}
 
 	type job struct {
@@ -188,7 +197,7 @@ func main() {
 			}
 		}
 	}
-	if *storeDir != "" {
+	if flags.Store != "" {
 		c := cacheStats.Counts()
 		fmt.Fprintf(os.Stderr, "result store: %d hits / %d misses (hit rate %.0f%%)\n",
 			c.Hits, c.Misses, c.HitRate()*100)

@@ -4,6 +4,7 @@ package bench
 // assume is actually what gets assembled.
 
 import (
+	"strings"
 	"testing"
 
 	"cdna/internal/core"
@@ -113,6 +114,30 @@ func TestBuildNativeHasNoHypervisor(t *testing.T) {
 	}
 	if len(m.IntelNICs) != 3 {
 		t.Fatalf("NICs = %d", len(m.IntelNICs))
+	}
+}
+
+// TestValidateRejectsUndrivenNIC: native drives only the Intel NIC
+// and CDNA only the RiceNIC, so a configuration naming the other one
+// is rejected instead of running under a misleading name; Xen drives
+// both.
+func TestValidateRejectsUndrivenNIC(t *testing.T) {
+	for _, tc := range []struct {
+		mode Mode
+		nic  NICKind
+		ok   bool
+	}{
+		{ModeNative, NICIntel, true}, {ModeNative, NICRice, false},
+		{ModeXen, NICIntel, true}, {ModeXen, NICRice, true}, {ModeXen, NICKind(7), false},
+		{ModeCDNA, NICRice, true}, {ModeCDNA, NICIntel, false},
+	} {
+		err := DefaultConfig(tc.mode, tc.nic, Tx).Validate()
+		if (err == nil) != tc.ok {
+			t.Errorf("%v with %s NIC: Validate() = %v", tc.mode, NICKinds.String(tc.nic), err)
+		}
+		if !tc.ok && err != nil && !strings.Contains(err.Error(), "cannot drive") {
+			t.Errorf("%v with %s NIC: error %q does not say why", tc.mode, NICKinds.String(tc.nic), err)
+		}
 	}
 }
 

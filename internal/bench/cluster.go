@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"cdna/internal/cpu"
+	"cdna/internal/enum"
 	"cdna/internal/ether"
 	"cdna/internal/guest"
 	"cdna/internal/mem"
@@ -37,18 +38,17 @@ const (
 	PatternAllToAll
 )
 
-func (p Pattern) String() string {
-	switch p {
-	case PatternPairs:
-		return "pairs"
-	case PatternIncast:
-		return "incast"
-	case PatternAllToAll:
-		return "all2all"
-	default:
-		return fmt.Sprintf("Pattern(%d)", int(p))
-	}
-}
+// Patterns is the pattern's token table, also its String form:
+// pairs | incast | all2all.
+var Patterns = enum.New[Pattern]("bench", "pattern", "pairs|pairwise", "incast", "all2all|all-to-all|alltoall")
+
+func (p Pattern) String() string { return Patterns.String(p) }
+
+// MarshalText encodes the pattern as its token.
+func (p Pattern) MarshalText() ([]byte, error) { return Patterns.MarshalText(p) }
+
+// UnmarshalText decodes a pattern token.
+func (p *Pattern) UnmarshalText(b []byte) error { return Patterns.UnmarshalText(b, p) }
 
 // maxHosts bounds Config.Hosts: host indices share MakeMAC's index word
 // with the guest/NIC index (hostIdx<<8 | i), so both halves must fit a

@@ -206,6 +206,9 @@ func (c Config) Validate() error {
 	if c.Guests < 1 {
 		return fmt.Errorf("bench: config needs at least one guest (got %d)", c.Guests)
 	}
+	if !c.Mode.Drives(c.NIC) {
+		return fmt.Errorf("bench: %v mode cannot drive the %s NIC", c.Mode, NICKinds.String(c.NIC))
+	}
 	if c.NICs < 1 {
 		return fmt.Errorf("bench: config needs at least one NIC (got %d)", c.NICs)
 	}
@@ -222,9 +225,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("bench: config needs 0..%d hosts (got %d)", maxHosts, c.Hosts)
 	}
 	if c.Hosts > 1 {
-		switch c.Pattern {
-		case PatternPairs, PatternIncast, PatternAllToAll:
-		default:
+		if Patterns.Tokens(c.Pattern) == nil {
 			return fmt.Errorf("bench: unknown traffic pattern %v", c.Pattern)
 		}
 		if c.Guests > 255 || c.NICs > 255 {

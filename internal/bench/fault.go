@@ -2,9 +2,8 @@ package bench
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
+	"cdna/internal/enum"
 	"cdna/internal/ether"
 	"cdna/internal/sim"
 )
@@ -37,60 +36,17 @@ const (
 	FaultBlackout
 )
 
-func (k FaultKind) String() string {
-	switch k {
-	case FaultNone:
-		return "none"
-	case FaultLinkFlap:
-		return "linkflap"
-	case FaultPortFail:
-		return "portfail"
-	case FaultBlackout:
-		return "blackout"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", int(k))
-	}
-}
-
-// ParseFaultKind parses a fault scenario name:
+// FaultKinds is the fault kind's token table, also its String form:
 // none | linkflap | portfail | blackout.
-func ParseFaultKind(s string) (FaultKind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "", "none":
-		return FaultNone, nil
-	case "linkflap", "flap":
-		return FaultLinkFlap, nil
-	case "portfail", "port":
-		return FaultPortFail, nil
-	case "blackout":
-		return FaultBlackout, nil
-	}
-	return 0, fmt.Errorf("bench: unknown fault %q (want none | linkflap | portfail | blackout)", s)
-}
+var FaultKinds = enum.New[FaultKind]("bench", "fault", "none|", "linkflap|flap", "portfail|port", "blackout")
 
-// MarshalText encodes the kind as its canonical token.
-func (k FaultKind) MarshalText() ([]byte, error) {
-	switch k {
-	case FaultNone, FaultLinkFlap, FaultPortFail, FaultBlackout:
-		return []byte(k.String()), nil
-	}
-	return []byte(strconv.Itoa(int(k))), nil
-}
+func (k FaultKind) String() string { return FaultKinds.String(k) }
 
-// UnmarshalText decodes a kind token (or its decimal fallback form; see
-// Mode.UnmarshalText).
-func (k *FaultKind) UnmarshalText(b []byte) error {
-	if n, err := strconv.Atoi(string(b)); err == nil {
-		*k = FaultKind(n)
-		return nil
-	}
-	v, err := ParseFaultKind(string(b))
-	if err != nil {
-		return err
-	}
-	*k = v
-	return nil
-}
+// MarshalText encodes the kind as its token.
+func (k FaultKind) MarshalText() ([]byte, error) { return FaultKinds.MarshalText(k) }
+
+// UnmarshalText decodes a kind token.
+func (k *FaultKind) UnmarshalText(b []byte) error { return FaultKinds.UnmarshalText(b, k) }
 
 // FaultSpec schedules one fault scenario relative to the measurement
 // window: the fault fires After the window opens and heals Outage

@@ -7,6 +7,7 @@ import (
 	"cdna/internal/bus"
 	"cdna/internal/core"
 	"cdna/internal/cpu"
+	"cdna/internal/enum"
 	"cdna/internal/ether"
 	"cdna/internal/guest"
 	"cdna/internal/intelnic"
@@ -30,6 +31,34 @@ const (
 	ModeCDNA               // concurrent direct network access (§3)
 )
 
+// Modes is the mode's token table: native | xen | cdna.
+var Modes = enum.New[Mode]("bench", "mode", "native", "xen", "cdna")
+
+// MarshalText encodes the mode as its token.
+func (m Mode) MarshalText() ([]byte, error) { return Modes.MarshalText(m) }
+
+// UnmarshalText decodes a mode token.
+func (m *Mode) UnmarshalText(b []byte) error { return Modes.UnmarshalText(b, m) }
+
+// DefaultNIC returns the NIC the mode drives unless told otherwise:
+// the RiceNIC for CDNA, the Intel NIC for native and Xen.
+func (m Mode) DefaultNIC() NICKind {
+	if m == ModeCDNA {
+		return NICRice
+	}
+	return NICIntel
+}
+
+// Drives reports whether the mode's machine builder runs the NIC kind:
+// Xen builds either device model, native only the Intel NIC and CDNA
+// only the RiceNIC. An unknown mode is left for Build to reject.
+func (m Mode) Drives(k NICKind) bool {
+	if m == ModeXen {
+		return NICKinds.Tokens(k) != nil
+	}
+	return k == m.DefaultNIC() || Modes.Tokens(m) == nil
+}
+
 func (m Mode) String() string {
 	switch m {
 	case ModeNative:
@@ -52,6 +81,15 @@ const (
 	NICRice                 // CDNA-capable RiceNIC
 )
 
+// NICKinds is the NIC kind's token table: intel | ricenic.
+var NICKinds = enum.New[NICKind]("bench", "NIC", "intel", "ricenic|rice")
+
+// MarshalText encodes the NIC kind as its token.
+func (k NICKind) MarshalText() ([]byte, error) { return NICKinds.MarshalText(k) }
+
+// UnmarshalText decodes a NIC kind token.
+func (k *NICKind) UnmarshalText(b []byte) error { return NICKinds.UnmarshalText(b, k) }
+
 func (k NICKind) String() string {
 	if k == NICIntel {
 		return "Intel"
@@ -71,6 +109,15 @@ const (
 	// receive connection set per NIC).
 	Both
 )
+
+// Directions is the direction's token table: tx | rx | both.
+var Directions = enum.New[Direction]("bench", "direction", "tx|transmit", "rx|receive", "both|duplex")
+
+// MarshalText encodes the direction as its token.
+func (d Direction) MarshalText() ([]byte, error) { return Directions.MarshalText(d) }
+
+// UnmarshalText decodes a direction token.
+func (d *Direction) UnmarshalText(b []byte) error { return Directions.UnmarshalText(b, d) }
 
 func (d Direction) String() string {
 	switch d {

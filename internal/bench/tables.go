@@ -341,11 +341,7 @@ func topologyConfigs(hosts []int, pat Pattern) []Config {
 	var cfgs []Config
 	for _, h := range hosts {
 		for _, mode := range []Mode{ModeXen, ModeCDNA} {
-			nic := NICIntel
-			if mode == ModeCDNA {
-				nic = NICRice
-			}
-			cfg := DefaultConfig(mode, nic, Tx)
+			cfg := DefaultConfig(mode, mode.DefaultNIC(), Tx)
 			cfg.Hosts = h
 			cfg.Pattern = pat
 			cfgs = append(cfgs, cfg)
@@ -416,11 +412,7 @@ func ScenarioFaults(o Opts, hosts int) (*stats.Table, []Result, error) {
 	var cfgs []Config
 	for _, f := range faults {
 		for _, mode := range []Mode{ModeXen, ModeCDNA} {
-			nic := NICIntel
-			if mode == ModeCDNA {
-				nic = NICRice
-			}
-			cfg := DefaultConfig(mode, nic, Tx)
+			cfg := DefaultConfig(mode, mode.DefaultNIC(), Tx)
 			cfg.Hosts = hosts
 			cfg.Pattern = PatternIncast
 			cfg.Fault = f
@@ -462,11 +454,7 @@ func FabricIncast(o Opts, hosts int) (*stats.Table, []Result, error) {
 	var cfgs []Config
 	for _, kind := range kinds {
 		for _, mode := range []Mode{ModeXen, ModeCDNA} {
-			nic := NICIntel
-			if mode == ModeCDNA {
-				nic = NICRice
-			}
-			cfg := DefaultConfig(mode, nic, Tx)
+			cfg := DefaultConfig(mode, mode.DefaultNIC(), Tx)
 			cfg.Hosts = hosts
 			cfg.Pattern = PatternIncast
 			cfg.Fabric = fabricSpecOf(kind, 1)
@@ -531,11 +519,7 @@ func ScenarioOpenLoop(o Opts, rates []float64) (*stats.Table, []Result, error) {
 	var cfgs []Config
 	for _, rate := range rates {
 		for _, mode := range []Mode{ModeXen, ModeCDNA} {
-			nic := NICIntel
-			if mode == ModeCDNA {
-				nic = NICRice
-			}
-			cfg := DefaultConfig(mode, nic, Tx)
+			cfg := DefaultConfig(mode, mode.DefaultNIC(), Tx)
 			cfg.Hosts = 4
 			cfg.Pattern = PatternIncast
 			cfg.Fabric = fabricSpecOf(topo.KindLeafSpine, 1)

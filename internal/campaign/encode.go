@@ -2,6 +2,7 @@ package campaign
 
 import (
 	"bytes"
+	"encoding"
 	"encoding/csv"
 	"encoding/json"
 	"errors"
@@ -65,11 +66,9 @@ var csvHeader = []string{
 	"error",
 }
 
-func enumCell(v interface{ MarshalText() ([]byte, error) }) string {
-	b, err := v.MarshalText()
-	if err != nil {
-		return fmt.Sprint(v)
-	}
+// enumCell is an enum's token; an enum's MarshalText never fails.
+func enumCell(v encoding.TextMarshaler) string {
+	b, _ := v.MarshalText()
 	return string(b)
 }
 

@@ -151,14 +151,8 @@ func (g Grid) fabricsFor(hosts int) []topo.FabricSpec {
 // device models; native always drives the Intel NIC and CDNA always
 // the RiceNIC, so their NIC axis collapses.
 func (g Grid) nicsFor(m bench.Mode) []bench.NICKind {
-	switch m {
-	case bench.ModeNative:
-		return []bench.NICKind{bench.NICIntel}
-	case bench.ModeCDNA:
-		return []bench.NICKind{bench.NICRice}
-	}
-	if len(g.NICs) == 0 {
-		return []bench.NICKind{bench.NICIntel}
+	if m == bench.ModeNative || m == bench.ModeCDNA || len(g.NICs) == 0 {
+		return []bench.NICKind{m.DefaultNIC()}
 	}
 	return g.NICs
 }

@@ -3,9 +3,8 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strconv"
-	"strings"
 
+	"cdna/internal/enum"
 	"cdna/internal/mem"
 	"cdna/internal/ring"
 	"cdna/internal/sim"
@@ -29,57 +28,18 @@ const (
 	ModeOff
 )
 
-func (m Mode) String() string {
-	switch m {
-	case ModeHypercall:
-		return "hypercall"
-	case ModeIOMMU:
-		return "iommu"
-	case ModeOff:
-		return "off"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
+// Modes is the protection mode's token table, also its String form:
+// hypercall | iommu | off.
+var Modes = enum.New[Mode]("core", "protection mode", "hypercall", "iommu", "off")
 
-// ParseMode parses a protection mode name: hypercall | iommu | off.
-func ParseMode(s string) (Mode, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "hypercall":
-		return ModeHypercall, nil
-	case "iommu":
-		return ModeIOMMU, nil
-	case "off":
-		return ModeOff, nil
-	}
-	return 0, fmt.Errorf("core: unknown protection mode %q (want hypercall | iommu | off)", s)
-}
+func (m Mode) String() string { return Modes.String(m) }
 
-// MarshalText encodes the mode as its String() token, so protection
-// modes round-trip through JSON grid specs and result records.
-// Out-of-range values encode as their decimal value so records of
-// failed experiments stay serializable.
-func (m Mode) MarshalText() ([]byte, error) {
-	if m < ModeHypercall || m > ModeOff {
-		return []byte(strconv.Itoa(int(m))), nil
-	}
-	return []byte(m.String()), nil
-}
+// MarshalText encodes the mode as its token, so protection modes
+// round-trip through JSON grid specs and result records.
+func (m Mode) MarshalText() ([]byte, error) { return Modes.MarshalText(m) }
 
-// UnmarshalText decodes a protection mode token, accepting the decimal
-// fallback form MarshalText emits for out-of-range values.
-func (m *Mode) UnmarshalText(b []byte) error {
-	if n, err := strconv.Atoi(string(b)); err == nil {
-		*m = Mode(n)
-		return nil
-	}
-	v, err := ParseMode(string(b))
-	if err != nil {
-		return err
-	}
-	*m = v
-	return nil
-}
+// UnmarshalText decodes a protection mode token.
+func (m *Mode) UnmarshalText(b []byte) error { return Modes.UnmarshalText(b, m) }
 
 // Errors reported by descriptor validation.
 var (

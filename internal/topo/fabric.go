@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 
+	"cdna/internal/enum"
 	"cdna/internal/ether"
 	"cdna/internal/sim"
 )
@@ -24,45 +25,18 @@ const (
 	KindFatTree
 )
 
-func (k FabricKind) String() string {
-	switch k {
-	case KindToR:
-		return "tor"
-	case KindLeafSpine:
-		return "leafspine"
-	case KindFatTree:
-		return "fattree"
-	default:
-		return fmt.Sprintf("FabricKind(%d)", int(k))
-	}
-}
+// FabricKinds is the fabric kind's token table, also its String form:
+// tor | leafspine | fattree.
+var FabricKinds = enum.New[FabricKind]("topo", "fabric kind", "tor|", "leafspine", "fattree")
 
-// ParseFabricKind parses a FabricKind name as written by String.
-func ParseFabricKind(s string) (FabricKind, error) {
-	switch s {
-	case "tor", "":
-		return KindToR, nil
-	case "leafspine":
-		return KindLeafSpine, nil
-	case "fattree":
-		return KindFatTree, nil
-	default:
-		return 0, fmt.Errorf("topo: unknown fabric kind %q (tor, leafspine, fattree)", s)
-	}
-}
+func (k FabricKind) String() string { return FabricKinds.String(k) }
 
-// MarshalText encodes the kind by name (campaign specs, JSON results).
-func (k FabricKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+// MarshalText encodes the kind as its token (campaign specs, JSON
+// results).
+func (k FabricKind) MarshalText() ([]byte, error) { return FabricKinds.MarshalText(k) }
 
-// UnmarshalText decodes a kind name.
-func (k *FabricKind) UnmarshalText(b []byte) error {
-	v, err := ParseFabricKind(string(b))
-	if err != nil {
-		return err
-	}
-	*k = v
-	return nil
-}
+// UnmarshalText decodes a kind token.
+func (k *FabricKind) UnmarshalText(b []byte) error { return FabricKinds.UnmarshalText(b, k) }
 
 // FabricSpec configures a fabric shape. The zero value is the classic
 // single ToR. All fields are scalars so the spec can sit inside a

@@ -380,12 +380,12 @@ func TestFabricFailPortBothDirections(t *testing.T) {
 // Spec parsing, validation and construction errors.
 func TestFabricSpecValidation(t *testing.T) {
 	for _, s := range []string{"tor", "leafspine", "fattree"} {
-		k, err := ParseFabricKind(s)
+		k, err := FabricKinds.Parse(s)
 		if err != nil || k.String() != s {
 			t.Fatalf("kind %q round-trip: %v %v", s, k, err)
 		}
 	}
-	if _, err := ParseFabricKind("mesh"); err == nil {
+	if _, err := FabricKinds.Parse("mesh"); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 	bad := []FabricSpec{

@@ -38,7 +38,7 @@ func TestOpenLoopKindRoundTrip(t *testing.T) {
 			t.Fatalf("%v round-tripped to %v", d, back)
 		}
 	}
-	if _, err := ParseSizeDist("wat"); err == nil {
+	if _, err := SizeDists.Parse("wat"); err == nil {
 		t.Fatal("unknown size distribution accepted")
 	}
 }

@@ -19,6 +19,7 @@ import (
 	"strconv"
 	"strings"
 
+	"cdna/internal/enum"
 	"cdna/internal/sim"
 )
 
@@ -59,72 +60,18 @@ const (
 	Trace
 )
 
-func (k Kind) String() string {
-	switch k {
-	case Bulk:
-		return "bulk"
-	case RequestResponse:
-		return "rr"
-	case Churn:
-		return "churn"
-	case Burst:
-		return "burst"
-	case Poisson:
-		return "poisson"
-	case Pareto:
-		return "pareto"
-	case Trace:
-		return "trace"
-	default:
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-}
-
-// ParseKind parses a workload kind token:
+// Kinds is the kind's token table, also its String form:
 // bulk | rr | churn | burst | poisson | pareto | trace.
-func ParseKind(s string) (Kind, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "bulk", "":
-		return Bulk, nil
-	case "rr", "rpc", "request-response":
-		return RequestResponse, nil
-	case "churn":
-		return Churn, nil
-	case "burst":
-		return Burst, nil
-	case "poisson":
-		return Poisson, nil
-	case "pareto":
-		return Pareto, nil
-	case "trace":
-		return Trace, nil
-	}
-	return 0, fmt.Errorf("workload: unknown kind %q (want bulk | rr | churn | burst | poisson | pareto | trace)", s)
-}
+var Kinds = enum.New[Kind]("workload", "kind",
+	"bulk|", "rr|rpc|request-response", "churn", "burst", "poisson", "pareto", "trace")
 
-// MarshalText encodes the kind as its canonical token.
-func (k Kind) MarshalText() ([]byte, error) {
-	switch k {
-	case Bulk, RequestResponse, Churn, Burst, Poisson, Pareto, Trace:
-		return []byte(k.String()), nil
-	}
-	return []byte(strconv.Itoa(int(k))), nil
-}
+func (k Kind) String() string { return Kinds.String(k) }
 
-// UnmarshalText decodes a kind token (or the decimal fallback form
-// MarshalText emits for out-of-range values).
-func (k *Kind) UnmarshalText(b []byte) error {
-	if n, err := strconv.Atoi(string(b)); err == nil {
-		*k = Kind(n)
-		return nil
-	}
-	v, err := ParseKind(string(b))
-	if err != nil {
-		return err
-	}
-	*k = v
-	return nil
-}
+// MarshalText encodes the kind as its token.
+func (k Kind) MarshalText() ([]byte, error) { return Kinds.MarshalText(k) }
+
+// UnmarshalText decodes a kind token.
+func (k *Kind) UnmarshalText(b []byte) error { return Kinds.UnmarshalText(b, k) }
 
 // SizeDist selects the flow-size distribution of the open-loop kinds.
 // The zero value uses the fixed FlowSegs size, so configurations that
@@ -146,48 +93,17 @@ const (
 	SizeDataMining
 )
 
-func (d SizeDist) String() string {
-	switch d {
-	case SizeFixed:
-		return "fixed"
-	case SizePareto:
-		return "pareto"
-	case SizeWebSearch:
-		return "websearch"
-	case SizeDataMining:
-		return "datamining"
-	default:
-		return fmt.Sprintf("SizeDist(%d)", int(d))
-	}
-}
+// SizeDists is the distribution's token table, also its String form:
+// fixed | pareto | websearch | datamining.
+var SizeDists = enum.New[SizeDist]("workload", "size distribution", "fixed|", "pareto", "websearch", "datamining")
 
-// ParseSizeDist parses a size-distribution token.
-func ParseSizeDist(s string) (SizeDist, error) {
-	switch strings.ToLower(strings.TrimSpace(s)) {
-	case "fixed", "":
-		return SizeFixed, nil
-	case "pareto":
-		return SizePareto, nil
-	case "websearch":
-		return SizeWebSearch, nil
-	case "datamining":
-		return SizeDataMining, nil
-	}
-	return 0, fmt.Errorf("workload: unknown size distribution %q (want fixed | pareto | websearch | datamining)", s)
-}
+func (d SizeDist) String() string { return SizeDists.String(d) }
 
-// MarshalText encodes the distribution as its canonical token.
-func (d SizeDist) MarshalText() ([]byte, error) { return []byte(d.String()), nil }
+// MarshalText encodes the distribution as its token.
+func (d SizeDist) MarshalText() ([]byte, error) { return SizeDists.MarshalText(d) }
 
 // UnmarshalText decodes a size-distribution token.
-func (d *SizeDist) UnmarshalText(b []byte) error {
-	v, err := ParseSizeDist(string(b))
-	if err != nil {
-		return err
-	}
-	*d = v
-	return nil
-}
+func (d *SizeDist) UnmarshalText(b []byte) error { return SizeDists.UnmarshalText(b, d) }
 
 // Spec describes one workload. All fields are scalars so a Spec (and
 // therefore a bench.Config embedding one) stays comparable — campaign
@@ -317,14 +233,10 @@ func (s Spec) Resolved(txHeavy, rxHeavy bool) Spec {
 // Zero-valued knobs are fine (defaults fill them); negative ones are
 // not.
 func (s Spec) Validate() error {
-	switch s.Kind {
-	case Bulk, RequestResponse, Churn, Burst, Poisson, Pareto, Trace:
-	default:
+	if Kinds.Tokens(s.Kind) == nil {
 		return fmt.Errorf("workload: unknown kind %v", s.Kind)
 	}
-	switch s.SizeDist {
-	case SizeFixed, SizePareto, SizeWebSearch, SizeDataMining:
-	default:
+	if SizeDists.Tokens(s.SizeDist) == nil {
 		return fmt.Errorf("workload: unknown size distribution %v", s.SizeDist)
 	}
 	if s.RequestSegs < 0 || s.ResponseSegs < 0 || s.FlowSegs < 0 {

@@ -35,12 +35,12 @@ func TestKindRoundTrip(t *testing.T) {
 		if back != k {
 			t.Fatalf("%v round-tripped to %v", k, back)
 		}
-		parsed, err := ParseKind(k.String())
+		parsed, err := Kinds.Parse(k.String())
 		if err != nil || parsed != k {
-			t.Fatalf("ParseKind(%q) = %v, %v", k.String(), parsed, err)
+			t.Fatalf("Kinds.Parse(%q) = %v, %v", k.String(), parsed, err)
 		}
 	}
-	if _, err := ParseKind("wat"); err == nil {
+	if _, err := Kinds.Parse("wat"); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
 }
