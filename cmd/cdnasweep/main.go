@@ -156,8 +156,8 @@ func main() {
 	if len(cfgs) == 0 {
 		fatal("grid expands to zero experiments")
 	}
-	wu, du := flags.Windows()
-	campaign.Apply(cfgs, wu, du)
+	g := flags.Grid()
+	campaign.Apply(cfgs, g.Warmup, g.Duration)
 
 	emit := func(path string, write func(f *os.File) error) {
 		if path == "" {

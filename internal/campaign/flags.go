@@ -354,7 +354,16 @@ func (f *Flags) Parse(args []string) error {
 			}
 		}
 	}
-	f.grid.Warmup, f.grid.Duration = f.Windows()
+	if f.Quick {
+		q := bench.Quick()
+		f.grid.Warmup, f.grid.Duration = q.Warmup, q.Duration
+	}
+	if f.Warmup > 0 {
+		f.grid.Warmup = simTime(f.Warmup)
+	}
+	if f.Duration > 0 {
+		f.grid.Duration = simTime(f.Duration)
+	}
 	return f.checkUsed()
 }
 
@@ -402,24 +411,9 @@ func (f *Flags) checkUsed() error {
 	return nil
 }
 
-// Windows returns the measurement windows the run flags select: -quick
-// windows, overridden by a positive -warmup or -duration; zero leaves
-// each configuration's own.
-func (f *Flags) Windows() (warmup, duration sim.Time) {
-	if f.Quick {
-		o := bench.Quick()
-		warmup, duration = o.Warmup, o.Duration
-	}
-	if f.Warmup > 0 {
-		warmup = simTime(f.Warmup)
-	}
-	if f.Duration > 0 {
-		duration = simTime(f.Duration)
-	}
-	return warmup, duration
-}
-
-// Grid returns the grid the config flags select.
+// Grid returns the grid the config flags select. Its measurement
+// windows are the run flags': -quick windows, overridden by a positive
+// -warmup or -duration; zero leaves each configuration's own.
 func (f *Flags) Grid() Grid { return f.grid }
 
 // Given returns the config flags set on the command line, in row order.
