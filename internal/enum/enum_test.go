@@ -69,6 +69,18 @@ func roundTrip[T textEnum, P interface {
 	}
 }
 
+// displayParses checks that each value's display form parses back to it.
+func displayParses[T interface {
+	~int
+	String() string
+}](t *testing.T, tab *enum.Table[T], values ...T) {
+	for _, v := range values {
+		if got, err := tab.Parse(v.String()); err != nil || got != v {
+			t.Errorf("display form %q parses to %v, %v", v.String(), got, err)
+		}
+	}
+}
+
 // TestEveryEnumRoundTrips runs the round trip over all nine
 // experiment enums. Each display form (String) must parse back too, so
 // "CDNA", "RiceNIC" and "transmit" stay valid input.
@@ -83,23 +95,9 @@ func TestEveryEnumRoundTrips(t *testing.T) {
 	t.Run("workload.SizeDist", func(t *testing.T) { roundTrip(t, workload.SizeDists) })
 	t.Run("topo.FabricKind", func(t *testing.T) { roundTrip(t, topo.FabricKinds) })
 
-	for _, s := range []interface{ String() string }{
-		bench.ModeNative, bench.ModeXen, bench.ModeCDNA, bench.NICIntel, bench.NICRice,
-		bench.Tx, bench.Rx, bench.Both,
-	} {
-		var err error
-		switch v := s.(type) {
-		case bench.Mode:
-			_, err = bench.Modes.Parse(v.String())
-		case bench.NICKind:
-			_, err = bench.NICKinds.Parse(v.String())
-		case bench.Direction:
-			_, err = bench.Directions.Parse(v.String())
-		}
-		if err != nil {
-			t.Errorf("display form %q does not parse: %v", s, err)
-		}
-	}
+	displayParses(t, bench.Modes, bench.ModeNative, bench.ModeXen, bench.ModeCDNA)
+	displayParses(t, bench.NICKinds, bench.NICIntel, bench.NICRice)
+	displayParses(t, bench.Directions, bench.Tx, bench.Rx, bench.Both)
 	if k, err := topo.FabricKinds.Parse(" LeafSpine"); err != nil || k != topo.KindLeafSpine {
 		t.Errorf(`FabricKinds.Parse(" LeafSpine") = %v, %v`, k, err)
 	}
