@@ -4,6 +4,7 @@ package bench
 // assume is actually what gets assembled.
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -137,6 +138,35 @@ func TestValidateRejectsUndrivenNIC(t *testing.T) {
 		}
 		if !tc.ok && err != nil && !strings.Contains(err.Error(), "cannot drive") {
 			t.Errorf("%v with %s NIC: error %q does not say why", tc.mode, NICKinds.String(tc.nic), err)
+		}
+	}
+}
+
+// TestValidateBoundsGuestsAndNICs: every config, single-host or not,
+// has at most maxPerHost guests and NICs per host. Only Validate sees
+// the extreme values; no machine is built at them.
+func TestValidateBoundsGuestsAndNICs(t *testing.T) {
+	for _, hosts := range []int{0, 1, 4} {
+		for _, tc := range []struct {
+			guests, nics int
+			ok           bool
+		}{
+			{maxPerHost, maxPerHost, true},
+			{maxPerHost + 1, 1, false},
+			{1, maxPerHost + 1, false},
+			{100000000, 1, false},
+			{1, 100000000, false},
+			{math.MaxInt, math.MaxInt, false},
+		} {
+			cfg := DefaultConfig(ModeCDNA, NICRice, Tx)
+			cfg.Hosts, cfg.Guests, cfg.NICs = hosts, tc.guests, tc.nics
+			if hosts > 1 {
+				cfg.Pattern = PatternIncast
+			}
+			err := cfg.Validate()
+			if (err == nil) != tc.ok {
+				t.Errorf("%d hosts, %d guests, %d NICs: Validate() = %v", hosts, tc.guests, tc.nics, err)
+			}
 		}
 	}
 }

@@ -55,6 +55,11 @@ func (p *Pattern) UnmarshalText(b []byte) error { return Patterns.UnmarshalText(
 // byte.
 const maxHosts = 256
 
+// maxPerHost bounds Config.Guests and Config.NICs on every host, the
+// other byte of that index word. A single-host build has the whole word
+// but takes the same bound, so no config builds millions of domains.
+const maxPerHost = 255
+
 // clusterMACIndex folds a host index into a MakeMAC index; host 0 maps
 // to the identity, so a 1-host cluster and the classic single-host
 // build address devices identically.

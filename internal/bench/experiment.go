@@ -224,13 +224,11 @@ func (c Config) Validate() error {
 	if c.Hosts < 0 || c.Hosts > maxHosts {
 		return fmt.Errorf("bench: config needs 0..%d hosts (got %d)", maxHosts, c.Hosts)
 	}
-	if c.Hosts > 1 {
-		if Patterns.Tokens(c.Pattern) == nil {
-			return fmt.Errorf("bench: unknown traffic pattern %v", c.Pattern)
-		}
-		if c.Guests > 255 || c.NICs > 255 {
-			return fmt.Errorf("bench: multi-host configs need guests and NICs <= 255 (got %d/%d)", c.Guests, c.NICs)
-		}
+	if c.Guests > maxPerHost || c.NICs > maxPerHost {
+		return fmt.Errorf("bench: configs need guests and NICs <= %d (got %d/%d)", maxPerHost, c.Guests, c.NICs)
+	}
+	if c.Hosts > 1 && Patterns.Tokens(c.Pattern) == nil {
+		return fmt.Errorf("bench: unknown traffic pattern %v", c.Pattern)
 	}
 	if err := c.Fabric.Validate(); err != nil {
 		return err

@@ -50,3 +50,44 @@ func TestPrepareAllocBudget(t *testing.T) {
 		}
 	}
 }
+
+// retainedHeapBytes returns the heap a machine for cfg keeps live at
+// the end of its measurement window: the live heap after a collection
+// then, less the live heap before Prepare.
+func retainedHeapBytes(t *testing.T, cfg Config) uint64 {
+	t.Helper()
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	before := ms.HeapAlloc
+	m, err := Prepare(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Launch()
+	m.RunTo(m.cfg.Warmup)
+	m.OpenWindow()
+	m.RunTo(m.cfg.Warmup + m.cfg.Duration)
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(m)
+	return ms.HeapAlloc - before
+}
+
+// TestRetainedHeapBudget gates what a many-guest CDNA machine keeps
+// live after a Quick() window: its page table, rings, buffer pools and
+// per-context protection state (one pin word per outstanding
+// descriptor, no pooled start-up descriptor image). It must not run in
+// parallel: the live heap is process-wide.
+func TestRetainedHeapBudget(t *testing.T) {
+	const mb = 1e6
+	const budget = 8.4 * mb
+	cfg := Quick().apply(DefaultConfig(ModeCDNA, NICRice, Tx))
+	cfg.Guests = 24
+	cfg.ConnsPerGuestPerNIC = 0
+	got := retainedHeapBytes(t, cfg)
+	t.Logf("cdna tx 24 guests: %.2f MB live at window end", float64(got)/mb)
+	if got >= budget {
+		t.Errorf("cdna tx 24 guests: %.2f MB live at window end, budget %.1f MB", float64(got)/mb, budget/mb)
+	}
+}

@@ -219,7 +219,10 @@ func TestBindRejects(t *testing.T) {
 		{Sweep, "-modes native,xen -guests 4", ""},
 		{Sweep, "-dirs 7", `-dirs: bench: unknown direction "7" (want tx | rx | both)`},
 		{Sim, "-workload storm", `-workload: workload: unknown kind "storm" (want bulk | rr | churn | burst | poisson | pareto | trace)`},
-		{Sim, "-guests 300 -hosts 4", "bench: multi-host configs need guests and NICs <= 255"},
+		{Sim, "-guests 300 -hosts 4", "bench: configs need guests and NICs <= 255"},
+		{Sim, "-guests 256", "bench: configs need guests and NICs <= 255"},
+		{Sim, "-mode native -nics 100000000", "bench: configs need guests and NICs <= 255"},
+		{Sim, "-guests 255 -nics 255", ""},
 		{Sim, "-tracefile flows.csv", "workload: trace path set on non-trace kind bulk"},
 		{Sim, "-workload trace", "workload: trace workload needs a trace path"},
 	} {
@@ -271,6 +274,10 @@ func FuzzBindFlags(f *testing.F) {
 		{Sweep, "-modes xen,cdna -dirs tx -hosts 3 -patterns incast -faults none,linkflap,portfail,blackout -warmup 0.02 -duration 0.05"},
 		{Tables, "-quick -workers 4"},
 		{Tables, "-quick -store .cdna-store"},
+		// Extreme sizes: only validation may see them.
+		{Sim, "-guests 100000000"},
+		{Sim, "-mode native -nics 100000000"},
+		{Sweep, "-modes xen,cdna -guests 1,255,256,100000000 -niccounts 1,100000000"},
 	} {
 		f.Add(uint8(seed.tool), seed.args)
 	}
@@ -291,10 +298,14 @@ func FuzzBindFlags(f *testing.F) {
 			if _, err := bench.Normalize(cfg); err != nil {
 				t.Fatalf("%q: binder returned a config Normalize rejects: %v", args, err)
 			}
+			checkBounded(t, args, cfg)
 		case Sweep:
 			if points(fl.Grid()) <= 256 {
 				for _, cfg := range fl.Grid().Points() {
-					bench.Normalize(cfg) // an invalid point is an error record, never a panic
+					// An invalid point is an error record, never a panic.
+					if _, err := bench.Normalize(cfg); err == nil {
+						checkBounded(t, args, cfg)
+					}
 				}
 			}
 		}
@@ -310,4 +321,13 @@ func points(g Grid) int {
 		n *= max(l, 1)
 	}
 	return n
+}
+
+// checkBounded fails unless a config that passed validation is one a
+// machine can be built for: 1..255 guests and NICs, at most 256 hosts.
+func checkBounded(t *testing.T, args string, cfg bench.Config) {
+	t.Helper()
+	if cfg.Guests < 1 || cfg.Guests > 255 || cfg.NICs < 1 || cfg.NICs > 255 || cfg.Hosts > 256 {
+		t.Fatalf("%q: validation passed %d hosts, %d guests, %d NICs", args, cfg.Hosts, cfg.Guests, cfg.NICs)
+	}
 }

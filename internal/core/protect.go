@@ -48,25 +48,40 @@ var (
 	ErrRingFull      = ring.ErrRingFull
 	ErrZeroLength    = errors.New("core: descriptor has zero length")
 	ErrRevoked       = errors.New("core: context has been revoked")
+	ErrPinOrder      = errors.New("core: ring producer index does not follow the outstanding pins")
 )
 
-// pinned records one descriptor's page pins as a contiguous frame span
-// — descriptors reference [Addr, Addr+Len), so the spanned frames are
-// first..first+n-1 and the hot pin/unpin paths never materialize a
-// frame slice.
-type pinned struct {
-	idx   uint32 // free-running ring index of the descriptor
-	first mem.PFN
-	n     int32
+// pin records one descriptor's page pins in one word: descriptors
+// reference [Addr, Addr+Len), so the spanned frames are first..first+n-1
+// and the hot pin/unpin paths never materialize a frame slice. first
+// sits above the low pinCountBits bits and n in them; a PFN is below
+// 2^52, and a 16-bit Len spans at most 17 frames.
+type pin uint64
+
+const pinCountBits = 8
+
+func makePin(first mem.PFN, n int) pin { return pin(first)<<pinCountBits | pin(n) }
+
+// unpin drops the pin's page references.
+func (w pin) unpin(m *mem.Memory) {
+	first := mem.PFN(w >> pinCountBits)
+	for i := range mem.PFN(w & (1<<pinCountBits - 1)) {
+		m.Put(first + i)
+	}
 }
 
 // ringState is the hypervisor's per-ring protection bookkeeping.
 type ringState struct {
-	owner  mem.DomID
-	r      *ring.Ring
-	seq    *SeqAssigner
-	pins   sim.FIFO[pinned] // ordered by idx
-	active bool
+	owner mem.DomID
+	r     *ring.Ring
+	seq   *SeqAssigner
+	// pins holds one record per outstanding descriptor, in ring order:
+	// pins[i] belongs to free-running ring index pinHead+i, so a batch
+	// may only extend it at pinHead+pins.Len(). It grows on demand; tx
+	// rings rarely fill, so sizing it from the ring costs more memory.
+	pins    sim.FIFO[pin]
+	pinHead uint32
+	active  bool
 }
 
 // Protection is the hypervisor side of CDNA DMA memory protection
@@ -122,10 +137,7 @@ func (p *Protection) UnregisterRing(r *ring.Ring) {
 		return
 	}
 	for st.pins.Len() > 0 {
-		pin := st.pins.Pop()
-		for i := int32(0); i < pin.n; i++ {
-			p.Mem.Put(pin.first + mem.PFN(i))
-		}
+		st.pins.Pop().unpin(p.Mem)
 	}
 	st.active = false
 	if p.Mode == ModeHypercall {
@@ -152,12 +164,14 @@ func (p *Protection) Pins(r *ring.Ring) int {
 
 // Enqueue validates and enqueues descriptors on behalf of owner
 // (§3.3). It first reaps completions (decrementing refcounts for
-// descriptors the NIC has consumed — the paper's lazy reap), then for
-// each descriptor verifies that every referenced page is owned by the
-// caller, pins the pages, assigns the next sequence number, writes the
-// descriptor into the ring with hypervisor-exclusive access, and finally
-// publishes the batch. On any validation failure nothing from the batch
-// is published.
+// descriptors the NIC has consumed — the paper's lazy reap), verifies
+// that every page each descriptor references is owned by the caller,
+// assigns each its sequence number and writes it into the ring with
+// hypervisor-exclusive access, then pins the pages and finally publishes
+// the batch. On any validation failure nothing from the batch is pinned
+// or published. A batch that would not start right after the
+// outstanding pins (the ring was published behind the hypervisor's back)
+// is refused the same way.
 //
 // The returned count is the number of descriptors enqueued (all or
 // nothing). CPU cost for this work is charged by the caller (the
@@ -189,23 +203,28 @@ func (p *Protection) Enqueue(owner mem.DomID, r *ring.Ring, descs []ring.Desc) (
 		}
 	}
 	idx := r.Prod()
-	for _, d := range descs {
-		first, npg := mem.RangeSpan(d.Addr, int(d.Len))
-		for i := 0; i < npg; i++ {
-			p.Mem.Get(first + mem.PFN(i))
-			p.PinnedPages.Inc()
-		}
+	if st.pins.Len() == 0 {
+		st.pinHead = idx
+	} else if idx != st.pinHead+uint32(st.pins.Len()) {
+		p.Rejected.Add(uint64(len(descs)))
+		return 0, ErrPinOrder
+	}
+	for i, d := range descs {
 		d.Seq = st.seq.Assign()
 		d.Flags |= ring.FlagValid
-		if err := r.WriteDesc(p.Mem, mem.DomHyp, idx, d); err != nil {
-			// Unreachable for registered rings; fail closed.
-			for i := 0; i < npg; i++ {
-				p.Mem.Put(first + mem.PFN(i))
-			}
+		if err := r.WriteDesc(p.Mem, mem.DomHyp, idx+uint32(i), d); err != nil {
+			// Unreachable for registered rings; fail closed before
+			// anything is pinned.
 			return 0, err
 		}
-		st.pins.Push(pinned{idx: idx, first: first, n: int32(npg)})
-		idx++
+	}
+	for _, d := range descs {
+		first, npg := mem.RangeSpan(d.Addr, int(d.Len))
+		for i := range mem.PFN(npg) {
+			p.Mem.Get(first + i)
+		}
+		p.PinnedPages.Add(uint64(npg))
+		st.pins.Push(makePin(first, npg))
 	}
 	if err := r.Publish(len(descs)); err != nil {
 		// Unreachable: Space was checked above. Fail closed.
@@ -220,17 +239,11 @@ func (p *Protection) Enqueue(owner mem.DomID, r *ring.Ring, descs []ring.Desc) (
 func (p *Protection) reap(st *ringState) {
 	cons := st.r.Cons()
 	n := 0
-	for st.pins.Len() > 0 {
-		// Free-running indices: pin.idx is complete when it is strictly
-		// below cons in free-running terms.
-		pin := st.pins.Peek()
-		if int32(cons-pin.idx) <= 0 {
-			break
-		}
-		for i := int32(0); i < pin.n; i++ {
-			p.Mem.Put(pin.first + mem.PFN(i))
-		}
-		st.pins.Pop()
+	// Free-running indices: the oldest pin is complete when pinHead is
+	// strictly below cons in free-running terms.
+	for st.pins.Len() > 0 && int32(cons-st.pinHead) > 0 {
+		st.pins.Pop().unpin(p.Mem)
+		st.pinHead++
 		n++
 	}
 	if n > 0 {

@@ -50,9 +50,12 @@ type CDNADriver struct {
 	// Recycled batch buffers: a staged batch and its descriptor image
 	// travel through an async enqueue (hypercall or direct) and return
 	// to these free lists in the completion, so steady-state batching
-	// allocates nothing.
+	// allocates nothing. Start's one-shot post of a whole ring of rx
+	// buffers (startRx) is not pooled: every later batch would fit in
+	// its image, which would then stay live for the driver's life.
 	stagedFree [][]stagedPkt
 	descFree   [][]ring.Desc
+	startRx    bool
 
 	backlog                sim.FIFO[*ether.Frame] // qdisc: frames waiting for ring space
 	stagedTx               []stagedPkt
@@ -93,10 +96,11 @@ type stagedPkt struct {
 // call. tx carries the staged packets to complete; rx carries only the
 // buffer count (n) the descriptors were built from.
 type enqOp struct {
-	tx    bool
-	batch []stagedPkt
-	descs []ring.Desc
-	n     int
+	tx       bool
+	batch    []stagedPkt
+	descs    []ring.Desc
+	n        int
+	unpooled bool // descs is not returned to descFree
 }
 
 // NewCDNADriver binds a driver to an assigned context. The rings were
@@ -167,6 +171,7 @@ func (d *CDNADriver) Start() {
 		n = len(d.rxPool)
 	}
 	d.stagedRx = n
+	d.startRx = true
 	d.flushRx()
 }
 
@@ -300,7 +305,9 @@ func (d *CDNADriver) finishEnqueue(op enqOp, n int, err error) {
 		}
 		d.Dom.VCPU.Exec(cpu.CatKernel, d.Costs.PIO, "cdna.rxpio", d.rxPioFn)
 	}
-	d.descFree = append(d.descFree, op.descs)
+	if !op.unpooled {
+		d.descFree = append(d.descFree, op.descs)
+	}
 }
 
 func (d *CDNADriver) kickRxTask() {
@@ -411,13 +418,20 @@ func (d *CDNADriver) rxBatchTask() {
 	if d.stagedRx > 0 {
 		d.flushRx()
 	}
-	descs := d.takeDescs(n)
+	op := enqOp{n: n, unpooled: d.startRx}
+	d.startRx = false
+	if op.unpooled {
+		op.descs = make([]ring.Desc, n)
+	} else {
+		op.descs = d.takeDescs(n)
+	}
+	descs := op.descs
 	for i := 0; i < n; i++ {
 		pfn := d.rxPool[len(d.rxPool)-1]
 		d.rxPool = d.rxPool[:len(d.rxPool)-1]
 		descs[i] = ring.Desc{Addr: pfn.Base(), Len: ether.HeaderBytes + ether.MTU + 86, Flags: ring.FlagValid}
 	}
-	d.issueEnqueue(enqOp{descs: descs, n: n}, "cdna.rxdirect")
+	d.issueEnqueue(op, "cdna.rxdirect")
 }
 
 // --- Misbehaving-driver entry points (fault-injection tests and the

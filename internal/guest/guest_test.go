@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"math"
 	"testing"
 
 	"cdna/internal/bus"
@@ -399,6 +400,40 @@ func TestCDNADriverForeignAttackRejected(t *testing.T) {
 	r.eng.Run(10 * sim.Millisecond)
 	if got != core.ErrForeignMemory {
 		t.Fatalf("err = %v, want ErrForeignMemory", got)
+	}
+}
+
+// TestCDNADriverWrappingAttackRejected: a descriptor whose range wraps
+// past the top of the address space is charged a positive hypercall
+// cost and refused as foreign memory, not pinned as an empty span.
+func TestCDNADriverWrappingAttackRejected(t *testing.T) {
+	r := newCDNARig(t, core.ModeHypercall)
+	r.eng.Run(10 * sim.Millisecond)
+	pinned := r.hyp.Prot.PinnedPages.Total()
+	var got error
+	r.drv.AttackForeignEnqueue(mem.Addr(math.MaxUint64-99), func(err error) { got = err })
+	r.eng.Run(20 * sim.Millisecond)
+	if got != core.ErrForeignMemory {
+		t.Fatalf("err = %v, want ErrForeignMemory", got)
+	}
+	if n := r.hyp.Prot.PinnedPages.Total(); n != pinned {
+		t.Fatalf("wrapping descriptor pinned %d pages", n-pinned)
+	}
+}
+
+// TestCDNADriverStartImageNotPooled: Start posts a whole ring of rx
+// buffers in one batch; its descriptor image is dropped afterwards
+// rather than kept in the pool for the driver's life.
+func TestCDNADriverStartImageNotPooled(t *testing.T) {
+	r := newCDNARig(t, core.ModeHypercall)
+	r.eng.Run(10 * sim.Millisecond)
+	if got := r.drv.Ctx.RxRing.Avail(); got != RingEntries-1 {
+		t.Fatalf("start-up post left %d rx descriptors, want %d", got, RingEntries-1)
+	}
+	for _, b := range r.drv.descFree {
+		if cap(b) >= RingEntries-1 {
+			t.Fatalf("start-up descriptor image (cap %d) was pooled", cap(b))
+		}
 	}
 }
 

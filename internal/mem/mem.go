@@ -315,12 +315,14 @@ func (m *Memory) HypExclusive(pfn PFN) bool {
 
 // RangeOwned reports whether every byte of [addr, addr+n) lies in pages
 // owned by dom. It is the core ownership check of descriptor validation.
+// A range that wraps past the top of the address space is owned by no
+// one.
 func (m *Memory) RangeOwned(dom DomID, addr Addr, n int) bool {
-	if n <= 0 {
+	first, count := RangeSpan(addr, n)
+	if count == 0 {
 		return false
 	}
-	first, last := addr.PFN(), Addr(uint64(addr)+uint64(n)-1).PFN()
-	for pfn := first; pfn <= last; pfn++ {
+	for pfn := first; pfn < first+PFN(count); pfn++ {
 		pg := m.lookup(pfn)
 		if pg == nil || DomID(pg.owner) != dom || pg.freed {
 			return false
@@ -346,9 +348,10 @@ func RangePFNs(addr Addr, n int) []PFN {
 // [addr, addr+n). Spans are contiguous by construction, so (first,
 // count) carries the same information as RangePFNs without allocating —
 // the per-descriptor hot paths (pinning, enqueue-cost accounting) use
-// this form.
+// this form. An empty range, or one that wraps past the top of the
+// address space, spans no frames.
 func RangeSpan(addr Addr, n int) (PFN, int) {
-	if n <= 0 {
+	if n <= 0 || uint64(n)-1 > math.MaxUint64-uint64(addr) {
 		return 0, 0
 	}
 	first, last := addr.PFN(), Addr(uint64(addr)+uint64(n)-1).PFN()

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -243,6 +244,43 @@ func TestRangeOwned(t *testing.T) {
 	m.Free(guestA, a)
 	if m.RangeOwned(guestA, a.Base(), 8) {
 		t.Fatal("freed page must not validate")
+	}
+}
+
+// TestRangeWrapsAddressSpace: a range that runs past the top of the
+// 64-bit address space spans nothing and is owned by no one, so a
+// descriptor cannot pass validation by wrapping around to low frames.
+func TestRangeWrapsAddressSpace(t *testing.T) {
+	m := New()
+	for range 4 {
+		m.AllocOne(guestA) // low frames the wrapped range would reach
+	}
+	top := Addr(math.MaxUint64 - PageSize + 1)
+	for _, tc := range []struct {
+		addr Addr
+		n    int
+	}{
+		{top, 0x3000},
+		{top, PageSize + 1},
+		{Addr(math.MaxUint64), 2},
+		{Addr(math.MaxUint64 - 99), 1514},
+	} {
+		if m.RangeOwned(guestA, tc.addr, tc.n) {
+			t.Errorf("RangeOwned(%#x, %d) validated a wrapping range", uint64(tc.addr), tc.n)
+		}
+		if first, n := RangeSpan(tc.addr, tc.n); first != 0 || n != 0 {
+			t.Errorf("RangeSpan(%#x, %d) = %d, %d; want 0, 0", uint64(tc.addr), tc.n, first, n)
+		}
+		if RangePFNs(tc.addr, tc.n) != nil {
+			t.Errorf("RangePFNs(%#x, %d) is not empty", uint64(tc.addr), tc.n)
+		}
+	}
+	// A range ending exactly at the top does not wrap.
+	if first, n := RangeSpan(top, PageSize); first != top.PFN() || n != 1 {
+		t.Errorf("RangeSpan(top page) = %d, %d; want %d, 1", first, n, top.PFN())
+	}
+	if first, n := RangeSpan(top-1, 2); first != top.PFN()-1 || n != 2 {
+		t.Errorf("RangeSpan(across the last boundary) = %d, %d; want %d, 2", first, n, top.PFN()-1)
 	}
 }
 

@@ -11,10 +11,16 @@
 # and BENCHMARK.json's run_seconds. Pair i runs the base first when i is
 # odd and HEAD first when it is even. For every workload and end-to-end
 # metric the script prints each side's median and quartiles, the ratio
-# HEAD/base of the medians, and the pairs HEAD won (ties count for
-# neither side). Every run's output stays in the printed results
-# directory. It exits non-zero if any run failed its output check.
-# Needs git, jq and awk.
+# HEAD/base of the medians, the median of the per-pair ratios
+# HEAD_i/base_i with a distribution-free interval for it, and the pairs
+# HEAD won (ties count for neither side); then every pair's ratio, in
+# pair order. The interval is the sign test's: the k-th smallest and
+# k-th largest pair ratio, with k the largest that keeps the coverage at
+# 95% or more (for 10 pairs, the 2nd and 9th smallest: 97.9%); its
+# coverage is printed next to it. A gain is met only when the interval
+# lies wholly on the better side of 1. Every run's output stays in the
+# printed results directory. It exits non-zero if any run failed its
+# output check. Needs git, jq and awk.
 set -euo pipefail
 
 base_rev=${1:?usage: scripts/perfab.sh <base-rev> [pairs] [workload...]}
@@ -65,6 +71,22 @@ stats() {
 		END { printf "%.6g %.6g %.6g\n", q(0.5), q(0.25), q(0.75) }'
 }
 
+# interval: the median of the numbers on stdin and the sign-test
+# interval for it, [k-th smallest, k-th largest], with the interval's
+# coverage 1 - 2 P(Binomial(n, 1/2) < k) in percent.
+interval() {
+	sort -g | awk '{ v[NR] = $1 }
+		END {
+			n = NR; med = n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+			# cdf[j] = P(Binomial(n, 1/2) <= j)
+			p = 0.5 ^ n; c = 0
+			for (j = 0; j <= n; j++) { c += p; cdf[j] = c; p = p * (n - j) / (j + 1) }
+			k = 1
+			while (k + 1 <= n / 2 && 1 - 2 * cdf[k] >= 0.95) k++
+			printf "%.6g %.6g %.6g %.1f\n", med, v[k], v[n + 1 - k], 100 * (1 - 2 * cdf[k - 1])
+		}'
+}
+
 # values <workload> <side> <metric>: the metric of every pair, in order.
 values() {
 	for ((i = 1; i <= pairs; i++)); do
@@ -88,22 +110,31 @@ for w in "${workloads[@]}"; do
 			bad=1
 		fi
 	done
-	printf '%-10s %-14s %-32s %-32s %9s %6s\n' workload metric "base median [q1, q3]" "head median [q1, q3]" head/base wins
+	printf '%-10s %-14s %-28s %-28s %9s %-30s %6s\n' workload metric "base median [q1, q3]" \
+		"head median [q1, q3]" head/base "pair ratio median [interval]" wins
+	ratios=()
 	for mb in "${metrics[@]}"; do
 		read -r m better <<<"$mb"
 		mapfile -t b < <(values "$w" base "$m")
 		mapfile -t h < <(values "$w" head "$m")
 		wins=0
+		r=()
 		for ((i = 0; i < pairs; i++)); do
 			awk -v h="${h[i]}" -v b="${b[i]}" -v lower="$([ "$better" = lower ] && echo 1 || echo 0)" \
 				'BEGIN { exit !(lower ? h < b : h > b) }' && wins=$((wins + 1))
+			r+=("$(awk -v h="${h[i]}" -v b="${b[i]}" 'BEGIN { printf "%.4f", b == 0 ? 0 : h / b }')")
 		done
 		read -r bmed bq1 bq3 < <(printf '%s\n' "${b[@]}" | stats)
 		read -r hmed hq1 hq3 < <(printf '%s\n' "${h[@]}" | stats)
-		printf '%-10s %-14s %-32s %-32s %9.3f %6s\n' "$w" "$m" \
+		read -r rmed rlo rhi cover < <(printf '%s\n' "${r[@]}" | interval)
+		printf '%-10s %-14s %-28s %-28s %9.3f %-30s %6s\n' "$w" "$m" \
 			"$(printf '%.4g [%.4g, %.4g]' "$bmed" "$bq1" "$bq3")" \
 			"$(printf '%.4g [%.4g, %.4g]' "$hmed" "$hq1" "$hq3")" \
-			"$(awk -v h="$hmed" -v b="$bmed" 'BEGIN { print h / b }')" "$wins/$pairs"
+			"$(awk -v h="$hmed" -v b="$bmed" 'BEGIN { print h / b }')" \
+			"$(printf '%.3f [%.3f, %.3f] %s%%' "$rmed" "$rlo" "$rhi" "$cover")" "$wins/$pairs"
+		ratios+=("$(printf '%-10s %-14s %s' "$w" "$m" "${r[*]}")")
 	done
+	echo "head/base per pair, in pair order:"
+	printf '%s\n' "${ratios[@]}"
 done
 exit $bad
