@@ -17,7 +17,7 @@
 //	cdnasim -mode cdna -hosts 4 -pattern incast -fabric leafspine -spines 2
 //	cdnasim -mode cdna -hosts 4 -pattern pairs -fabric leafspine -hostsperleaf 1 -oversub 4
 //	cdnasim -mode cdna -hosts 4 -pattern incast -fabric leafspine -workload poisson -flowrate 2000 -sizedist websearch
-//	cdnasim -mode cdna -hosts 4 -workload trace -tracefile flows.csv
+//	cdnasim -mode cdna -hosts 4 -pattern incast -workload trace -tracefile internal/workload/testdata/smoke_trace.csv
 package main
 
 import (

@@ -50,12 +50,9 @@ type CDNADriver struct {
 	// Recycled batch buffers: a staged batch and its descriptor image
 	// travel through an async enqueue (hypercall or direct) and return
 	// to these free lists in the completion, so steady-state batching
-	// allocates nothing. Start's one-shot post of a whole ring of rx
-	// buffers (startRx) is not pooled: every later batch would fit in
-	// its image, which would then stay live for the driver's life.
+	// allocates nothing.
 	stagedFree [][]stagedPkt
 	descFree   [][]ring.Desc
-	startRx    bool
 
 	backlog                sim.FIFO[*ether.Frame] // qdisc: frames waiting for ring space
 	stagedTx               []stagedPkt
@@ -96,11 +93,10 @@ type stagedPkt struct {
 // call. tx carries the staged packets to complete; rx carries only the
 // buffer count (n) the descriptors were built from.
 type enqOp struct {
-	tx       bool
-	batch    []stagedPkt
-	descs    []ring.Desc
-	n        int
-	unpooled bool // descs is not returned to descFree
+	tx    bool
+	batch []stagedPkt
+	descs []ring.Desc
+	n     int
 }
 
 // NewCDNADriver binds a driver to an assigned context. The rings were
@@ -158,6 +154,16 @@ func (d *CDNADriver) takeDescs(n int) []ring.Desc {
 	return make([]ring.Desc, n)
 }
 
+// putDescs returns a descriptor image to the pool unless it spans a
+// whole ring, as Start's one-shot post of every rx buffer does: every
+// later batch would fit in such an image, so pooling it would keep it
+// live for the driver's life.
+func (d *CDNADriver) putDescs(b []ring.Desc) {
+	if cap(b) < RingEntries-1 {
+		d.descFree = append(d.descFree, b)
+	}
+}
+
 // MAC implements NetDevice: the context's unique Ethernet address.
 func (d *CDNADriver) MAC() ether.MAC { return d.Ctx.MAC }
 
@@ -171,7 +177,6 @@ func (d *CDNADriver) Start() {
 		n = len(d.rxPool)
 	}
 	d.stagedRx = n
-	d.startRx = true
 	d.flushRx()
 }
 
@@ -290,7 +295,7 @@ func (d *CDNADriver) finishEnqueue(op enqOp, n int, err error) {
 			d.kickTx()
 		}
 		d.releaseStaged(op.batch)
-		d.descFree = append(d.descFree, op.descs)
+		d.putDescs(op.descs)
 		return
 	}
 	if err != nil {
@@ -305,9 +310,7 @@ func (d *CDNADriver) finishEnqueue(op enqOp, n int, err error) {
 		}
 		d.Dom.VCPU.Exec(cpu.CatKernel, d.Costs.PIO, "cdna.rxpio", d.rxPioFn)
 	}
-	if !op.unpooled {
-		d.descFree = append(d.descFree, op.descs)
-	}
+	d.putDescs(op.descs)
 }
 
 func (d *CDNADriver) kickRxTask() {
@@ -418,20 +421,13 @@ func (d *CDNADriver) rxBatchTask() {
 	if d.stagedRx > 0 {
 		d.flushRx()
 	}
-	op := enqOp{n: n, unpooled: d.startRx}
-	d.startRx = false
-	if op.unpooled {
-		op.descs = make([]ring.Desc, n)
-	} else {
-		op.descs = d.takeDescs(n)
-	}
-	descs := op.descs
+	descs := d.takeDescs(n)
 	for i := 0; i < n; i++ {
 		pfn := d.rxPool[len(d.rxPool)-1]
 		d.rxPool = d.rxPool[:len(d.rxPool)-1]
 		descs[i] = ring.Desc{Addr: pfn.Base(), Len: ether.HeaderBytes + ether.MTU + 86, Flags: ring.FlagValid}
 	}
-	d.issueEnqueue(op, "cdna.rxdirect")
+	d.issueEnqueue(enqOp{descs: descs, n: n}, "cdna.rxdirect")
 }
 
 // --- Misbehaving-driver entry points (fault-injection tests and the
