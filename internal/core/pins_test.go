@@ -18,12 +18,8 @@ func TestPinWordRoundTrip(t *testing.T) {
 	}
 	for _, first := range []mem.PFN{1, 2, 1 << 32, maxPFN - 16, maxPFN} {
 		for n := 1; n <= 17; n++ {
-			w := makePin(first, n)
-			if got := mem.PFN(w >> pinCountBits); got != first {
-				t.Fatalf("makePin(%#x, %d): first = %#x", first, n, got)
-			}
-			if got := int(w & (1<<pinCountBits - 1)); got != n {
-				t.Fatalf("makePin(%#x, %d): n = %d", first, n, got)
+			if f, k := makePin(first, n).span(); f != first || k != n {
+				t.Fatalf("makePin(%#x, %d).span() = %#x, %d", first, n, f, k)
 			}
 		}
 	}

@@ -62,10 +62,15 @@ const pinCountBits = 8
 
 func makePin(first mem.PFN, n int) pin { return pin(first)<<pinCountBits | pin(n) }
 
+// span returns the pinned frames' first PFN and count.
+func (w pin) span() (mem.PFN, int) {
+	return mem.PFN(w >> pinCountBits), int(w & (1<<pinCountBits - 1))
+}
+
 // unpin drops the pin's page references.
 func (w pin) unpin(m *mem.Memory) {
-	first := mem.PFN(w >> pinCountBits)
-	for i := range mem.PFN(w & (1<<pinCountBits - 1)) {
+	first, n := w.span()
+	for i := range mem.PFN(n) {
 		m.Put(first + i)
 	}
 }
