@@ -16,11 +16,13 @@ test:
 # check is the tier-1 gate: everything must build, vet and pass.
 check: build vet test
 
-# smoke runs a tiny campaign grid end-to-end through cdnasweep:
-# two architectures x two directions with very short windows.
+# smoke runs a tiny campaign grid end-to-end through cdnasweep (two
+# architectures x two directions with very short windows), then one
+# table through cdnatables, which renders it from the named set.
 smoke:
 	$(GO) run ./cmd/cdnasweep -modes xen,cdna -dirs tx,rx \
 		-warmup 0.02 -duration 0.05 -workers 0 -json /dev/null
+	$(GO) run ./cmd/cdnatables -quick -table 2 -workers 0
 
 # topo-smoke drives the multi-host fabric end to end through cdnasweep:
 # two architectures at two rack sizes under incast and all-to-all with

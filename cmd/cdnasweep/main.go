@@ -52,46 +52,36 @@ func fatal(format string, args ...any) {
 	os.Exit(2)
 }
 
-// presets are the canned campaigns -preset selects, declared once for
-// the help text, the lookup and the unknown-preset error.
-var presets = []struct {
-	name  string
-	grids func() []campaign.Grid
-}{
-	{"table1", campaign.Table1Grids},
-	{"tables", campaign.Tables234Grids},
-	{"figures", campaign.FigureGrids},
-	{"ablations", campaign.AblationGrids},
-	{"workloads", campaign.WorkloadGrids},
-	{"topology", campaign.TopologyGrids},
-	{"faults", campaign.FaultGrids},
-	{"fabrics", campaign.FabricGrids},
-	{"openloop", campaign.OpenLoopGrids},
-	{"paper", campaign.PaperGrids},
-}
-
-// presetNames lists the preset names as the help text shows them.
+// presetNames lists the named sets -preset selects, as the help text
+// and the unknown-preset error show them.
 func presetNames() string {
-	names := make([]string, len(presets))
-	for i, p := range presets {
-		names[i] = p.name
+	var names []string
+	for _, s := range campaign.Sets() {
+		names = append(names, s.Name)
 	}
 	return strings.Join(names, " | ")
 }
 
-func presetGrids(name string) []campaign.Grid {
-	for _, p := range presets {
-		if p.name == name {
-			return p.grids()
-		}
+// presetHelp is the -preset usage: the names, then each set's title.
+func presetHelp() string {
+	help := "canned campaign: " + presetNames()
+	for _, s := range campaign.Sets() {
+		help += fmt.Sprintf("\n  %-10s %s", s.Name, s.Title)
 	}
-	fatal("unknown preset %q (want %s)", name, presetNames())
-	return nil
+	return help
+}
+
+func presetGrids(name string) []campaign.Grid {
+	s, ok := campaign.Named(name)
+	if !ok {
+		fatal("unknown preset %q (want %s)", name, presetNames())
+	}
+	return s.Grids
 }
 
 func main() {
 	flags := campaign.Bind(flag.CommandLine, campaign.Sweep)
-	preset := flag.String("preset", "", "canned campaign: "+presetNames())
+	preset := flag.String("preset", "", presetHelp())
 	spec := flag.String("spec", "", "JSON grid spec file (a campaign.Grid object or array)")
 	jsonPath := flag.String("json", "-", "JSON output path (- = stdout, empty = none)")
 	csvPath := flag.String("csv", "", "CSV output path (- = stdout)")

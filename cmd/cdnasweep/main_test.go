@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"cdna/internal/campaign"
 	"cdna/internal/store"
 )
 
@@ -201,10 +202,10 @@ func TestHelpNamesEveryPreset(t *testing.T) {
 	}
 	help := strings.Split(strings.TrimSpace(m[1]), " | ")
 	var accepted []string
-	for _, p := range presets {
-		accepted = append(accepted, p.name)
-		if len(presetGrids(p.name)) == 0 {
-			t.Errorf("preset %s expands to no grids", p.name)
+	for _, s := range campaign.Sets() {
+		accepted = append(accepted, s.Name)
+		if len(presetGrids(s.Name)) == 0 {
+			t.Errorf("preset %s expands to no grids", s.Name)
 		}
 	}
 	if !slices.Equal(help, accepted) {

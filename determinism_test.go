@@ -15,27 +15,29 @@ import (
 	"cdna/internal/sim"
 )
 
-func renderTable1(t *testing.T, runner bench.Runner) string {
+// renderTable1 runs the table1 set on the given number of workers and
+// renders Table 1 as cdnatables prints it.
+func renderTable1(t *testing.T, workers int) string {
 	t.Helper()
-	opts := bench.Quick()
+	w := bench.Quick()
 	if testing.Short() {
-		opts = bench.Opts{Warmup: 20 * sim.Millisecond, Duration: 60 * sim.Millisecond}
+		w = bench.Opts{Warmup: 20 * sim.Millisecond, Duration: 60 * sim.Millisecond}
 	}
-	opts.Runner = runner
-	tbl, _, err := bench.Table1(opts)
-	if err != nil {
+	set, _ := campaign.Named("table1")
+	outs := campaign.Run(campaign.Apply(set.Points(), w.Warmup, w.Duration), campaign.Options{Workers: workers})
+	if err := campaign.Check(outs); err != nil {
 		t.Fatal(err)
 	}
-	return tbl.String()
+	return set.Tables[0].Render(outs).String()
 }
 
 func TestTable1GoldenDeterminism(t *testing.T) {
-	first := renderTable1(t, nil)
-	second := renderTable1(t, nil)
+	first := renderTable1(t, 1)
+	second := renderTable1(t, 1)
 	if first != second {
 		t.Fatalf("sequential reruns differ:\n--- first ---\n%s\n--- second ---\n%s", first, second)
 	}
-	pooled := renderTable1(t, campaign.Runner(4))
+	pooled := renderTable1(t, 4)
 	if pooled != first {
 		t.Fatalf("campaign-pool run differs from sequential:\n--- sequential ---\n%s\n--- pooled ---\n%s", first, pooled)
 	}

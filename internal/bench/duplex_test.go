@@ -2,28 +2,6 @@ package bench
 
 import "testing"
 
-// TestExtensionDuplexShape: under full-duplex load CDNA still dominates
-// and carries far higher aggregate bandwidth at lower latency.
-func TestExtensionDuplexShape(t *testing.T) {
-	_, results, err := ExtensionDuplex(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	xen, cdna := results[0], results[1]
-	if cdna.Mbps <= xen.Mbps {
-		t.Errorf("duplex: CDNA %.0f Mb/s should beat Xen %.0f", cdna.Mbps, xen.Mbps)
-	}
-	if cdna.Mbps < 2500 {
-		t.Errorf("duplex CDNA aggregate = %.0f Mb/s; two full-duplex gigabit links should carry well over 2.5 Gb/s", cdna.Mbps)
-	}
-	if cdna.LatencyP50us <= 0 || xen.LatencyP50us <= 0 {
-		t.Error("latency quantiles missing")
-	}
-	if cdna.LatencyP50us >= xen.LatencyP50us {
-		t.Errorf("CDNA p50 latency %.0fus should be below Xen's %.0fus", cdna.LatencyP50us, xen.LatencyP50us)
-	}
-}
-
 func TestLatencyMetricsPopulated(t *testing.T) {
 	res := run(t, DefaultConfig(ModeCDNA, NICRice, Tx))
 	if res.LatencyP50us <= 0 || res.LatencyP90us < res.LatencyP50us {

@@ -270,11 +270,23 @@ func runMachine(cfg Config, traceN int) (*Machine, Result, error) {
 	if traceN > 0 {
 		m.Tracer = m.Eng.Attach(traceN)
 	}
+	res, err := m.run()
+	return m, res, err
+}
+
+// run drives a prepared machine through the rest of the lifecycle. A
+// trace replay none of whose rows matches a connection of the pattern
+// fails here, before the machine runs: it would measure nothing.
+func (m *Machine) run() (Result, error) {
 	m.Launch()
+	if tr := m.Work.Trace(); tr != nil && len(tr.Events) > 0 && m.Work.TraceSkipped() == len(tr.Events) {
+		return Result{}, fmt.Errorf("bench: none of the %d trace events matches a connection (src/dst hosts vs pattern %v wiring)",
+			len(tr.Events), m.cfg.Pattern)
+	}
 	m.RunTo(m.cfg.Warmup)
 	m.OpenWindow()
 	m.RunTo(m.cfg.Warmup + m.cfg.Duration)
-	return m, m.Collect(), nil
+	return m.Collect(), nil
 }
 
 // Prepare validates and normalizes a configuration and builds its

@@ -90,19 +90,3 @@ func TestXenInterGuestFairness(t *testing.T) {
 		t.Fatalf("inter-guest imbalance %.2f (bytes %v)", ratio, bytes)
 	}
 }
-
-func TestAblationCoalescingShape(t *testing.T) {
-	_, results, err := AblationCoalescing(Quick(), []int{2, 48})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tight, loose := results[0], results[1]
-	if tight.GuestIntrPerSec <= loose.GuestIntrPerSec {
-		t.Errorf("threshold 2 intr %.0f/s should exceed threshold 48's %.0f/s",
-			tight.GuestIntrPerSec, loose.GuestIntrPerSec)
-	}
-	if tight.Profile.Idle >= loose.Profile.Idle {
-		t.Errorf("tight coalescing idle %.1f%% should be below loose %.1f%%",
-			100*tight.Profile.Idle, 100*loose.Profile.Idle)
-	}
-}

@@ -3,9 +3,10 @@ package bench
 // Experiment identity for the campaign result cache (internal/store).
 // The determinism contract makes a result a pure function of two
 // things: the normalized configuration and the model build that ran
-// it. Normalize pins the first; Fingerprint proxies the second with
-// the engine registry fingerprint, so a model change that adds or
-// removes any bound callback or timer invalidates every cached result.
+// it. Normalize pins the first; a built machine's Fingerprint proxies
+// the second with the engine registry fingerprint, so a model change
+// that adds or removes any bound callback or timer invalidates every
+// cached result.
 
 // Normalize returns the fault-complete, connection-balanced form of a
 // configuration — the canonical identity under which results are
@@ -33,18 +34,4 @@ func Normalize(cfg Config) (Config, error) {
 // build".
 func (m *Machine) Fingerprint() (binds, timers int) {
 	return m.Eng.Binds(), m.Eng.Timers()
-}
-
-// Fingerprint builds the configuration's machine (without running it)
-// and returns its engine registry fingerprint. The build cost is a few
-// hundred microseconds — negligible against the seconds a cache hit
-// saves, and it guarantees the fingerprint reflects this exact
-// configuration's registries, not a global approximation.
-func Fingerprint(cfg Config) (binds, timers int, err error) {
-	m, err := Prepare(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	binds, timers = m.Fingerprint()
-	return binds, timers, nil
 }

@@ -1,6 +1,10 @@
 package bench
 
-import "fmt"
+import (
+	"fmt"
+
+	"cdna/internal/sim"
+)
 
 // Outcome is the terminal state of one experiment in a batch: its
 // configuration and either a result or the error that stopped it.
@@ -10,34 +14,43 @@ type Outcome struct {
 	Err    error  `json:"-"`
 }
 
-// Runner executes a batch of experiment configurations and returns one
-// Outcome per configuration, in input order. The package's own RunAll
-// executes them sequentially; internal/campaign provides a parallel
-// worker-pool implementation. Every table and figure in this package
-// funnels its experiments through a Runner, so a single injection point
-// parallelizes the whole evaluation.
-type Runner func(cfgs []Config) []Outcome
+// Opts is a pair of measurement windows. Quick() is for tests and
+// benchmarks; full-length windows are DefaultConfig's own.
+type Opts struct {
+	Warmup   sim.Time
+	Duration sim.Time
+}
+
+// Quick returns short windows for tests and benchmarks.
+func Quick() Opts { return Opts{Warmup: 150 * sim.Millisecond, Duration: 300 * sim.Millisecond} }
+
+func (o Opts) apply(cfg Config) Config {
+	cfg.Warmup = o.Warmup
+	cfg.Duration = o.Duration
+	return cfg
+}
 
 // RunCaptured runs one experiment, converting any panic into an error
 // so that a malformed configuration cannot abort a sweep.
 func RunCaptured(cfg Config) (out Outcome) {
 	out.Config = cfg
-	defer func() {
-		if r := recover(); r != nil {
-			out.Err = fmt.Errorf("bench: experiment %s panicked: %v", cfg.Name(), r)
-		}
-	}()
+	defer capturePanic(&out)
 	out.Result, out.Err = Run(cfg)
 	return out
 }
 
-// RunAll is the sequential Runner: experiments execute one at a time in
-// order, and per-experiment failures are captured rather than aborting
-// the batch.
-func RunAll(cfgs []Config) []Outcome {
-	outs := make([]Outcome, len(cfgs))
-	for i, cfg := range cfgs {
-		outs[i] = RunCaptured(cfg)
+// RunPrepared is RunCaptured for a machine Prepare already built from
+// cfg: the result cache keys a machine and, on a miss, runs that same
+// machine, so the key and the result come from one build.
+func RunPrepared(cfg Config, m *Machine) (out Outcome) {
+	out.Config = cfg
+	defer capturePanic(&out)
+	out.Result, out.Err = m.run()
+	return out
+}
+
+func capturePanic(out *Outcome) {
+	if r := recover(); r != nil {
+		out.Err = fmt.Errorf("bench: experiment %s panicked: %v", out.Config.Name(), r)
 	}
-	return outs
 }

@@ -140,64 +140,6 @@ func TestTable4ProtectionShape(t *testing.T) {
 	}
 }
 
-// TestFigure3Shape: the transmit scaling curve — CDNA bandwidth flat
-// with idle draining to zero by 8 guests; Xen declining.
-func TestFigure3Shape(t *testing.T) {
-	_, pts, err := Figure3(Quick(), []int{1, 2, 8, 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, p2, p8, p24 := pts[0], pts[1], pts[2], pts[3]
-
-	// CDNA bandwidth stays within 3% of the single-guest value.
-	for _, p := range pts[1:] {
-		if math.Abs(p.CDNA.Mbps-p1.CDNA.Mbps)/p1.CDNA.Mbps > 0.03 {
-			t.Errorf("CDNA bandwidth not flat: %d guests -> %.0f vs %.0f", p.Guests, p.CDNA.Mbps, p1.CDNA.Mbps)
-		}
-	}
-	// CDNA idle drains monotonically to ~0 by 8 guests (paper: 50.8 ->
-	// 25.4 -> 0).
-	if !(p1.CDNA.Profile.Idle > p2.CDNA.Profile.Idle && p2.CDNA.Profile.Idle > p8.CDNA.Profile.Idle) {
-		t.Errorf("CDNA idle not draining: %.2f, %.2f, %.2f",
-			p1.CDNA.Profile.Idle, p2.CDNA.Profile.Idle, p8.CDNA.Profile.Idle)
-	}
-	if p8.CDNA.Profile.Idle > 0.05 {
-		t.Errorf("CDNA idle at 8 guests = %.1f%%, paper: 0%%", 100*p8.CDNA.Profile.Idle)
-	}
-	// Xen declines substantially and monotonically.
-	if !(p1.Xen.Mbps > p2.Xen.Mbps && p2.Xen.Mbps > p8.Xen.Mbps && p8.Xen.Mbps > p24.Xen.Mbps) {
-		t.Errorf("Xen throughput not declining: %.0f, %.0f, %.0f, %.0f",
-			p1.Xen.Mbps, p2.Xen.Mbps, p8.Xen.Mbps, p24.Xen.Mbps)
-	}
-	// At 24 guests CDNA wins by a large factor (paper: 2.1x; accept >1.5x).
-	ratio := p24.CDNA.Mbps / p24.Xen.Mbps
-	if ratio < 1.5 {
-		t.Errorf("CDNA/Xen at 24 guests = %.2fx, paper: 2.1x", ratio)
-	}
-}
-
-// TestFigure4Shape: the receive scaling curve (paper: Xen 1112 -> 558,
-// CDNA flat, 3.3x at 24 guests; accept >2x).
-func TestFigure4Shape(t *testing.T) {
-	_, pts, err := Figure4(Quick(), []int{1, 8, 24})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p1, p8, p24 := pts[0], pts[1], pts[2]
-	for _, p := range pts[1:] {
-		if math.Abs(p.CDNA.Mbps-p1.CDNA.Mbps)/p1.CDNA.Mbps > 0.03 {
-			t.Errorf("CDNA rx bandwidth not flat: %d guests -> %.0f", p.Guests, p.CDNA.Mbps)
-		}
-	}
-	if !(p1.Xen.Mbps > p8.Xen.Mbps && p8.Xen.Mbps > p24.Xen.Mbps) {
-		t.Errorf("Xen rx not declining: %.0f, %.0f, %.0f", p1.Xen.Mbps, p8.Xen.Mbps, p24.Xen.Mbps)
-	}
-	ratio := p24.CDNA.Mbps / p24.Xen.Mbps
-	if ratio < 2.0 {
-		t.Errorf("CDNA/Xen rx at 24 guests = %.2fx, paper: 3.3x", ratio)
-	}
-}
-
 // TestBenchmarkFairness: the benchmark tool balances bandwidth across
 // connections (§5.1).
 func TestBenchmarkFairness(t *testing.T) {
@@ -236,51 +178,6 @@ func TestDeterminism(t *testing.T) {
 	b := run(t, cfg)
 	if a.Mbps != b.Mbps || a.Events != b.Events || a.GuestIntrPerSec != b.GuestIntrPerSec {
 		t.Errorf("nondeterministic: %.3f/%.3f Mb/s, %d/%d events", a.Mbps, b.Mbps, a.Events, b.Events)
-	}
-}
-
-// TestAblationBatchingShape: smaller enqueue batches cost more
-// hypervisor time (§3.3's motivation for batched hypercalls).
-func TestAblationBatchingShape(t *testing.T) {
-	_, results, err := AblationBatching(Quick(), []int{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, unlimited := results[0], results[1]
-	if one.Profile.Hyp <= unlimited.Profile.Hyp {
-		t.Errorf("batch=1 hyp %.1f%% should exceed unlimited %.1f%%",
-			100*one.Profile.Hyp, 100*unlimited.Profile.Hyp)
-	}
-}
-
-// TestAblationInterruptShape: per-context interrupts create a higher
-// physical interrupt load than bit vectors (§3.2).
-func TestAblationInterruptShape(t *testing.T) {
-	_, results, err := AblationInterrupts(Quick(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bitvec, direct := results[0], results[1]
-	if direct.PhysIRQPerSec <= bitvec.PhysIRQPerSec*1.5 {
-		t.Errorf("per-context IRQs %.0f/s should far exceed bit-vector %.0f/s",
-			direct.PhysIRQPerSec, bitvec.PhysIRQPerSec)
-	}
-}
-
-// TestAblationIOMMUShape: IOMMU mode matches protection-off hypervisor
-// cost (the §5.3 upper-bound equivalence).
-func TestAblationIOMMUShape(t *testing.T) {
-	_, results, err := AblationIOMMU(Quick())
-	if err != nil {
-		t.Fatal(err)
-	}
-	hyperc, iommu, off := results[0], results[1], results[2]
-	if iommu.Profile.Hyp >= hyperc.Profile.Hyp {
-		t.Error("IOMMU mode must reduce hypervisor time vs hypercall protection")
-	}
-	if math.Abs(iommu.Profile.Hyp-off.Profile.Hyp) > 0.02 {
-		t.Errorf("IOMMU hyp %.1f%% should approximate protection-off %.1f%%",
-			100*iommu.Profile.Hyp, 100*off.Profile.Hyp)
 	}
 }
 

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"strings"
 	"testing"
 
 	"cdna/internal/sim"
@@ -13,31 +12,6 @@ import (
 // tight even outside -short).
 func topoOpts() Opts {
 	return Opts{Warmup: 20 * sim.Millisecond, Duration: 60 * sim.Millisecond}
-}
-
-// TestTopologyGoldenDeterminism pins byte-identical incast and
-// all-to-all table output across runs — the multi-host extension of
-// TestTable1GoldenDeterminism.
-func TestTopologyGoldenDeterminism(t *testing.T) {
-	render := func() string {
-		o := topoOpts()
-		ti, _, err := TopologyIncast(o, []int{2, 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ta, _, err := TopologyAllToAll(o, []int{3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ti.String() + "\n" + ta.String()
-	}
-	first, second := render(), render()
-	if first != second {
-		t.Fatalf("reruns differ:\n--- first ---\n%s\n--- second ---\n%s", first, second)
-	}
-	if len(first) == 0 || !strings.Contains(first, "Hosts") {
-		t.Fatalf("rendered topology tables look empty:\n%s", first)
-	}
 }
 
 // TestClusterBuildShape checks the multi-host assembly: every host gets

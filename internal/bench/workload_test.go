@@ -105,3 +105,42 @@ func TestValidateRejectsBadWorkload(t *testing.T) {
 		t.Fatal("negative flow size accepted")
 	}
 }
+
+// TestTraceReplayMatchingNothingFails: a trace none of whose rows
+// matches a connection of the pattern is an error, not a zero row; a
+// trace some of whose rows match runs and counts the rest as skipped.
+func TestTraceReplayMatchingNothingFails(t *testing.T) {
+	cfg := DefaultConfig(ModeCDNA, NICRice, Tx)
+	cfg.Hosts = 4
+	cfg.Pattern = PatternIncast
+	cfg.Workload = workload.Spec{Kind: workload.Trace, }
+	cfg.Warmup, cfg.Duration = 20*sim.Millisecond, 50*sim.Millisecond
+	for _, tc := range []struct {
+		name    string
+		events  []workload.TraceEvent
+		skipped int // -1: the run must fail
+	}{
+		{"none-match", []workload.TraceEvent{{At: sim.Millisecond, Src: 0, Dst: 1, Segs: 1}, {At: 2 * sim.Millisecond, Src: 2, Dst: 3, Segs: 1}}, -1},
+		{"some-match", []workload.TraceEvent{{At: sim.Millisecond, Src: 0, Dst: 1, Segs: 1}, {At: 2 * sim.Millisecond, Src: 1, Dst: 0, Segs: 1}}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			name := "bench-" + tc.name
+			workload.RegisterTrace(name, &workload.FlowTrace{Events: tc.events})
+			c := cfg
+			c.Workload.TracePath = workload.MemPrefix + name
+			res, err := Run(c)
+			if tc.skipped < 0 {
+				if err == nil || !strings.Contains(err.Error(), "none of the 2 trace events matches a connection") {
+					t.Fatalf("err = %v, want the no-match error", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.TraceSkipped != tc.skipped {
+				t.Fatalf("TraceSkipped = %d, want %d", res.TraceSkipped, tc.skipped)
+			}
+		})
+	}
+}

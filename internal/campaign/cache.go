@@ -8,7 +8,6 @@ import (
 
 	"cdna/internal/bench"
 	"cdna/internal/store"
-	"cdna/internal/workload"
 )
 
 // Result caching. Determinism makes every experiment result a pure
@@ -62,29 +61,38 @@ func (c CacheCounts) HitRate() float64 {
 // over the payload schema version, the engine registry fingerprint of
 // the configuration's machine, the canonical JSON of the normalized
 // configuration plus its calibration and, for a trace-driven workload,
-// the trace's parsed events. Any model change that alters the
-// machine's registries lands every config on a fresh key, so a stale
-// store can only miss, never mislead. Configurations that fail
+// the events the machine's generator loaded. Any model change that
+// alters the machine's registries lands every config on a fresh key, so
+// a stale store can only miss, never mislead. Configurations that fail
 // validation are uncacheable and return an error.
-func ResultKey(cfg bench.Config) (key string, err error) {
+func ResultKey(cfg bench.Config) (string, error) {
+	_, key, err := prepareKeyed(cfg)
+	return key, err
+}
+
+// prepareKeyed builds the configuration's machine and keys it. The key
+// reads the trace events from the machine itself, so a cache miss runs
+// exactly the flows its key hashed: the trace is parsed once.
+func prepareKeyed(cfg bench.Config) (m *bench.Machine, key string, err error) {
 	// A malformed-but-validating config can still panic in the machine
 	// builder; RunCaptured owns reporting that. Treat it as uncacheable.
 	defer func() {
 		if r := recover(); r != nil {
-			key, err = "", fmt.Errorf("campaign: fingerprint build panicked: %v", r)
+			m, key, err = nil, "", fmt.Errorf("campaign: machine build panicked: %v", r)
 		}
 	}()
 	norm, err := bench.Normalize(cfg)
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
-	binds, timers, err := bench.Fingerprint(norm)
+	m, err = bench.Prepare(cfg)
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
+	binds, timers := m.Fingerprint()
 	cfgJSON, err := json.Marshal(norm)
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
 	// The calibration is excluded from Config's JSON (results files
 	// reconstruct it), but it is part of experiment identity: a
@@ -92,7 +100,7 @@ func ResultKey(cfg bench.Config) (key string, err error) {
 	// registries.
 	calJSON, err := json.Marshal(norm.Cal)
 	if err != nil {
-		return "", err
+		return nil, "", err
 	}
 	parts := [][]byte{
 		[]byte(resultSchema),
@@ -104,23 +112,19 @@ func ResultKey(cfg bench.Config) (key string, err error) {
 	// The config names a trace only by its path (or mem: name), so the
 	// trace's content is hashed too: a file rewritten in place, or a
 	// name registered again, lands on a new key.
-	if norm.Workload.Kind == workload.Trace {
-		tr, err := workload.LoadTrace(norm.Workload.TracePath)
-		if err != nil {
-			return "", err
-		}
+	if tr := m.Work.Trace(); tr != nil {
 		events, err := json.Marshal(tr.Events)
 		if err != nil {
-			return "", err
+			return nil, "", err
 		}
 		parts = append(parts, events)
 	}
-	return store.Key(parts...), nil
+	return m, store.Key(parts...), nil
 }
 
 // CachedExec returns an experiment executor that consults the store
 // before running: a verified hit returns the stored result without
-// simulating; a miss runs the experiment and persists the result
+// simulating; a miss runs the machine it keyed and persists the result
 // (crash-safely — see store.Put) for every future overlapping sweep.
 // Failed experiments are never cached: an error is recomputed (and
 // re-reported) on every submission, so a transient failure — a
@@ -135,7 +139,7 @@ func CachedExec(s *store.Store, stats *CacheStats) func(bench.Config) bench.Outc
 		stats = &CacheStats{}
 	}
 	return func(cfg bench.Config) bench.Outcome {
-		key, err := ResultKey(cfg)
+		m, key, err := prepareKeyed(cfg)
 		if err != nil {
 			stats.uncacheable.Add(1)
 			return bench.RunCaptured(cfg)
@@ -150,7 +154,7 @@ func CachedExec(s *store.Store, stats *CacheStats) func(bench.Config) bench.Outc
 			// tag missed. Recompute; the Put below repairs the entry.
 		}
 		stats.misses.Add(1)
-		out := bench.RunCaptured(cfg)
+		out := bench.RunPrepared(cfg, m)
 		if out.Err == nil {
 			if b, err := json.Marshal(out.Result); err == nil {
 				// A store write failure degrades future runs to recompute;
@@ -159,14 +163,5 @@ func CachedExec(s *store.Store, stats *CacheStats) func(bench.Config) bench.Outc
 			}
 		}
 		return out
-	}
-}
-
-// CachedRunner is Runner with a store behind it: the injection point
-// for cmd/cdnatables -store, so tables reuse the results any
-// cdnasweep -store run has stored. stats may be nil.
-func CachedRunner(workers int, s *store.Store, stats *CacheStats) bench.Runner {
-	return func(cfgs []bench.Config) []bench.Outcome {
-		return Run(cfgs, Options{Workers: workers, Exec: CachedExec(s, stats)})
 	}
 }

@@ -10,10 +10,10 @@
 // the sweep.
 //
 // The package is the engine behind cmd/cdnasweep (grid in, JSON/CSV
-// out) and supplies the parallel bench.Runner that cmd/cdnatables
-// injects to regenerate the paper's tables concurrently. cache.go
-// supplies a store-backed executor (Options.Exec), and Options.Timeout
-// puts a watchdog deadline on every experiment.
+// out) and cmd/cdnatables (a set's tables rendered from its results).
+// sets.go declares every canned experiment set once, for both
+// commands. cache.go supplies a store-backed executor (Options.Exec),
+// and Options.Timeout puts a watchdog deadline on every experiment.
 package campaign
 
 import (
@@ -139,16 +139,6 @@ func Run(cfgs []bench.Config, opt Options) []bench.Outcome {
 func report(opt Options, done, total int, out bench.Outcome) {
 	if opt.Progress != nil {
 		opt.Progress(done, total, out)
-	}
-}
-
-// Runner adapts a worker count into a bench.Runner, the injection point
-// bench's table generators expose. bench.Table2(opts) with
-// opts.Runner = campaign.Runner(0) runs that table's rows across all
-// cores.
-func Runner(workers int) bench.Runner {
-	return func(cfgs []bench.Config) []bench.Outcome {
-		return Run(cfgs, Options{Workers: workers})
 	}
 }
 

@@ -46,24 +46,25 @@ func TestWorkerCountDeterminism(t *testing.T) {
 	}
 }
 
-// TestTableRunnerDeterminism checks the bench-side injection point: a
-// table generated through the parallel campaign Runner must match the
-// sequential default exactly.
+// TestTableRunnerDeterminism checks what cdnatables prints: Table 2
+// rendered from a parallel campaign run must match the sequential run
+// exactly.
 func TestTableRunnerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs six simulations")
 	}
-	opts := bench.Opts{Warmup: 20 * sim.Millisecond, Duration: 50 * sim.Millisecond}
-	seq, seqRes, err := bench.Table2(opts)
-	if err != nil {
-		t.Fatal(err)
+	set, table2 := setTable(t, "tables", "Table 2:")
+	render := func(workers int) (string, []bench.Outcome) {
+		cfgs := Apply(set.Points(table2), 20*sim.Millisecond, 50*sim.Millisecond)
+		outs := Run(cfgs, Options{Workers: workers})
+		if err := Check(outs); err != nil {
+			t.Fatal(err)
+		}
+		return table2.Render(outs).String(), outs
 	}
-	opts.Runner = Runner(4)
-	par, parRes, err := bench.Table2(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.String() != par.String() {
+	seq, seqRes := render(1)
+	par, parRes := render(4)
+	if seq != par {
 		t.Errorf("sequential and parallel Table 2 differ:\n%s\nvs\n%s", seq, par)
 	}
 	if !reflect.DeepEqual(seqRes, parRes) {
@@ -222,7 +223,7 @@ func TestWriteCSV(t *testing.T) {
 // architectures in both directions plus the protection-off rows — the
 // eight distinct experiments behind Tables 2–4.
 func TestTables234GridExpansion(t *testing.T) {
-	cfgs := Expand(Tables234Grids()...)
+	cfgs := Expand(setGrids(t, "tables")...)
 	if len(cfgs) != 8 {
 		t.Fatalf("Tables 2–4 grid has %d points, want 8", len(cfgs))
 	}
@@ -278,7 +279,7 @@ func TestExpandDeduplicates(t *testing.T) {
 		seen[c] = true
 	}
 	// The paper campaign must cover the acceptance grid (Tables 2–4).
-	for _, want := range Expand(Tables234Grids()...) {
+	for _, want := range Expand(setGrids(t, "tables")...) {
 		want.Cal = bench.Calibration{}
 		if !seen[want] {
 			t.Errorf("paper grid missing Tables 2–4 point %s", want.Name())

@@ -251,7 +251,7 @@ func (g Grid) Points() []bench.Config {
 }
 
 // Expand concatenates the expansions of several grids, deduplicating
-// across them while preserving first-occurrence order. Presets compose
+// across them while preserving first-occurrence order. Sets compose
 // this way: the full paper is Expand(PaperGrids()...).
 func Expand(grids ...Grid) []bench.Config {
 	var cfgs []bench.Config
@@ -281,161 +281,4 @@ func Apply(cfgs []bench.Config, warmup, duration sim.Time) []bench.Config {
 		}
 	}
 	return cfgs
-}
-
-var (
-	bothDirs = []bench.Direction{bench.Tx, bench.Rx}
-	xenOnly  = []bench.Mode{bench.ModeXen}
-	cdnaOnly = []bench.Mode{bench.ModeCDNA}
-)
-
-// Table1Grids is Table 1: native Linux on the six-NIC rig and a Xen
-// guest on the two-NIC rig, transmit and receive.
-func Table1Grids() []Grid {
-	return []Grid{
-		{Modes: []bench.Mode{bench.ModeNative}, Dirs: bothDirs, NICCounts: []int{6}, Conns: 6},
-		{Modes: xenOnly, NICs: []bench.NICKind{bench.NICIntel}, Dirs: bothDirs},
-	}
-}
-
-// Tables234Grids is the full Tables 2–4 grid: the three I/O
-// architectures (Xen/Intel, Xen/RiceNIC, CDNA/RiceNIC) in both
-// directions, plus CDNA with protection disabled (Table 4).
-func Tables234Grids() []Grid {
-	return []Grid{
-		{Modes: xenOnly, NICs: []bench.NICKind{bench.NICIntel, bench.NICRice}, Dirs: bothDirs},
-		{Modes: cdnaOnly, Dirs: bothDirs, Protections: []core.Mode{core.ModeHypercall, core.ModeOff}},
-	}
-}
-
-// FigureGrids is Figures 3 and 4: Xen/Intel vs CDNA/RiceNIC scaling
-// over the guest-count axis, both directions.
-func FigureGrids() []Grid {
-	return []Grid{
-		{Modes: []bench.Mode{bench.ModeXen, bench.ModeCDNA}, NICs: []bench.NICKind{bench.NICIntel}, Dirs: bothDirs, Guests: bench.FigureGuests},
-	}
-}
-
-// AblationGrids covers the ablation studies cmd/cdnatables runs: A1
-// (interrupt delivery, 8 guests), A2 (enqueue batching), A4 (protection
-// mechanism) and A5 (transmit coalescing), all CDNA transmit.
-func AblationGrids() []Grid {
-	tx := []bench.Direction{bench.Tx}
-	return []Grid{
-		{Modes: cdnaOnly, Dirs: tx, Guests: []int{8}, IRQDeliveries: []bool{false, true}},
-		{Modes: cdnaOnly, Dirs: tx, MaxEnqueueBatches: []int{1, 2, 4, 8, 16, 0}},
-		{Modes: cdnaOnly, Dirs: tx, Protections: []core.Mode{core.ModeHypercall, core.ModeIOMMU, core.ModeOff}},
-		{Modes: cdnaOnly, Dirs: tx, TxCoalesce: []int{2, 4, 8, 12, 24, 48}},
-	}
-}
-
-// WorkloadGrids is the beyond-the-paper traffic-diversity campaign: all
-// four workload shapes (bulk, closed-loop RPC, connection churn, on/off
-// bursts) across the three I/O architectures, so virtualization
-// overheads can be ranked under latency-bound and churn-bound traffic
-// rather than only under saturating bulk streams.
-func WorkloadGrids() []Grid {
-	allModes := []bench.Mode{bench.ModeNative, bench.ModeXen, bench.ModeCDNA}
-	shapes := []workload.Spec{
-		{Kind: workload.Bulk},
-		{Kind: workload.RequestResponse},
-		{Kind: workload.Churn},
-		{Kind: workload.Burst},
-	}
-	return []Grid{{Modes: allModes, Workloads: shapes}}
-}
-
-// TopologyGrids is the cross-host scenario campaign over the switched
-// fabric (internal/topo): an incast host sweep (the N→1 fan-in whose
-// tail drops live in the switch's root-port egress queue), pairwise and
-// all-to-all shuffles at a fixed rack size, and connection churn across
-// the fabric — each for both I/O architectures, so the question "does
-// CDNA's advantage survive a congested fabric?" has a one-command
-// answer.
-func TopologyGrids() []Grid {
-	tx := []bench.Direction{bench.Tx}
-	xenCDNA := []bench.Mode{bench.ModeXen, bench.ModeCDNA}
-	return []Grid{
-		{Modes: xenCDNA, Dirs: tx, Hosts: []int{2, 4, 8}, Patterns: []bench.Pattern{bench.PatternIncast}},
-		{Modes: xenCDNA, Dirs: tx, Hosts: []int{4}, Patterns: []bench.Pattern{bench.PatternPairs, bench.PatternAllToAll}},
-		{Modes: xenCDNA, Dirs: tx, Hosts: []int{4}, Patterns: []bench.Pattern{bench.PatternIncast},
-			Workloads: []workload.Spec{{Kind: workload.Churn}}},
-	}
-}
-
-// FaultGrids is the fault/churn campaign over the switched fabric: a
-// 3-host incast under each fault scenario (none as the baseline, an
-// access-link flap, a switch-port failure with its FDB re-learning
-// churn, and a whole-fabric blackout whose healing synchronizes the
-// retransmission timers), for both I/O architectures. Default
-// schedules (quarter-window) keep every scenario valid at any window
-// length, so `-quick` sweeps and full-length runs use the same grid.
-func FaultGrids() []Grid {
-	tx := []bench.Direction{bench.Tx}
-	xenCDNA := []bench.Mode{bench.ModeXen, bench.ModeCDNA}
-	return []Grid{
-		{Modes: xenCDNA, Dirs: tx, Hosts: []int{3}, Patterns: []bench.Pattern{bench.PatternIncast},
-			Faults: []bench.FaultSpec{
-				{},
-				{Kind: bench.FaultLinkFlap},
-				{Kind: bench.FaultPortFail},
-				{Kind: bench.FaultBlackout},
-			}},
-	}
-}
-
-// FabricGrids is the multi-tier fabric campaign: the cross-rack incast
-// and shuffle scenarios re-run over leaf-spine and fat-tree topologies
-// (against the single-ToR baseline), plus a trunk-starvation sweep over
-// the oversubscription ratio, for both I/O architectures.
-func FabricGrids() []Grid {
-	tx := []bench.Direction{bench.Tx}
-	xenCDNA := []bench.Mode{bench.ModeXen, bench.ModeCDNA}
-	fabrics := []topo.FabricSpec{
-		{},
-		{Kind: topo.KindLeafSpine, HostsPerLeaf: 2, Spines: 2},
-		{Kind: topo.KindFatTree, HostsPerLeaf: 2, Spines: 2},
-	}
-	return []Grid{
-		{Modes: xenCDNA, Dirs: tx, Hosts: []int{4}, Fabrics: fabrics,
-			Patterns: []bench.Pattern{bench.PatternIncast, bench.PatternAllToAll}},
-		{Modes: cdnaOnly, Dirs: tx, Hosts: []int{4}, Patterns: []bench.Pattern{bench.PatternPairs},
-			Fabrics: []topo.FabricSpec{
-				{Kind: topo.KindLeafSpine, HostsPerLeaf: 1, Spines: 2},
-				{Kind: topo.KindLeafSpine, HostsPerLeaf: 1, Spines: 2, Oversub: 2},
-				{Kind: topo.KindLeafSpine, HostsPerLeaf: 1, Spines: 2, Oversub: 4},
-			}},
-	}
-}
-
-// OpenLoopGrids is the open-loop workload campaign: Poisson and Pareto
-// flow arrivals at rates spanning light load through response-time
-// collapse, web-search and data-mining flow-size mixes, incast across a
-// leaf-spine fabric, for both I/O architectures.
-func OpenLoopGrids() []Grid {
-	tx := []bench.Direction{bench.Tx}
-	xenCDNA := []bench.Mode{bench.ModeXen, bench.ModeCDNA}
-	var shapes []workload.Spec
-	for _, rate := range []float64{50, 500, 4000} {
-		shapes = append(shapes,
-			workload.Spec{Kind: workload.Poisson, FlowRate: rate, SizeDist: workload.SizeWebSearch},
-			workload.Spec{Kind: workload.Pareto, FlowRate: rate, SizeDist: workload.SizeDataMining},
-		)
-	}
-	return []Grid{
-		{Modes: xenCDNA, Dirs: tx, Hosts: []int{4}, Patterns: []bench.Pattern{bench.PatternIncast},
-			Fabrics:   []topo.FabricSpec{{Kind: topo.KindLeafSpine, HostsPerLeaf: 2, Spines: 2}},
-			Workloads: shapes},
-	}
-}
-
-// PaperGrids is the whole evaluation: Tables 1–4, Figures 3–4, and the
-// ablations, as one deduplicated campaign.
-func PaperGrids() []Grid {
-	var grids []Grid
-	grids = append(grids, Table1Grids()...)
-	grids = append(grids, Tables234Grids()...)
-	grids = append(grids, FigureGrids()...)
-	grids = append(grids, AblationGrids()...)
-	return grids
 }

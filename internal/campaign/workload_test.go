@@ -17,7 +17,7 @@ import (
 // round-trip contract result files rely on to key records.
 func TestGridPointNamesDistinct(t *testing.T) {
 	grids := PaperGrids()
-	grids = append(grids, WorkloadGrids()...)
+	grids = append(grids, setGrids(t, "workloads")...)
 	grids = append(grids, Grid{
 		Modes: []bench.Mode{bench.ModeCDNA},
 		Workloads: []workload.Spec{
@@ -61,7 +61,7 @@ func TestGridPointNamesDistinct(t *testing.T) {
 // enabled, a 1-worker and an N-worker run of the same campaign must
 // produce byte-identical result files.
 func TestWorkloadCampaignParallelDeterminism(t *testing.T) {
-	cfgs := Expand(WorkloadGrids()...)
+	cfgs := Expand(setGrids(t, "workloads")...)
 	cfgs = Apply(cfgs, 20*sim.Millisecond, 60*sim.Millisecond)
 	if len(cfgs) != 12 {
 		t.Fatalf("workloads preset expands to %d points, want 12 (3 modes x 4 shapes)", len(cfgs))

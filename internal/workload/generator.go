@@ -189,6 +189,10 @@ func (g *Generator) Launch(warmup sim.Time) {
 	}
 }
 
+// Trace returns the flow trace the generator loaded at construction,
+// or nil for a workload that replays none.
+func (g *Generator) Trace() *FlowTrace { return g.trace }
+
 // TraceSkipped returns how many trace events had no matching endpoint
 // (valid after Launch for the Trace kind).
 func (g *Generator) TraceSkipped() int { return g.traceSkipped }
