@@ -8,7 +8,7 @@
 //	cdnatables -quick       # shorter measurement windows
 //	cdnatables -table 2     # only Table 2
 //	cdnatables -figure 3    # only Figure 3
-//	cdnatables -ablations   # only the ablation studies
+//	cdnatables -ablations   # only the ablation studies and extensions
 //	cdnatables -topology    # only the cross-host fabric scenarios
 //	cdnatables -fabrics     # only the multi-tier fabric and open-loop scenarios
 //	cdnatables -workers 1   # sequential (default: all cores)
@@ -43,9 +43,9 @@ func main() {
 	flags := campaign.Bind(flag.CommandLine, campaign.Tables)
 	table := flag.Int("table", 0, "run only this table (1-4)")
 	figure := flag.Int("figure", 0, "run only this figure (3-4)")
-	ablations := flag.Bool("ablations", false, "run only the ablation studies")
-	topology := flag.Bool("topology", false, "run only the cross-host fabric scenarios (incast, all-to-all)")
-	fabrics := flag.Bool("fabrics", false, "run only the multi-tier fabric scenarios (cross-rack incast, oversubscription, open-loop load)")
+	ablations := flag.Bool("ablations", false, "run only the ablation studies and the duplex and four-NIC extensions")
+	topology := flag.Bool("topology", false, "run only the cross-host fabric scenarios (incast, churn, pairs, all-to-all)")
+	fabrics := flag.Bool("fabrics", false, "run only the multi-tier fabric scenarios (incast, all-to-all, oversubscription, open-loop load)")
 	csvDir := flag.String("csvdir", "", "also write each table as CSV into this directory")
 	err := flags.Parse(os.Args[1:])
 	switch {

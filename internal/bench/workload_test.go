@@ -113,7 +113,7 @@ func TestTraceReplayMatchingNothingFails(t *testing.T) {
 	cfg := DefaultConfig(ModeCDNA, NICRice, Tx)
 	cfg.Hosts = 4
 	cfg.Pattern = PatternIncast
-	cfg.Workload = workload.Spec{Kind: workload.Trace, }
+	cfg.Workload = workload.Spec{Kind: workload.Trace}
 	cfg.Warmup, cfg.Duration = 20*sim.Millisecond, 50*sim.Millisecond
 	for _, tc := range []struct {
 		name    string

@@ -31,15 +31,15 @@ type Set struct {
 // A Table is one table cdnatables prints from a set's results.
 type Table struct {
 	Title string
-	// Rows selects the points of the set the table reads; nil reads
+	// rows selects the points of the set the table reads; nil reads
 	// every point.
-	Rows func(bench.Config) bool
+	rows func(bench.Config) bool
 	// render builds the table from the outcomes of its rows, in set
 	// order, finding each row's result by configuration.
 	render func([]bench.Outcome) *stats.Table
 }
 
-func (t Table) reads(cfg bench.Config) bool { return t.Rows == nil || t.Rows(cfg) }
+func (t Table) reads(cfg bench.Config) bool { return t.rows == nil || t.rows(cfg) }
 
 // Render builds the table from a batch of outcomes that holds its rows
 // (a set's Points, run); outcomes the table does not read are ignored.
@@ -90,9 +90,6 @@ func PaperGrids() []Grid {
 	return s.Grids
 }
 
-// figureGuests is the x-axis of Figures 3 and 4.
-var figureGuests = []int{1, 2, 4, 8, 12, 16, 20, 24}
-
 // Sets returns every named experiment set, freshly built (callers may
 // edit the grids), in the order cdnatables prints them.
 func Sets() []Set {
@@ -124,24 +121,24 @@ func Sets() []Set {
 		},
 		Tables: []Table{
 			{Title: "Table 2: single-guest transmit, 2 NICs (paper: 1602 / 1674 / 1867 Mb/s)",
-				Rows: func(c bench.Config) bool { return c.Dir == bench.Tx && hypercall(c) }, render: architectures},
+				rows: func(c bench.Config) bool { return c.Dir == bench.Tx && hypercall(c) }, render: architectures},
 			{Title: "Table 3: single-guest receive, 2 NICs (paper: 1112 / 1075 / 1874 Mb/s)",
-				Rows: func(c bench.Config) bool { return c.Dir == bench.Rx && hypercall(c) }, render: architectures},
+				rows: func(c bench.Config) bool { return c.Dir == bench.Rx && hypercall(c) }, render: architectures},
 			{Title: "Table 4: CDNA with and without DMA memory protection (paper: hyp 10.2->1.9%, idle +9.6)",
-				Rows: func(c bench.Config) bool { return c.Mode == bench.ModeCDNA }, render: protection},
+				rows: func(c bench.Config) bool { return c.Mode == bench.ModeCDNA }, render: protection},
 		}}
 
 	// Figures 3 and 4: Xen/Intel vs CDNA/RiceNIC aggregate throughput
 	// and idle time over the guest-count axis, both directions.
 	figures := Set{Name: "figures", Title: "Figures 3-4: Xen vs CDNA scaling over 1-24 guests",
 		Grids: []Grid{
-			{Modes: xenCDNA, NICs: []bench.NICKind{bench.NICIntel}, Dirs: bothDirs, Guests: figureGuests},
+			{Modes: xenCDNA, NICs: []bench.NICKind{bench.NICIntel}, Dirs: bothDirs, Guests: []int{1, 2, 4, 8, 12, 16, 20, 24}},
 		},
 		Tables: []Table{
 			{Title: "Figure 3: transmit throughput vs guests (paper: Xen 1602->891, CDNA ~1867 flat)",
-				Rows: func(c bench.Config) bool { return c.Dir == bench.Tx }, render: scaling},
+				rows: func(c bench.Config) bool { return c.Dir == bench.Tx }, render: scaling},
 			{Title: "Figure 4: receive throughput vs guests (paper: Xen 1112->558, CDNA ~1874 flat)",
-				Rows: func(c bench.Config) bool { return c.Dir == bench.Rx }, render: scaling},
+				rows: func(c bench.Config) bool { return c.Dir == bench.Rx }, render: scaling},
 		}}
 
 	// The ablations, all CDNA transmit: A1 interrupt delivery at 8
@@ -158,17 +155,17 @@ func Sets() []Set {
 		},
 		Tables: []Table{
 			{Title: "Ablation A1 (§3.2): interrupt bit vectors vs per-context interrupts, 8 guests",
-				Rows: func(c bench.Config) bool { return c.Guests == 8 }, render: irqDelivery},
+				rows: func(c bench.Config) bool { return c.Guests == 8 }, render: irqDelivery},
 			{Title: "Ablation A2 (§3.3): descriptors per enqueue hypercall",
-				Rows: func(c bench.Config) bool {
+				rows: func(c bench.Config) bool {
 					return c.Guests == 1 && hypercall(c) && c.TxCoalescePkts == 0
 				}, render: batching},
 			{Title: "Ablation A4 (§5.3): protection via hypercall vs IOMMU vs disabled",
-				Rows: func(c bench.Config) bool {
+				rows: func(c bench.Config) bool {
 					return c.Guests == 1 && c.MaxEnqueueBatch == 0 && c.TxCoalescePkts == 0
 				}, render: protectionMechanism},
 			{Title: "Ablation A5 (§5.1): transmit interrupt coalescing threshold",
-				Rows: func(c bench.Config) bool { return c.TxCoalescePkts != 0 }, render: coalescing},
+				rows: func(c bench.Config) bool { return c.TxCoalescePkts != 0 }, render: coalescing},
 		}}
 
 	// Beyond the paper: full-duplex traffic (every guest transmits and
@@ -184,9 +181,9 @@ func Sets() []Set {
 		},
 		Tables: []Table{
 			{Title: "Extension: full-duplex traffic (beyond the paper's unidirectional runs)",
-				Rows: func(c bench.Config) bool { return c.Dir == bench.Both }, render: duplex},
+				rows: func(c bench.Config) bool { return c.Dir == bench.Both }, render: duplex},
 			{Title: "Extension (§5.4 conjecture): CDNA with four NICs vs guest count",
-				Rows: func(c bench.Config) bool { return c.NICs == 4 }, render: fourNICs},
+				rows: func(c bench.Config) bool { return c.NICs == 4 }, render: fourNICs},
 		}}
 
 	// Traffic diversity: all four closed-loop workload shapes (bulk,
@@ -218,9 +215,9 @@ func Sets() []Set {
 		},
 		Tables: []Table{
 			{Title: "Topology incast: N-to-1 fan-in over the switched fabric (Xen vs CDNA)",
-				Rows: func(c bench.Config) bool { return c.Pattern == bench.PatternIncast }, render: incast},
+				rows: func(c bench.Config) bool { return c.Pattern == bench.PatternIncast }, render: incast},
 			{Title: "Topology shuffle: pairwise and all-to-all over the switched fabric",
-				Rows: func(c bench.Config) bool { return c.Pattern != bench.PatternIncast }, render: shuffle},
+				rows: func(c bench.Config) bool { return c.Pattern != bench.PatternIncast }, render: shuffle},
 		}}
 
 	// Faults and churn on a 3-host incast, Xen vs CDNA: none as the
@@ -266,9 +263,9 @@ func Sets() []Set {
 		},
 		Tables: []Table{
 			{Title: "Fabric incast and shuffle: cross-rack incast and all-to-all (ToR vs leaf-spine vs fat-tree)",
-				Rows: func(c bench.Config) bool { return c.Pattern != bench.PatternPairs }, render: fabricPatterns},
+				rows: func(c bench.Config) bool { return c.Pattern != bench.PatternPairs }, render: fabricPatterns},
 			{Title: "Fabric oversubscription: core-link saturation vs oversubscription ratio (leaf-spine)",
-				Rows: func(c bench.Config) bool { return c.Pattern == bench.PatternPairs }, render: oversubscription},
+				rows: func(c bench.Config) bool { return c.Pattern == bench.PatternPairs }, render: oversubscription},
 		}}
 
 	// Open-loop load: Poisson arrivals of web-search flows and Pareto
