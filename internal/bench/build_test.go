@@ -9,6 +9,8 @@ import (
 	"testing"
 
 	"cdna/internal/core"
+	"cdna/internal/mem"
+	"cdna/internal/ring"
 	"cdna/internal/sim"
 )
 
@@ -221,5 +223,29 @@ func TestRunTracedAttachesTracer(t *testing.T) {
 	}
 	if res.Mbps <= 0 {
 		t.Fatal("traced run produced no result")
+	}
+}
+
+// TestRingsAfterFreeAreContiguous builds a ring pair after another
+// domain freed a frame. The allocator hands freed frames out first, so
+// a ring built from them would straddle that domain's pages; every
+// slot of both rings must lie in the ring owner's own memory.
+func TestRingsAfterFreeAreContiguous(t *testing.T) {
+	m := mem.New()
+	const other, dom = mem.Dom0 + 1, mem.Dom0 + 2
+	a := m.Alloc(other, 8)
+	if err := m.Free(other, a[1]); err != nil {
+		t.Fatal(err)
+	}
+	tx, rx, err := makeRings(m, dom, "g")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []*ring.Ring{tx, rx} {
+		for i := uint32(0); i < uint32(r.Entries); i++ {
+			if err := r.WriteDesc(m, dom, i, ring.Desc{Addr: 1, Len: 1}); err != nil {
+				t.Fatalf("%s slot %d: %v", r.Name, i, err)
+			}
+		}
 	}
 }

@@ -269,11 +269,11 @@ func (p *peer) sender(i int, dst ether.MAC) func(*transport.Segment) {
 // memory.
 func makeRings(m *mem.Memory, dom mem.DomID, name string) (*ring.Ring, *ring.Ring, error) {
 	pages := (guest.RingEntries*ring.DefaultLayout.Size + mem.PageSize - 1) / mem.PageSize
-	tx, err := ring.New(name+".tx", ring.DefaultLayout, m.Alloc(dom, pages)[0].Base(), guest.RingEntries)
+	tx, err := ring.New(name+".tx", ring.DefaultLayout, m.AllocRun(dom, pages).Base(), guest.RingEntries)
 	if err != nil {
 		return nil, nil, err
 	}
-	rx, err := ring.New(name+".rx", ring.DefaultLayout, m.Alloc(dom, pages)[0].Base(), guest.RingEntries)
+	rx, err := ring.New(name+".rx", ring.DefaultLayout, m.AllocRun(dom, pages).Base(), guest.RingEntries)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -37,15 +37,9 @@ type CDNADriver struct {
 	DirectPerDesc sim.Time
 	Prot          *core.Protection
 
-	txPool, rxPool []mem.PFN
-	// Per-slot buffer/frame tables indexed by ring index & (RingEntries-1):
-	// the ring indices are free-running over a power-of-two ring, so a
-	// slot is reused only after its previous occupant was consumed. PFN 0
-	// is never allocated and a nil frame marks an empty slot, so no
-	// separate presence set is needed — and the per-packet hot path does
-	// array stores instead of map inserts/deletes.
-	txBufs, rxBufs []mem.PFN
-	inflight       []*ether.Frame
+	// In-flight transmit frames indexed by slot(ring index), as the
+	// pools' slot tables are; a nil frame marks an empty slot.
+	inflight []*ether.Frame
 
 	// Recycled batch buffers: a staged batch and its descriptor image
 	// travel through an async enqueue (hypercall or direct) and return
@@ -81,6 +75,10 @@ type CDNADriver struct {
 
 	TxDropped   stats.Counter
 	EnqueueErrs stats.Counter
+
+	// The buffer pools hold no pointers; last in the struct, they lie
+	// past the words the garbage collector scans.
+	txPool, rxPool bufPool
 }
 
 type stagedPkt struct {
@@ -110,7 +108,6 @@ func NewCDNADriver(dom *xen.Domain, m *mem.Memory, n *ricenic.NIC, ctx *core.Con
 	d := &CDNADriver{
 		Dom: dom, Mem: m, NIC: n, Ctx: ctx, Costs: costs,
 		Direct: direct, DirectPerDesc: directPerDesc, Prot: prot,
-		txBufs: make([]mem.PFN, RingEntries), rxBufs: make([]mem.PFN, RingEntries),
 		inflight: make([]*ether.Frame, RingEntries),
 	}
 	eng := dom.VCPU.Engine()
@@ -123,8 +120,8 @@ func NewCDNADriver(dom *xen.Domain, m *mem.Memory, n *ricenic.NIC, ctx *core.Con
 	d.hcFn = eng.Bind(d.hypercallTask)
 	d.directFn = eng.Bind(d.directTask)
 	d.rxPioFn = eng.Bind(d.kickRxTask)
-	d.txPool = m.Alloc(dom.ID, PoolPages)
-	d.rxPool = m.Alloc(dom.ID, PoolPages)
+	d.txPool.init(m, dom.ID)
+	d.rxPool.init(m, dom.ID)
 	n.AttachContext(ctx, func(idx uint32) *ether.Frame { return d.inflight[idx&(RingEntries-1)] })
 	return d
 }
@@ -172,11 +169,7 @@ func (d *CDNADriver) SetRxHandler(h func(*ether.Frame)) { d.rxHandler = h }
 
 // Start posts the initial receive buffers through the protection path.
 func (d *CDNADriver) Start() {
-	n := RingEntries - 1
-	if n > len(d.rxPool) {
-		n = len(d.rxPool)
-	}
-	d.stagedRx = n
+	d.stagedRx = min(RingEntries-1, d.rxPool.Len())
 	d.flushRx()
 }
 
@@ -202,11 +195,10 @@ func (d *CDNADriver) txEnqueueTask() {
 // stageFromBacklog moves backlog frames into the staged batch while
 // buffer pages and ring space allow.
 func (d *CDNADriver) stageFromBacklog() {
-	for d.backlog.Len() > 0 && len(d.txPool) > 0 &&
+	for d.backlog.Len() > 0 && d.txPool.Len() > 0 &&
 		len(d.stagedTx)+d.Ctx.TxRing.Avail() < RingEntries-1 {
 		f := d.backlog.Pop()
-		pfn := d.txPool[len(d.txPool)-1]
-		d.txPool = d.txPool[:len(d.txPool)-1]
+		pfn := d.txPool.pop()
 		d.stagedTx = append(d.stagedTx, stagedPkt{
 			desc:  ring.Desc{Addr: pfn.Base(), Len: uint16(f.Size), Flags: ring.FlagTx},
 			frame: f,
@@ -282,15 +274,15 @@ func (d *CDNADriver) finishEnqueue(op enqOp, n int, err error) {
 		if err != nil {
 			d.EnqueueErrs.Add(uint64(len(op.batch)))
 			for _, s := range op.batch {
-				d.txPool = append(d.txPool, s.pfn)
+				d.txPool.put(s.pfn)
 				s.frame.Release()
 			}
 		} else {
 			base := d.Ctx.TxRing.Prod() - uint32(n)
 			for i, s := range op.batch {
-				idx := slot(base + uint32(i))
-				d.inflight[idx] = s.frame
-				d.txBufs[idx] = s.pfn
+				idx := base + uint32(i)
+				d.inflight[slot(idx)] = s.frame
+				d.txPool.hold(idx, s.pfn)
 			}
 			d.kickTx()
 		}
@@ -301,12 +293,12 @@ func (d *CDNADriver) finishEnqueue(op enqOp, n int, err error) {
 	if err != nil {
 		d.EnqueueErrs.Add(uint64(op.n))
 		for i := 0; i < op.n; i++ {
-			d.rxPool = append(d.rxPool, op.descs[i].Addr.PFN())
+			d.rxPool.put(op.descs[i].Addr.PFN())
 		}
 	} else {
 		base := d.Ctx.RxRing.Prod() - uint32(n)
 		for i := 0; i < n; i++ {
-			d.rxBufs[slot(base+uint32(i))] = op.descs[i].Addr.PFN()
+			d.rxPool.hold(base+uint32(i), op.descs[i].Addr.PFN())
 		}
 		d.Dom.VCPU.Exec(cpu.CatKernel, d.Costs.PIO, "cdna.rxpio", d.rxPioFn)
 	}
@@ -340,11 +332,8 @@ func (d *CDNADriver) releaseStaged(batch []stagedPkt) {
 // consumer index it wrote back has passed them).
 func (d *CDNADriver) reapTx() {
 	for d.lastTxCons != d.Ctx.TxRing.Cons() {
+		d.txPool.reap(d.lastTxCons)
 		idx := slot(d.lastTxCons)
-		if pfn := d.txBufs[idx]; pfn != 0 {
-			d.txPool = append(d.txPool, pfn)
-			d.txBufs[idx] = 0
-		}
 		if f := d.inflight[idx]; f != nil {
 			f.Release()
 			d.inflight[idx] = nil
@@ -374,11 +363,7 @@ func (d *CDNADriver) virqTask() {
 	}
 	// Recycle consumed rx buffers and repost the same count.
 	for d.lastRxCons != d.Ctx.RxRing.Cons() {
-		idx := slot(d.lastRxCons)
-		if pfn := d.rxBufs[idx]; pfn != 0 {
-			d.rxPool = append(d.rxPool, pfn)
-			d.rxBufs[idx] = 0
-		}
+		d.rxPool.reap(d.lastRxCons)
 		d.lastRxCons++
 	}
 	if len(comps) > 0 {
@@ -407,10 +392,7 @@ func (d *CDNADriver) flushRx() {
 
 func (d *CDNADriver) rxBatchTask() {
 	d.enqRx = false
-	n := d.stagedRx
-	if n > len(d.rxPool) {
-		n = len(d.rxPool)
-	}
+	n := min(d.stagedRx, d.rxPool.Len())
 	if d.MaxBatch > 0 && n > d.MaxBatch {
 		n = d.MaxBatch
 	}
@@ -423,9 +405,7 @@ func (d *CDNADriver) rxBatchTask() {
 	}
 	descs := d.takeDescs(n)
 	for i := 0; i < n; i++ {
-		pfn := d.rxPool[len(d.rxPool)-1]
-		d.rxPool = d.rxPool[:len(d.rxPool)-1]
-		descs[i] = ring.Desc{Addr: pfn.Base(), Len: ether.HeaderBytes + ether.MTU + 86, Flags: ring.FlagValid}
+		descs[i] = ring.Desc{Addr: d.rxPool.pop().Base(), Len: ether.HeaderBytes + ether.MTU + 86, Flags: ring.FlagValid}
 	}
 	d.issueEnqueue(enqOp{descs: descs, n: n}, "cdna.rxdirect")
 }

@@ -238,7 +238,7 @@ func TestNativeDriverStateListsLiveSlots(t *testing.T) {
 		}
 		r.eng.Run(r.eng.Now() + 10*sim.Microsecond)
 	}
-	live := func(name string, bufs *[RingEntries]mem.PFN, frames *[RingEntries]*ether.Frame, from, to uint32) {
+	live := func(name string, pool *bufPool, frames *[RingEntries]*ether.Frame, from, to uint32) {
 		t.Helper()
 		if to-from > RingEntries {
 			t.Fatalf("%s: live window %d..%d exceeds the ring", name, from, to)
@@ -249,16 +249,20 @@ func TestNativeDriverStateListsLiveSlots(t *testing.T) {
 		}
 		for s := uint32(0); s < RingEntries; s++ {
 			hasFrame := frames != nil && frames[s] != nil
-			if in[s] && (bufs[s] == 0 || frames != nil && !hasFrame) {
-				t.Fatalf("%s: live slot %d is empty (pfn %d, frame %v)", name, s, bufs[s], hasFrame)
+			pfn := pool.held(s)
+			if in[s] && (pfn == 0 || frames != nil && !hasFrame) {
+				t.Fatalf("%s: live slot %d is empty (pfn %d, frame %v)", name, s, pfn, hasFrame)
 			}
-			if !in[s] && (bufs[s] != 0 || hasFrame) {
-				t.Fatalf("%s: slot %d outside indices %d..%d holds pfn %d, frame %v", name, s, from, to, bufs[s], hasFrame)
+			if !in[s] && (pfn != 0 || hasFrame) {
+				t.Fatalf("%s: slot %d outside indices %d..%d holds pfn %d, frame %v", name, s, from, to, pfn, hasFrame)
 			}
 		}
+		if held := (to - from) + uint32(pool.Len()); held != PoolPages {
+			t.Fatalf("%s: %d pages held or free, want the pool's %d", name, held, PoolPages)
+		}
 	}
-	live("tx", &d.txBufs, &d.inflight, d.lastTxCons, d.tx.Prod())
-	live("rx", &d.rxBufs, nil, d.lastRxCons, d.rx.Prod())
+	live("tx", &d.txPool, &d.inflight, d.lastTxCons, d.tx.Prod())
+	live("rx", &d.rxPool, nil, d.lastRxCons, d.rx.Prod())
 }
 
 // --- CDNADriver ---

@@ -38,15 +38,14 @@ type NativeDriver struct {
 
 	tx, rx *ring.Ring
 
-	txPool, rxPool []mem.PFN
-	// Per-slot buffer/frame tables indexed by slot(ring index), as in
-	// CDNADriver: descriptors are posted only after reaping up to the
-	// consumer index, so live entries span at most RingEntries indices
-	// from lastTxCons/lastRxCons. PFN 0 and a nil frame mark empty slots.
-	txBufs, rxBufs [RingEntries]mem.PFN
-	inflight       [RingEntries]*ether.Frame
-	lastTxCons     uint32
-	lastRxCons     uint32
+	// In-flight transmit frames indexed by slot(ring index), as the
+	// pools' slot tables are: descriptors are posted only after reaping
+	// up to the consumer index, so live entries span at most
+	// RingEntries indices from lastTxCons/lastRxCons. A nil frame marks
+	// an empty slot.
+	inflight   [RingEntries]*ether.Frame
+	lastTxCons uint32
+	lastRxCons uint32
 
 	kickQueued   bool
 	rxKickQueued bool
@@ -63,6 +62,10 @@ type NativeDriver struct {
 	txInFn, rxUpFn, irqFn, kickFn, rxKickFn sim.Fn
 
 	TxDropped stats.Counter // backlog overflow (qdisc limit)
+
+	// The buffer pools hold no pointers; last in the struct, they lie
+	// past the words the garbage collector scans.
+	txPool, rxPool bufPool
 }
 
 // NewNativeDriver allocates rings and buffer pools in the owning domain
@@ -79,16 +82,16 @@ func NewNativeDriver(dom *cpu.Domain, domID mem.DomID, m *mem.Memory, n *intelni
 	d.rxKickFn = eng.Bind(d.rxKickTask)
 	ringPages := (RingEntries*ring.DefaultLayout.Size + mem.PageSize - 1) / mem.PageSize
 	var err error
-	d.tx, err = ring.New("intel.tx", ring.DefaultLayout, m.Alloc(domID, ringPages)[0].Base(), RingEntries)
+	d.tx, err = ring.New("intel.tx", ring.DefaultLayout, m.AllocRun(domID, ringPages).Base(), RingEntries)
 	if err != nil {
 		return nil, err
 	}
-	d.rx, err = ring.New("intel.rx", ring.DefaultLayout, m.Alloc(domID, ringPages)[0].Base(), RingEntries)
+	d.rx, err = ring.New("intel.rx", ring.DefaultLayout, m.AllocRun(domID, ringPages).Base(), RingEntries)
 	if err != nil {
 		return nil, err
 	}
-	d.txPool = m.Alloc(domID, PoolPages)
-	d.rxPool = m.Alloc(domID, PoolPages)
+	d.txPool.init(m, domID)
+	d.rxPool.init(m, domID)
 	n.AttachRings(d.tx, d.rx)
 	n.SetDriver(d.lookupTx, nil) // IRQ line is wired by the machine builder
 	return d, nil
@@ -112,19 +115,18 @@ func (d *NativeDriver) Start() {
 }
 
 func (d *NativeDriver) postRxBuffer() bool {
-	if len(d.rxPool) == 0 || d.rx.Full() {
+	if d.rxPool.Len() == 0 || d.rx.Full() {
 		return false
 	}
-	pfn := d.rxPool[len(d.rxPool)-1]
-	d.rxPool = d.rxPool[:len(d.rxPool)-1]
+	pfn := d.rxPool.pop()
 	idx := d.rx.Prod()
 	desc := ring.Desc{Addr: pfn.Base(), Len: ether.HeaderBytes + ether.MTU + 86, Flags: ring.FlagValid}
 	if err := d.rx.WriteDesc(d.Mem, d.DomID, idx, desc); err != nil {
-		d.rxPool = append(d.rxPool, pfn)
+		d.rxPool.put(pfn)
 		return false
 	}
 	d.rx.Publish(1)
-	d.rxBufs[slot(idx)] = pfn
+	d.rxPool.hold(idx, pfn)
 	return true
 }
 
@@ -166,18 +168,18 @@ func (d *NativeDriver) kickTask() {
 // and buffer pages allow.
 func (d *NativeDriver) fillRing() {
 	moved := false
-	for d.backlog.Len() > 0 && len(d.txPool) > 0 && !d.tx.Full() {
+	for d.backlog.Len() > 0 && d.txPool.Len() > 0 && !d.tx.Full() {
 		f := d.backlog.Peek()
-		pfn := d.txPool[len(d.txPool)-1]
+		pfn := d.txPool.pop()
 		idx := d.tx.Prod()
 		desc := ring.Desc{Addr: pfn.Base(), Len: uint16(f.Size), Flags: ring.FlagTx | ring.FlagValid}
 		if err := d.tx.WriteDesc(d.Mem, d.DomID, idx, desc); err != nil {
+			d.txPool.put(pfn)
 			break
 		}
 		d.backlog.Pop()
-		d.txPool = d.txPool[:len(d.txPool)-1]
 		d.tx.Publish(1)
-		d.txBufs[slot(idx)] = pfn
+		d.txPool.hold(idx, pfn)
 		d.inflight[slot(idx)] = f
 		moved = true
 	}
@@ -189,11 +191,8 @@ func (d *NativeDriver) fillRing() {
 // reapTx recycles buffers for descriptors the NIC has consumed.
 func (d *NativeDriver) reapTx() {
 	for d.lastTxCons != d.tx.Cons() {
+		d.txPool.reap(d.lastTxCons)
 		idx := slot(d.lastTxCons)
-		if pfn := d.txBufs[idx]; pfn != 0 {
-			d.txPool = append(d.txPool, pfn)
-			d.txBufs[idx] = 0
-		}
 		if f := d.inflight[idx]; f != nil {
 			f.Release()
 			d.inflight[idx] = nil
@@ -235,11 +234,7 @@ func (d *NativeDriver) rxUpTask() {
 func (d *NativeDriver) replenishRx(n int) {
 	// Recycle consumed buffers, then repost.
 	for d.lastRxCons != d.rx.Cons() {
-		idx := slot(d.lastRxCons)
-		if pfn := d.rxBufs[idx]; pfn != 0 {
-			d.rxPool = append(d.rxPool, pfn)
-			d.rxBufs[idx] = 0
-		}
+		d.rxPool.reap(d.lastRxCons)
 		d.lastRxCons++
 	}
 	posted := 0

@@ -75,8 +75,8 @@ func TestNewAllocatesNoChunk(t *testing.T) {
 	if len(m.chunks) != 0 {
 		t.Fatalf("New allocated %d chunks", len(m.chunks))
 	}
-	if m.npages != 1 || m.nextPFN != 1 {
-		t.Fatalf("fresh table: %d entries, next PFN %d", m.npages, m.nextPFN)
+	if m.npages != 1 {
+		t.Fatalf("fresh table: %d entries", m.npages)
 	}
 	m.AllocOne(guestA)
 	if len(m.chunks) != 1 {
@@ -117,7 +117,7 @@ func TestChunkBoundaryPageOps(t *testing.T) {
 	if m.Refs(lastOfChunk0) != 0 {
 		t.Fatal("a pin on the next chunk's first page leaked into the previous chunk")
 	}
-	if m.Owner(m.nextPFN) != DomInvalid || m.Get(m.nextPFN) != ErrNoPage {
+	if m.Owner(m.npages) != DomInvalid || m.Get(m.npages) != ErrNoPage {
 		t.Fatal("a frame past the table answered as allocated")
 	}
 }

@@ -106,17 +106,16 @@ func ownerOf(dom DomID) int16 {
 // pageChunk is one fixed-size block of the page table.
 type pageChunk [chunkPages]page
 
-// Memory is the machine's physical memory. Frame numbers are handed out
-// sequentially, so the page table is indexed by PFN: a lookup on the
-// DMA hot path (descriptor reads, payload writes, ownership validation)
-// is a shift and a mask into pointer-free chunks, not a hash probe, and
-// iteration order is inherently deterministic.
+// Memory is the machine's physical memory. Fresh frame numbers are
+// handed out sequentially, so the page table is indexed by PFN: a
+// lookup on the DMA hot path (descriptor reads, payload writes,
+// ownership validation) is a shift and a mask into pointer-free chunks,
+// not a hash probe, and iteration order is inherently deterministic.
 type Memory struct {
-	chunks  []*pageChunk // entry i is chunks[i>>chunkShift][i&chunkMask]
-	npages  PFN          // table length; entry 0 is never allocated
-	data    [][]byte     // contents of written pages, PageSize each
-	freeQ   []PFN
-	nextPFN PFN
+	chunks []*pageChunk // entry i is chunks[i>>chunkShift][i&chunkMask]
+	npages PFN          // table length and next fresh frame; entry 0 is never allocated
+	data   [][]byte     // contents of written pages, PageSize each
+	freeQ  []PFN
 
 	// devWrites counts DMA-written bytes per owning domain (slice index
 	// DomID+1, so DomInvalid owners land in slot 0); diagnostics for
@@ -127,7 +126,7 @@ type Memory struct {
 // New returns an empty physical memory. PFN 0 is never allocated, so
 // Addr 0 stays invalid.
 func New() *Memory {
-	return &Memory{npages: 1, nextPFN: 1}
+	return &Memory{npages: 1}
 }
 
 // DeviceWritten returns how many bytes devices (DMA) have written into
@@ -181,6 +180,8 @@ func (m *Memory) pageData(pg *page) []byte {
 }
 
 // Alloc allocates n pages owned by dom and returns their frame numbers.
+// Freed frames are handed out first, so the frames need not be
+// contiguous; a caller that addresses them as one run uses AllocRun.
 func (m *Memory) Alloc(dom DomID, n int) []PFN {
 	owner := ownerOf(dom)
 	out := make([]PFN, 0, n)
@@ -197,13 +198,28 @@ func (m *Memory) Alloc(dom DomID, n int) []PFN {
 				clear(m.data[pg.data-1])
 			}
 		} else {
-			pfn = m.nextPFN
-			m.nextPFN++
+			pfn = m.npages
 			m.appendPage().owner = owner
 		}
 		out = append(out, pfn)
 	}
 	return out
+}
+
+// AllocRun allocates n contiguous frames owned by dom and returns the
+// first. The frames are always fresh, never recycled ones, so [first,
+// first+n) is one run that a descriptor ring or a buffer pool can
+// address by its base; no slice of frame numbers is built.
+func (m *Memory) AllocRun(dom DomID, n int) PFN {
+	if n < 1 {
+		panic(fmt.Sprintf("mem: AllocRun of %d frames", n))
+	}
+	owner := ownerOf(dom)
+	first := m.npages
+	for range n {
+		m.appendPage().owner = owner
+	}
+	return first
 }
 
 // AllocOne allocates a single page.

@@ -117,7 +117,7 @@ func New(eng *sim.Engine, b *bus.Bus, m *mem.Memory, out *ether.Pipe, p Params) 
 		promiscCtx: -1,
 	}
 	bvPages := (core.BitVectorBytes(p.BitVecEntries) + mem.PageSize - 1) / mem.PageSize
-	base := m.Alloc(mem.DomHyp, bvPages)[0].Base()
+	base := m.AllocRun(mem.DomHyp, bvPages).Base()
 	bv, err := core.NewBitVectorQueue(m, base, p.BitVecEntries)
 	if err != nil {
 		return nil, err
