@@ -84,7 +84,6 @@ type CDNADriver struct {
 type stagedPkt struct {
 	desc  ring.Desc
 	frame *ether.Frame
-	pfn   mem.PFN
 }
 
 // enqOp is one staged descriptor batch in flight through its enqueue
@@ -198,11 +197,9 @@ func (d *CDNADriver) stageFromBacklog() {
 	for d.backlog.Len() > 0 && d.txPool.Len() > 0 &&
 		len(d.stagedTx)+d.Ctx.TxRing.Avail() < RingEntries-1 {
 		f := d.backlog.Pop()
-		pfn := d.txPool.pop()
 		d.stagedTx = append(d.stagedTx, stagedPkt{
-			desc:  ring.Desc{Addr: pfn.Base(), Len: uint16(f.Size), Flags: ring.FlagTx},
+			desc:  ring.Desc{Addr: d.txPool.pop().Base(), Len: uint16(f.Size), Flags: ring.FlagTx},
 			frame: f,
-			pfn:   pfn,
 		})
 	}
 }
@@ -274,7 +271,7 @@ func (d *CDNADriver) finishEnqueue(op enqOp, n int, err error) {
 		if err != nil {
 			d.EnqueueErrs.Add(uint64(len(op.batch)))
 			for _, s := range op.batch {
-				d.txPool.put(s.pfn)
+				d.txPool.put(s.desc.Addr.PFN())
 				s.frame.Release()
 			}
 		} else {
@@ -282,7 +279,7 @@ func (d *CDNADriver) finishEnqueue(op enqOp, n int, err error) {
 			for i, s := range op.batch {
 				idx := base + uint32(i)
 				d.inflight[slot(idx)] = s.frame
-				d.txPool.hold(idx, s.pfn)
+				d.txPool.hold(idx, s.desc.Addr.PFN())
 			}
 			d.kickTx()
 		}

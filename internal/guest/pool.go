@@ -16,9 +16,9 @@ const _ = uint16(PoolPages)
 // pages sit on a LIFO stack. A page posted to the ring is held in the
 // slot of its descriptor's ring index until the driver reaps that slot.
 // Ring indices are free-running over a power-of-two ring, so a slot is
-// reused only after its previous occupant was reaped. Offsets instead
-// of frame numbers make the stack 3 KB and the slot table 2 KB, where
-// a []mem.PFN pool and a slot table of frames take 12 KB and 8 KB.
+// reused only after its previous occupant was reaped. Offsets make the
+// stack 3 KB and the slot table 2 KB, a quarter of what frame numbers
+// take.
 type bufPool struct {
 	base  mem.PFN
 	n     int                 // free pages: free[:n], top of stack at n-1
