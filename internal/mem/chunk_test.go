@@ -50,6 +50,7 @@ func TestOwnerOutsideEntryRangePanics(t *testing.T) {
 	p := m.AllocOne(guestA)
 	for name, f := range map[string]func(){
 		"Alloc":    func() { m.Alloc(DomID(1<<15), 1) },
+		"AllocRun": func() { m.AllocRun(DomID(1<<15), 2) },
 		"Transfer": func() { m.Transfer(p, guestA, DomID(-1<<15-1)) },
 	} {
 		func() {

@@ -198,8 +198,7 @@ func (m *Memory) Alloc(dom DomID, n int) []PFN {
 				clear(m.data[pg.data-1])
 			}
 		} else {
-			pfn = m.npages
-			m.appendPage().owner = owner
+			pfn = m.AllocRun(dom, 1)
 		}
 		out = append(out, pfn)
 	}

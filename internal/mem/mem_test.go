@@ -25,6 +25,26 @@ func TestAllocOwnership(t *testing.T) {
 	}
 }
 
+// TestAllocRunSkipsFreedFrames: a run is fresh frames only, so it is
+// contiguous and wholly dom's even while a freed frame waits for reuse.
+func TestAllocRunSkipsFreedFrames(t *testing.T) {
+	m := New()
+	a := m.Alloc(guestA, 4)
+	if err := m.Free(guestA, a[1]); err != nil {
+		t.Fatal(err)
+	}
+	first := m.AllocRun(guestB, 3)
+	if first != a[3]+1 {
+		t.Fatalf("run starts at %d, want the first fresh frame %d", first, a[3]+1)
+	}
+	if !m.RangeOwned(guestB, first.Base(), 3*PageSize) || m.Pages(guestB) != 3 {
+		t.Fatalf("run %d+3 is not wholly guestB's", first)
+	}
+	if q := m.AllocOne(guestB); q != a[1] {
+		t.Fatalf("Alloc after the run took %d, want the freed frame %d", q, a[1])
+	}
+}
+
 func TestPFNZeroNeverAllocated(t *testing.T) {
 	m := New()
 	p := m.AllocOne(guestA)
