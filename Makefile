@@ -18,11 +18,14 @@ check: build vet test
 
 # smoke runs a tiny campaign grid end-to-end through cdnasweep (two
 # architectures x two directions with very short windows), then one
-# table through cdnatables, which renders it from the named set.
+# table through cdnatables, which renders it from the named set, and
+# one traced cdnasim run, which prints the last events by the labels
+# their callbacks were bound under.
 smoke:
 	$(GO) run ./cmd/cdnasweep -modes xen,cdna -dirs tx,rx \
 		-warmup 0.02 -duration 0.05 -workers 0 -json /dev/null
 	$(GO) run ./cmd/cdnatables -quick -table 2 -workers 0
+	$(GO) run ./cmd/cdnasim -mode cdna -dir tx -warmup 0.02 -duration 0.05 -trace 20
 
 # topo-smoke drives the multi-host fabric end to end through cdnasweep:
 # two architectures at two rack sizes under incast and all-to-all with

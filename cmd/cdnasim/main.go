@@ -31,6 +31,10 @@ import (
 	"cdna/internal/workload"
 )
 
+// maxTrace caps -trace: the flight recorder's ring is allocated before
+// the run starts, at 24 bytes per event, so the cap bounds it at 24 MB.
+const maxTrace = 1 << 20
+
 func main() {
 	flags := campaign.Bind(flag.CommandLine, campaign.Sim)
 	verbose := flag.Bool("v", false, "print extra diagnostics")
@@ -40,6 +44,9 @@ func main() {
 	err := flags.Parse(os.Args[1:])
 	if err == nil && *trace < 0 {
 		err = fmt.Errorf("-trace: %d is negative (0 prints no events)", *trace)
+	}
+	if err == nil && *trace > maxTrace {
+		err = fmt.Errorf("-trace: %d is above the %d-event cap (the recorder is allocated up front)", *trace, maxTrace)
 	}
 	var cfg bench.Config
 	if err == nil {

@@ -2,9 +2,8 @@
 // Network Access (CDNA), reproducing "Concurrent Direct Network Access
 // for Virtual Machine Monitors" (Willmann et al., HPCA 2007).
 //
-// The public entry points are the binaries in cmd/ and the runnable
-// examples in examples/; the library lives under internal/ with the
-// paper's contribution in internal/core and one package per substrate
-// (see DESIGN.md for the inventory and EXPERIMENTS.md for the
-// paper-vs-measured results).
+// The public entry points are the binaries in cmd/; the library lives
+// under internal/ with the paper's contribution in internal/core and
+// one package per substrate (see DESIGN.md for the inventory and
+// EXPERIMENTS.md for the paper-vs-measured results).
 package cdna

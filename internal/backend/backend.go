@@ -73,7 +73,7 @@ func (f *Netfront) SetRxHandler(h func(*ether.Frame)) { f.rxHandler = h }
 // back end over the shared ring, with a batched notification.
 func (f *Netfront) StartXmit(frame *ether.Frame) {
 	f.txIn.Push(frame)
-	f.Dom.VCPU.Exec(cpu.CatKernel, guest.ScaleCost(f.Costs.TxPerPkt, frame.Size), "netfront.tx", f.txInFn)
+	f.Dom.VCPU.Exec(cpu.CatKernel, guest.ScaleCost(f.Costs.TxPerPkt, frame.Size), f.txInFn)
 }
 
 func (f *Netfront) txInTask() {
@@ -87,7 +87,7 @@ func (f *Netfront) scheduleNotify() {
 		return
 	}
 	f.notifyQd = true
-	f.Dom.VCPU.Exec(cpu.CatKernel, f.Costs.NotifyFixed, "netfront.notify", f.notifyFn)
+	f.Dom.VCPU.Exec(cpu.CatKernel, f.Costs.NotifyFixed, f.notifyFn)
 }
 
 func (f *Netfront) notifyTask() {
@@ -98,7 +98,7 @@ func (f *Netfront) notifyTask() {
 // onVirq handles the back end's notification: received packets are
 // pulled off the shared ring and delivered up the stack.
 func (f *Netfront) onVirq() {
-	f.Dom.VCPU.Exec(cpu.CatKernel, f.Costs.IrqFixed, "netfront.virq", f.virqFn)
+	f.Dom.VCPU.Exec(cpu.CatKernel, f.Costs.IrqFixed, f.virqFn)
 }
 
 func (f *Netfront) virqTask() {
@@ -106,7 +106,7 @@ func (f *Netfront) virqTask() {
 	f.vif.rxQ = f.vif.rxQ[:0]
 	for _, fr := range frames {
 		f.rxUp.Push(fr)
-		f.Dom.VCPU.Exec(cpu.CatKernel, guest.ScaleCost(f.Costs.RxPerPkt, fr.Size), "netfront.rx", f.rxUpFn)
+		f.Dom.VCPU.Exec(cpu.CatKernel, guest.ScaleCost(f.Costs.RxPerPkt, fr.Size), f.rxUpFn)
 	}
 }
 
@@ -154,9 +154,10 @@ type Netback struct {
 	phys     guest.NetDevice
 
 	// Frames arriving from the physical driver, queued into the bridge
-	// traversal task; wireInFn is bound once in NewNetback.
-	wireIn   sim.FIFO[*ether.Frame]
-	wireInFn sim.Fn
+	// traversal task; wireInFn is bound once in NewNetback, with the
+	// names of the page-flip tasks, which only cost time.
+	wireIn                     sim.FIFO[*ether.Frame]
+	wireInFn, flipFn, rxFlipFn sim.Fn
 
 	PktsToWire   stats.Counter
 	PktsToGuests stats.Counter
@@ -165,7 +166,9 @@ type Netback struct {
 // NewNetback creates the back end bridged onto the physical device.
 func NewNetback(hyp *xen.Hypervisor, dom0 *xen.Domain, phys guest.NetDevice, costs BackCosts) *Netback {
 	nb := &Netback{Dom0: dom0, Hyp: hyp, Costs: costs, Bridge: ether.NewBridge(), phys: phys}
-	nb.wireInFn = hyp.Eng.Bind(nb.wireInTask)
+	nb.wireInFn = hyp.Eng.Bind("netback.bridge", nb.wireInTask)
+	nb.flipFn = hyp.Eng.Bind("netback.flip", nil)
+	nb.rxFlipFn = hyp.Eng.Bind("netback.rxflip", nil)
 	nb.physPort = nb.Bridge.AddPort(ether.PortFunc(func(f *ether.Frame) {
 		nb.PktsToWire.Inc()
 		phys.StartXmit(f)
@@ -182,16 +185,16 @@ func NewNetback(hyp *xen.Hypervisor, dom0 *xen.Domain, phys guest.NetDevice, cos
 func (nb *Netback) AddVif(gdom *xen.Domain, mac ether.MAC, fc FrontCosts) *Netfront {
 	eng := nb.Hyp.Eng
 	front := &Netfront{Dom: gdom, Costs: fc, mac: mac}
-	front.txInFn = eng.Bind(front.txInTask)
-	front.rxUpFn = eng.Bind(front.rxUpTask)
-	front.virqFn = eng.Bind(front.virqTask)
-	front.notifyFn = eng.Bind(front.notifyTask)
+	front.txInFn = eng.Bind("netfront.tx", front.txInTask)
+	front.rxUpFn = eng.Bind("netfront.rx", front.rxUpTask)
+	front.virqFn = eng.Bind("netfront.virq", front.virqTask)
+	front.notifyFn = eng.Bind("netfront.notify", front.notifyTask)
 	vif := &Vif{Front: front, back: nb}
 	front.vif = vif
-	vif.visitFn = eng.Bind(func() { nb.visitTask(vif) })
-	vif.notifyFn = eng.Bind(func() { nb.frontNotifyTask(vif) })
-	vif.txOutFn = eng.Bind(func() { nb.txOutTask(vif) })
-	vif.rxOutFn = eng.Bind(func() { nb.rxOutTask(vif) })
+	vif.visitFn = eng.Bind("netback.visit", func() { nb.visitTask(vif) })
+	vif.notifyFn = eng.Bind("netback.notify", func() { nb.frontNotifyTask(vif) })
+	vif.txOutFn = eng.Bind("netback.tx", func() { nb.txOutTask(vif) })
+	vif.rxOutFn = eng.Bind("netback.rx", func() { nb.rxOutTask(vif) })
 	vif.port = nb.Bridge.AddPort(ether.PortFunc(func(f *ether.Frame) {
 		nb.deliverToGuest(vif, f)
 	}))
@@ -209,7 +212,7 @@ func (nb *Netback) serveVif(v *Vif) {
 		return
 	}
 	v.visiting = true
-	nb.Dom0.VCPU.Exec(cpu.CatKernel, nb.Costs.VisitFixed, "netback.visit", v.visitFn)
+	nb.Dom0.VCPU.Exec(cpu.CatKernel, nb.Costs.VisitFixed, v.visitFn)
 }
 
 func (nb *Netback) visitTask(v *Vif) {
@@ -222,8 +225,8 @@ func (nb *Netback) visitTask(v *Vif) {
 	for range n {
 		f := v.txQ.Pop()
 		v.txOut.Push(f)
-		nb.Dom0.VCPU.Exec(cpu.CatHyp, nb.Costs.FlipPerPkt, "netback.flip", sim.Fn{})
-		nb.Dom0.VCPU.Exec(cpu.CatKernel, guest.ScaleCost(nb.Costs.TxPerPkt, f.Size)+nb.Costs.BridgePerPkt, "netback.tx", v.txOutFn)
+		nb.Dom0.VCPU.Exec(cpu.CatHyp, nb.Costs.FlipPerPkt, nb.flipFn)
+		nb.Dom0.VCPU.Exec(cpu.CatKernel, guest.ScaleCost(nb.Costs.TxPerPkt, f.Size)+nb.Costs.BridgePerPkt, v.txOutFn)
 	}
 	if n > 0 {
 		// Transmit-completion notification back to the guest: the
@@ -247,7 +250,7 @@ func (nb *Netback) txOutTask(v *Vif) {
 // toward whichever guest owns the destination MAC.
 func (nb *Netback) fromWire(f *ether.Frame) {
 	nb.wireIn.Push(f)
-	nb.Dom0.VCPU.Exec(cpu.CatKernel, nb.Costs.BridgePerPkt, "netback.bridge", nb.wireInFn)
+	nb.Dom0.VCPU.Exec(cpu.CatKernel, nb.Costs.BridgePerPkt, nb.wireInFn)
 }
 
 func (nb *Netback) wireInTask() {
@@ -266,8 +269,8 @@ func (nb *Netback) deliverToGuest(v *Vif, f *ether.Frame) {
 		flip = nb.Costs.FlipPerPkt / 2
 	}
 	v.rxOut.Push(f)
-	nb.Dom0.VCPU.Exec(cpu.CatHyp, flip, "netback.rxflip", sim.Fn{})
-	nb.Dom0.VCPU.Exec(cpu.CatKernel, guest.ScaleCost(nb.Costs.RxPerPkt, f.Size), "netback.rx", v.rxOutFn)
+	nb.Dom0.VCPU.Exec(cpu.CatHyp, flip, nb.rxFlipFn)
+	nb.Dom0.VCPU.Exec(cpu.CatKernel, guest.ScaleCost(nb.Costs.RxPerPkt, f.Size), v.rxOutFn)
 }
 
 func (nb *Netback) rxOutTask(v *Vif) {
@@ -281,7 +284,7 @@ func (nb *Netback) scheduleFrontNotify(v *Vif) {
 		return
 	}
 	v.notifyQd = true
-	nb.Dom0.VCPU.Exec(cpu.CatKernel, nb.Costs.NotifyFixed, "netback.notify", v.notifyFn)
+	nb.Dom0.VCPU.Exec(cpu.CatKernel, nb.Costs.NotifyFixed, v.notifyFn)
 }
 
 func (nb *Netback) frontNotifyTask(v *Vif) {

@@ -4,7 +4,9 @@ package bench
 // assume is actually what gets assembled.
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -207,22 +209,62 @@ func TestModeAndNICStrings(t *testing.T) {
 	}
 }
 
+// TestRunTracedAttachesTracer runs a traced Xen receive and a traced
+// CDNA transmit and checks what the flight recorder names: every entry
+// carries the label its callback was bound under, and a CPU task's
+// completion shows the task's own label, never the CPU's shared
+// completion callback.
 func TestRunTracedAttachesTracer(t *testing.T) {
-	cfg := DefaultConfig(ModeCDNA, NICRice, Tx)
-	cfg.Warmup = 20 * sim.Millisecond
-	cfg.Duration = 30 * sim.Millisecond
-	m, res, err := RunTraced(cfg, 64)
-	if err != nil {
-		t.Fatal(err)
+	const n = 512
+	seen := map[string]bool{}
+	for _, c := range []struct {
+		mode Mode
+		nic  NICKind
+		dir  Direction
+	}{{ModeXen, NICIntel, Rx}, {ModeCDNA, NICRice, Tx}} {
+		cfg := DefaultConfig(c.mode, c.nic, c.dir)
+		cfg.Warmup = 20 * sim.Millisecond
+		cfg.Duration = 30 * sim.Millisecond
+		m, res, err := RunTraced(cfg, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Tracer == nil || m.Tracer.Count() < n {
+			t.Fatalf("%v/%v: tracer not recording", c.mode, c.dir)
+		}
+		tail := m.Tracer.Last(n)
+		if len(tail) != n {
+			t.Fatalf("%v/%v: trace tail holds %d entries, want %d", c.mode, c.dir, len(tail), n)
+		}
+		for i, e := range tail {
+			if e.Name == "" {
+				t.Fatalf("%v/%v: trace entry %d at %v is unnamed", c.mode, c.dir, i, e.At)
+			}
+			seen[e.Name] = true
+		}
+		if res.Mbps <= 0 {
+			t.Fatalf("%v/%v: traced run produced no result", c.mode, c.dir)
+		}
 	}
-	if m.Tracer == nil || m.Tracer.Count() == 0 {
-		t.Fatal("tracer not recording")
+	for _, prefix := range []string{
+		"hc:",       // a hypercall (the CDNA enqueue)
+		"netback.",  // a driver-domain back-end task
+		"virq:",     // a virtual interrupt delivery
+		"bus.dma:",  // a NIC DMA
+		"netfront.", // a guest task, named by its own Fn
+	} {
+		found := false
+		for name := range seen {
+			found = found || strings.HasPrefix(name, prefix)
+		}
+		if !found {
+			t.Errorf("no %q label among the traced events %v", prefix, slices.Sorted(maps.Keys(seen)))
+		}
 	}
-	if len(m.Tracer.Last(10)) != 10 {
-		t.Fatal("trace tail unavailable")
-	}
-	if res.Mbps <= 0 {
-		t.Fatal("traced run produced no result")
+	for _, shared := range []string{"cpu.task", "cpu.isr"} {
+		if seen[shared] {
+			t.Errorf("a task completion is traced as the CPU's shared %q callback", shared)
+		}
 	}
 }
 

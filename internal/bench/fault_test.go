@@ -56,6 +56,9 @@ func TestMidRunStaleReplayRevokesOnlyAttacker(t *testing.T) {
 	if !attacker.Ctx.Faulted {
 		t.Fatal("stale replay not detected under load")
 	}
+	if m.RiceNICs[0].E.Faults.Total() == 0 {
+		t.Fatal("the NIC's sequence check reported no protection fault")
+	}
 	if m.Hyp.Faults.Total() == 0 {
 		t.Fatal("hypervisor did not handle the fault")
 	}
@@ -91,8 +94,14 @@ func TestProtectionOffReplayUndetected(t *testing.T) {
 	m, _ := buildTwoGuests(t, core.ModeOff)
 	attacker := m.Drivers[0]
 	m.Eng.Run(50 * sim.Millisecond)
+	sent := m.RiceNICs[0].E.TxPackets.Total()
 	attacker.AttackStaleProducer(4)
 	m.Eng.Run(120 * sim.Millisecond)
+	// Nothing stops the NIC: it goes on transmitting, the stale slots
+	// included.
+	if m.RiceNICs[0].E.TxPackets.Total() <= sent {
+		t.Fatal("the NIC stopped transmitting after the unchecked replay")
+	}
 	if m.RiceNICs[0].E.Faults.Total() != 0 || attacker.Ctx.Faulted {
 		t.Fatal("protection-off run must not detect the replay")
 	}

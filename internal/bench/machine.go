@@ -283,10 +283,11 @@ func makeRings(m *mem.Memory, dom mem.DomID, name string) (*ring.Ring, *ring.Rin
 // startBackground models housekeeping daemons in a domain: one
 // persistent timer re-armed in place per tick.
 func startBackground(eng *sim.Engine, d *cpu.Domain, period, kernel, user sim.Time) {
+	kfn, ufn := eng.Bind("bg.kernel", nil), eng.Bind("bg.user", nil)
 	var tm *sim.Timer
 	tm = eng.NewTimer("bg", func() {
-		d.Exec(cpu.CatKernel, kernel, "bg.kernel", sim.Fn{})
-		d.Exec(cpu.CatUser, user, "bg.user", sim.Fn{})
+		d.Exec(cpu.CatKernel, kernel, kfn)
+		d.Exec(cpu.CatUser, user, ufn)
 		tm.ArmAfter(period)
 	})
 	tm.ArmAfter(period)

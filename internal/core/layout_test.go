@@ -59,6 +59,12 @@ func TestGenericLayoutThroughProtection(t *testing.T) {
 		}
 		r.Consume(1)
 	}
+	// The vendor layout changes nothing about ownership: a descriptor
+	// naming another domain's page is still refused.
+	victim := m.AllocOne(guestA + 1)
+	if n, err := p.Enqueue(guestA, r, []ring.Desc{{Addr: victim.Base(), Len: 1514}}); err != ErrForeignMemory || n != 0 {
+		t.Fatalf("foreign descriptor through the vendor layout: Enqueue = %d, %v; want 0, ErrForeignMemory", n, err)
+	}
 }
 
 func TestGenericLayoutStaleDetection(t *testing.T) {

@@ -43,12 +43,13 @@ const (
 	KindDriver             // the privileged driver domain
 )
 
-// Task is one unit of CPU work.
+// Task is one unit of CPU work. Its Fn names it (the completion event
+// carries the Fn's label) and runs on completion, in scheduling order;
+// work charged for its cost alone passes a Fn bound without a callback.
 type Task struct {
-	Cat  Cat
-	Dur  sim.Time
-	Name string
-	Fn   sim.Fn // runs on completion, in scheduling order; may be the zero Fn
+	Cat Cat
+	Dur sim.Time
+	Fn  sim.Fn
 }
 
 // Domain is a schedulable virtual machine (or the native host OS).
@@ -148,9 +149,9 @@ type CPU struct {
 // New creates a CPU attached to the engine.
 func New(eng *sim.Engine, p Params) *CPU {
 	c := &CPU{eng: eng, params: p, idleSince: eng.Now()}
-	c.switchDoneFn = eng.Bind(c.switchDone)
-	c.taskDoneFn = eng.Bind(c.taskDone)
-	c.isrDoneFn = eng.Bind(c.isrDone)
+	c.switchDoneFn = eng.Bind("cpu.switch", c.switchDone)
+	c.taskDoneFn = eng.Bind("cpu.task", c.taskDone)
+	c.isrDoneFn = eng.Bind("cpu.isr", c.isrDone)
 	return c
 }
 
@@ -174,11 +175,11 @@ func (d *Domain) Engine() *sim.Engine { return d.cpu.eng }
 // Exec queues a task on the domain. If the domain was blocked it becomes
 // runnable (boosted). Duration must be non-negative; zero-duration tasks
 // are allowed for pure control flow.
-func (d *Domain) Exec(cat Cat, dur sim.Time, name string, fn sim.Fn) {
+func (d *Domain) Exec(cat Cat, dur sim.Time, fn sim.Fn) {
 	if dur < 0 {
-		panic(fmt.Sprintf("cpu: negative task duration for %s", name))
+		panic(fmt.Sprintf("cpu: negative task duration %v on %s", dur, d.Name))
 	}
-	d.q.Push(Task{Cat: cat, Dur: dur, Name: name, Fn: fn})
+	d.q.Push(Task{Cat: cat, Dur: dur, Fn: fn})
 	if d.state == domBlocked {
 		d.state = domQueued
 		d.wakes.Inc()
@@ -191,11 +192,11 @@ func (d *Domain) Exec(cat Cat, dur sim.Time, name string, fn sim.Fn) {
 // domain-local interrupt path (a virtual interrupt's top half preempts
 // process context inside the guest, it does not wait behind queued
 // kernel work).
-func (d *Domain) ExecFront(cat Cat, dur sim.Time, name string, fn sim.Fn) {
+func (d *Domain) ExecFront(cat Cat, dur sim.Time, fn sim.Fn) {
 	if dur < 0 {
-		panic(fmt.Sprintf("cpu: negative task duration for %s", name))
+		panic(fmt.Sprintf("cpu: negative task duration %v on %s", dur, d.Name))
 	}
-	d.q.PushFront(Task{Cat: cat, Dur: dur, Name: name, Fn: fn})
+	d.q.PushFront(Task{Cat: cat, Dur: dur, Fn: fn})
 	if d.state == domBlocked {
 		d.state = domQueued
 		d.wakes.Inc()
@@ -210,11 +211,11 @@ func (d *Domain) Wakes() *stats.Counter { return &d.wakes }
 // ExecISR queues hypervisor interrupt-service work. ISRs preempt domains
 // at task boundaries (tasks are short, so dispatch latency is bounded by
 // a few microseconds, matching real top-half latency).
-func (c *CPU) ExecISR(dur sim.Time, name string, fn sim.Fn) {
+func (c *CPU) ExecISR(dur sim.Time, fn sim.Fn) {
 	if dur < 0 {
-		panic(fmt.Sprintf("cpu: negative ISR duration for %s", name))
+		panic(fmt.Sprintf("cpu: negative ISR duration %v", dur))
 	}
-	c.isrQ.Push(Task{Cat: CatHyp, Dur: dur, Name: name, Fn: fn})
+	c.isrQ.Push(Task{Cat: CatHyp, Dur: dur, Fn: fn})
 	c.kick()
 }
 
@@ -292,7 +293,7 @@ func (c *CPU) dispatch() {
 		// switchCost is always params.SwitchCost here, so the callback
 		// needs only the pending domain.
 		c.pendDom = d
-		c.eng.AfterFn(switchCost, "cpu.switch", c.switchDoneFn)
+		c.eng.AfterFn(switchCost, c.switchDoneFn)
 		return
 	}
 	c.startDomainTask(d)
@@ -311,13 +312,7 @@ func (c *CPU) startDomainTask(d *Domain) {
 	t.Dur += d.pendingPenalty
 	d.pendingPenalty = 0
 	c.pendDom, c.pendTask = d, t
-	// The bare task name keeps the hot path allocation-free; the
-	// flight-recorder prefix is only built when someone is recording.
-	name := t.Name
-	if c.eng.Traced() {
-		name = "cpu.task:" + t.Name
-	}
-	c.eng.AfterFn(t.Dur, name, c.taskDoneFn)
+	c.eng.AfterFn(t.Dur, c.taskDoneFn.LabeledAs(t.Fn))
 }
 
 func (c *CPU) taskDone() {
@@ -366,11 +361,7 @@ func (c *CPU) afterDomainTask(d *Domain) {
 
 func (c *CPU) runTask(d *Domain, t Task) {
 	c.pendISR = t
-	name := t.Name
-	if c.eng.Traced() {
-		name = "cpu.isr:" + t.Name
-	}
-	c.eng.AfterFn(t.Dur, name, c.isrDoneFn)
+	c.eng.AfterFn(t.Dur, c.isrDoneFn.LabeledAs(t.Fn))
 }
 
 func (c *CPU) isrDone() {

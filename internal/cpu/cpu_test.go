@@ -3,6 +3,7 @@ package cpu
 import (
 	"math"
 	"testing"
+	"unsafe"
 
 	"cdna/internal/sim"
 )
@@ -17,7 +18,7 @@ func TestSingleTaskAccounting(t *testing.T) {
 	d := c.NewDomain("guest", KindGuest)
 	c.StartWindow()
 	done := false
-	d.Exec(CatKernel, 10*sim.Microsecond, "work", sim.RawFn(func() { done = true }))
+	d.Exec(CatKernel, 10*sim.Microsecond, sim.RawFn(func() { done = true }))
 	eng.Run(sim.Millisecond)
 	c.EndWindow()
 	if !done {
@@ -44,9 +45,9 @@ func TestCategoriesSplit(t *testing.T) {
 	eng, c := newCPU()
 	d := c.NewDomain("drv", KindDriver)
 	c.StartWindow()
-	d.Exec(CatKernel, 5*sim.Microsecond, "k", sim.Fn{})
-	d.Exec(CatUser, 7*sim.Microsecond, "u", sim.Fn{})
-	d.Exec(CatHyp, 3*sim.Microsecond, "h", sim.Fn{})
+	d.Exec(CatKernel, 5*sim.Microsecond, sim.Fn{})
+	d.Exec(CatUser, 7*sim.Microsecond, sim.Fn{})
+	d.Exec(CatHyp, 3*sim.Microsecond, sim.Fn{})
 	eng.Run(sim.Millisecond)
 	c.EndWindow()
 	p := c.Profile()
@@ -63,11 +64,11 @@ func TestTaskChainOrdering(t *testing.T) {
 	eng, c := newCPU()
 	d := c.NewDomain("g", KindGuest)
 	var order []string
-	d.Exec(CatKernel, sim.Microsecond, "a", sim.RawFn(func() {
+	d.Exec(CatKernel, sim.Microsecond, sim.RawFn(func() {
 		order = append(order, "a")
-		d.Exec(CatKernel, sim.Microsecond, "c", sim.RawFn(func() { order = append(order, "c") }))
+		d.Exec(CatKernel, sim.Microsecond, sim.RawFn(func() { order = append(order, "c") }))
 	}))
-	d.Exec(CatKernel, sim.Microsecond, "b", sim.RawFn(func() { order = append(order, "b") }))
+	d.Exec(CatKernel, sim.Microsecond, sim.RawFn(func() { order = append(order, "b") }))
 	eng.Run(sim.Millisecond)
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("order = %v", order)
@@ -78,11 +79,11 @@ func TestISRPreemptsAtBoundary(t *testing.T) {
 	eng, c := newCPU()
 	d := c.NewDomain("g", KindGuest)
 	var order []string
-	d.Exec(CatKernel, 10*sim.Microsecond, "t1", sim.RawFn(func() { order = append(order, "t1") }))
-	d.Exec(CatKernel, 10*sim.Microsecond, "t2", sim.RawFn(func() { order = append(order, "t2") }))
+	d.Exec(CatKernel, 10*sim.Microsecond, sim.RawFn(func() { order = append(order, "t1") }))
+	d.Exec(CatKernel, 10*sim.Microsecond, sim.RawFn(func() { order = append(order, "t2") }))
 	// Arrives mid-t1; must run before t2.
-	eng.After(5*sim.Microsecond, "irq", func() {
-		c.ExecISR(2*sim.Microsecond, "isr", sim.RawFn(func() { order = append(order, "isr") }))
+	eng.After(5*sim.Microsecond, func() {
+		c.ExecISR(2*sim.Microsecond, sim.RawFn(func() { order = append(order, "isr") }))
 	})
 	eng.Run(sim.Millisecond)
 	if len(order) != 3 || order[0] != "t1" || order[1] != "isr" || order[2] != "t2" {
@@ -94,8 +95,8 @@ func TestIdleAccounting(t *testing.T) {
 	eng, c := newCPU()
 	d := c.NewDomain("g", KindGuest)
 	c.StartWindow()
-	eng.After(500*sim.Microsecond, "wake", func() {
-		d.Exec(CatKernel, 100*sim.Microsecond, "w", sim.Fn{})
+	eng.After(500*sim.Microsecond, func() {
+		d.Exec(CatKernel, 100*sim.Microsecond, sim.Fn{})
 	})
 	eng.Run(sim.Millisecond)
 	c.EndWindow()
@@ -117,7 +118,7 @@ func TestBoostOnWake(t *testing.T) {
 	// Hog has lots of queued work.
 	var refill func()
 	refill = func() {
-		hog.Exec(CatKernel, 50*sim.Microsecond, "hog", sim.RawFn(func() {
+		hog.Exec(CatKernel, 50*sim.Microsecond, sim.RawFn(func() {
 			order = append(order, "hog")
 			if len(order) < 20 {
 				refill()
@@ -129,8 +130,8 @@ func TestBoostOnWake(t *testing.T) {
 	refill()
 	// Waker becomes runnable mid-stream; must run at next slice boundary,
 	// before the hog's remaining queue.
-	eng.After(120*sim.Microsecond, "wake", func() {
-		waker.Exec(CatKernel, sim.Microsecond, "waker", sim.RawFn(func() { order = append(order, "waker") }))
+	eng.After(120*sim.Microsecond, func() {
+		waker.Exec(CatKernel, sim.Microsecond, sim.RawFn(func() { order = append(order, "waker") }))
 	})
 	eng.Run(10 * sim.Millisecond)
 	pos := -1
@@ -156,12 +157,12 @@ func TestSliceRoundRobinFairness(t *testing.T) {
 		var f sim.Fn
 		f = sim.RawFn(func() {
 			*acc += 20 * sim.Microsecond
-			d.Exec(CatKernel, 20*sim.Microsecond, d.Name, f)
+			d.Exec(CatKernel, 20*sim.Microsecond, f)
 		})
 		return f
 	}
-	a.Exec(CatKernel, 20*sim.Microsecond, "a", mk(a, &at))
-	b.Exec(CatKernel, 20*sim.Microsecond, "b", mk(b, &bt))
+	a.Exec(CatKernel, 20*sim.Microsecond, mk(a, &at))
+	b.Exec(CatKernel, 20*sim.Microsecond, mk(b, &bt))
 	eng.Run(20 * sim.Millisecond)
 	ratio := float64(at) / float64(bt)
 	if ratio < 0.8 || ratio > 1.25 {
@@ -174,9 +175,9 @@ func TestDomainSwitchCostCharged(t *testing.T) {
 	a := c.NewDomain("a", KindGuest)
 	b := c.NewDomain("b", KindGuest)
 	c.StartWindow()
-	a.Exec(CatKernel, sim.Microsecond, "a", sim.Fn{})
+	a.Exec(CatKernel, sim.Microsecond, sim.Fn{})
 	eng.Run(50 * sim.Microsecond)
-	b.Exec(CatKernel, sim.Microsecond, "b", sim.Fn{})
+	b.Exec(CatKernel, sim.Microsecond, sim.Fn{})
 	eng.Run(100 * sim.Microsecond)
 	c.EndWindow()
 	if got := c.Switches().Window(); got != 2 {
@@ -193,9 +194,9 @@ func TestNoSwitchCostSameDomain(t *testing.T) {
 	eng, c := newCPU()
 	a := c.NewDomain("a", KindGuest)
 	c.StartWindow()
-	a.Exec(CatKernel, sim.Microsecond, "t1", sim.Fn{})
+	a.Exec(CatKernel, sim.Microsecond, sim.Fn{})
 	eng.Run(10 * sim.Microsecond)
-	a.Exec(CatKernel, sim.Microsecond, "t2", sim.Fn{})
+	a.Exec(CatKernel, sim.Microsecond, sim.Fn{})
 	eng.Run(20 * sim.Microsecond)
 	c.EndWindow()
 	if got := c.Switches().Window(); got != 1 {
@@ -207,10 +208,10 @@ func TestWakesCounter(t *testing.T) {
 	eng, c := newCPU()
 	d := c.NewDomain("g", KindGuest)
 	d.Wakes().StartWindow()
-	d.Exec(CatKernel, sim.Microsecond, "t1", sim.Fn{})
-	d.Exec(CatKernel, sim.Microsecond, "t2", sim.Fn{}) // already runnable: no wake
+	d.Exec(CatKernel, sim.Microsecond, sim.Fn{})
+	d.Exec(CatKernel, sim.Microsecond, sim.Fn{}) // already runnable: no wake
 	eng.Run(sim.Millisecond)
-	d.Exec(CatKernel, sim.Microsecond, "t3", sim.Fn{}) // blocked again: wake
+	d.Exec(CatKernel, sim.Microsecond, sim.Fn{}) // blocked again: wake
 	eng.Run(2 * sim.Millisecond)
 	if got := d.Wakes().Window(); got != 2 {
 		t.Fatalf("wakes = %d, want 2", got)
@@ -221,7 +222,7 @@ func TestZeroDurationTask(t *testing.T) {
 	eng, c := newCPU()
 	d := c.NewDomain("g", KindGuest)
 	ran := false
-	d.Exec(CatKernel, 0, "ctl", sim.RawFn(func() { ran = true }))
+	d.Exec(CatKernel, 0, sim.RawFn(func() { ran = true }))
 	eng.Run(sim.Millisecond)
 	if !ran {
 		t.Fatal("zero-duration task did not run")
@@ -236,7 +237,7 @@ func TestNegativeDurationPanics(t *testing.T) {
 			t.Fatal("negative duration must panic")
 		}
 	}()
-	d.Exec(CatKernel, -1, "bad", sim.Fn{})
+	d.Exec(CatKernel, -1, sim.Fn{})
 }
 
 func TestProfileSumsToOneUnderLoad(t *testing.T) {
@@ -252,9 +253,9 @@ func TestProfileSumsToOneUnderLoad(t *testing.T) {
 		var f sim.Fn
 		f = sim.RawFn(func() {
 			cat := Cat(rng.Intn(3))
-			d.Exec(cat, sim.Time(rng.Intn(5000)+500), d.Name, f)
+			d.Exec(cat, sim.Time(rng.Intn(5000)+500), f)
 		})
-		d.Exec(CatKernel, sim.Microsecond, "seed", f)
+		d.Exec(CatKernel, sim.Microsecond, f)
 	}
 	eng.Run(10 * sim.Millisecond)
 	c.StartWindow()
@@ -274,8 +275,8 @@ func TestISRWhileIdleRunsImmediately(t *testing.T) {
 	eng, c := newCPU()
 	c.StartWindow()
 	ran := sim.Time(-1)
-	eng.After(100*sim.Microsecond, "irq", func() {
-		c.ExecISR(2*sim.Microsecond, "isr", sim.RawFn(func() { ran = eng.Now() }))
+	eng.After(100*sim.Microsecond, func() {
+		c.ExecISR(2*sim.Microsecond, sim.RawFn(func() { ran = eng.Now() }))
 	})
 	eng.Run(sim.Millisecond)
 	c.EndWindow()
@@ -285,5 +286,14 @@ func TestISRWhileIdleRunsImmediately(t *testing.T) {
 	p := c.Profile()
 	if math.Abs(p.Hyp-0.002) > 1e-9 {
 		t.Fatalf("Hyp = %v", p.Hyp)
+	}
+}
+
+// TestTaskSize pins a queued task at 32 bytes: the task's name is its
+// Fn's label index, so no 16-byte name string rides in every queue
+// slot.
+func TestTaskSize(t *testing.T) {
+	if n := unsafe.Sizeof(Task{}); n != 32 {
+		t.Fatalf("Task is %d bytes, want 32", n)
 	}
 }

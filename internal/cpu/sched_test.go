@@ -17,12 +17,12 @@ func TestExecFrontRunsBeforeQueuedWork(t *testing.T) {
 	var order []string
 	// Build a long queue of process-context work.
 	for i := 0; i < 5; i++ {
-		d.Exec(CatKernel, 10*sim.Microsecond, "proc", sim.RawFn(func() { order = append(order, "proc") }))
+		d.Exec(CatKernel, 10*sim.Microsecond, sim.RawFn(func() { order = append(order, "proc") }))
 	}
 	// An interrupt arrives mid-stream: its top half runs at the next
 	// task boundary, not after the whole queue.
-	eng.After(15*sim.Microsecond, "irq", func() {
-		d.ExecFront(CatKernel, sim.Microsecond, "virq", sim.RawFn(func() { order = append(order, "virq") }))
+	eng.After(15*sim.Microsecond, func() {
+		d.ExecFront(CatKernel, sim.Microsecond, sim.RawFn(func() { order = append(order, "virq") }))
 	})
 	eng.Run(sim.Millisecond)
 	pos := -1
@@ -41,7 +41,7 @@ func TestExecFrontWakesBlockedDomain(t *testing.T) {
 	c := New(eng, Params{Slice: sim.Millisecond})
 	d := c.NewDomain("g", KindGuest)
 	ran := false
-	d.ExecFront(CatKernel, sim.Microsecond, "virq", sim.RawFn(func() { ran = true }))
+	d.ExecFront(CatKernel, sim.Microsecond, sim.RawFn(func() { ran = true }))
 	eng.Run(sim.Millisecond)
 	if !ran {
 		t.Fatal("ExecFront on a blocked domain did not run")
@@ -58,10 +58,10 @@ func TestWakePreemption(t *testing.T) {
 	io := c.NewDomain("io", KindGuest)
 	var ioRanAt sim.Time
 	var refill sim.Fn
-	refill = sim.RawFn(func() { hog.Exec(CatKernel, 20*sim.Microsecond, "hog", refill) })
+	refill = sim.RawFn(func() { hog.Exec(CatKernel, 20*sim.Microsecond, refill) })
 	refill.Call()
-	eng.After(100*sim.Microsecond, "wake", func() {
-		io.Exec(CatKernel, sim.Microsecond, "io", sim.RawFn(func() { ioRanAt = eng.Now() }))
+	eng.After(100*sim.Microsecond, func() {
+		io.Exec(CatKernel, sim.Microsecond, sim.RawFn(func() { ioRanAt = eng.Now() }))
 	})
 	eng.Run(5 * sim.Millisecond)
 	if ioRanAt == 0 {
@@ -80,7 +80,7 @@ func TestCachePenaltyColdStart(t *testing.T) {
 	c := New(eng, p)
 	d := c.NewDomain("g", KindGuest)
 	c.StartWindow()
-	d.Exec(CatKernel, 10*sim.Microsecond, "w", sim.Fn{})
+	d.Exec(CatKernel, 10*sim.Microsecond, sim.Fn{})
 	eng.Run(sim.Millisecond)
 	c.EndWindow()
 	k, _, _ := d.DomainTime()
@@ -96,12 +96,12 @@ func TestCachePenaltyWarmSameDomain(t *testing.T) {
 	p := Params{Slice: sim.Millisecond, CacheRefillUnit: 1000, CacheRefillCap: 8000}
 	c := New(eng, p)
 	d := c.NewDomain("g", KindGuest)
-	d.Exec(CatKernel, 10*sim.Microsecond, "warmup", sim.Fn{})
+	d.Exec(CatKernel, 10*sim.Microsecond, sim.Fn{})
 	eng.Run(sim.Millisecond)
 	c.StartWindow()
 	// Re-running the same domain after idle: no other domain polluted
 	// the cache, so no penalty.
-	d.Exec(CatKernel, 10*sim.Microsecond, "w", sim.Fn{})
+	d.Exec(CatKernel, 10*sim.Microsecond, sim.Fn{})
 	eng.Run(2 * sim.Millisecond)
 	c.EndWindow()
 	k, _, _ := d.DomainTime()
@@ -121,18 +121,18 @@ func TestCachePenaltyGrowsWithInterveningDomains(t *testing.T) {
 			others[i] = c.NewDomain("other", KindGuest)
 		}
 		// Warm everything up once.
-		target.Exec(CatKernel, sim.Microsecond, "w", sim.Fn{})
+		target.Exec(CatKernel, sim.Microsecond, sim.Fn{})
 		for _, o := range others {
-			o.Exec(CatKernel, sim.Microsecond, "w", sim.Fn{})
+			o.Exec(CatKernel, sim.Microsecond, sim.Fn{})
 		}
 		eng.Run(sim.Millisecond)
 		// One round: all others run, then the target.
 		for _, o := range others {
-			o.Exec(CatKernel, sim.Microsecond, "o", sim.Fn{})
+			o.Exec(CatKernel, sim.Microsecond, sim.Fn{})
 		}
 		eng.Run(2 * sim.Millisecond)
 		c.StartWindow()
-		target.Exec(CatKernel, 10*sim.Microsecond, "t", sim.Fn{})
+		target.Exec(CatKernel, 10*sim.Microsecond, sim.Fn{})
 		eng.Run(3 * sim.Millisecond)
 		c.EndWindow()
 		k, _, _ := target.DomainTime()
@@ -154,17 +154,17 @@ func TestCachePenaltyCapped(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		others = append(others, c.NewDomain("other", KindGuest))
 	}
-	target.Exec(CatKernel, sim.Microsecond, "w", sim.Fn{})
+	target.Exec(CatKernel, sim.Microsecond, sim.Fn{})
 	for _, o := range others {
-		o.Exec(CatKernel, sim.Microsecond, "w", sim.Fn{})
+		o.Exec(CatKernel, sim.Microsecond, sim.Fn{})
 	}
 	eng.Run(sim.Millisecond)
 	for _, o := range others {
-		o.Exec(CatKernel, sim.Microsecond, "o", sim.Fn{})
+		o.Exec(CatKernel, sim.Microsecond, sim.Fn{})
 	}
 	eng.Run(2 * sim.Millisecond)
 	c.StartWindow()
-	target.Exec(CatKernel, 10*sim.Microsecond, "t", sim.Fn{})
+	target.Exec(CatKernel, 10*sim.Microsecond, sim.Fn{})
 	eng.Run(3 * sim.Millisecond)
 	c.EndWindow()
 	k, _, _ := target.DomainTime()
@@ -179,8 +179,8 @@ func TestZeroCacheUnitDisablesPenalty(t *testing.T) {
 	a := c.NewDomain("a", KindGuest)
 	b := c.NewDomain("b", KindGuest)
 	c.StartWindow()
-	a.Exec(CatKernel, sim.Microsecond, "a", sim.Fn{})
-	b.Exec(CatKernel, sim.Microsecond, "b", sim.Fn{})
+	a.Exec(CatKernel, sim.Microsecond, sim.Fn{})
+	b.Exec(CatKernel, sim.Microsecond, sim.Fn{})
 	eng.Run(sim.Millisecond)
 	c.EndWindow()
 	ka, _, _ := a.DomainTime()

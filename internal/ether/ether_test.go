@@ -102,10 +102,10 @@ func TestPipeThroughputCeiling(t *testing.T) {
 		p.Send(&Frame{Size: 1514})
 		n++
 		if n < 2000 {
-			eng.After(6*sim.Microsecond, "offer", send)
+			eng.After(6*sim.Microsecond, send)
 		}
 	}
-	eng.After(1, "start", send)
+	eng.After(1, send)
 	eng.Run(10 * sim.Millisecond)
 	mbps := float64(delivered) * 8 / 1e6 / 0.010
 	if mbps > 945 {
@@ -154,7 +154,7 @@ func TestKeyedPipeDelivery(t *testing.T) {
 	// An ordinary event scheduled after the sends, at the first
 	// delivery instant (one frame's serialization from now).
 	first := sim.Time(float64((&Frame{Size: 100}).WireBytes()) / GbpsToBytesPerNs(1.0))
-	eng.At(first, "plain", func() { got = append(got, "plain") })
+	eng.At(first, func() { got = append(got, "plain") })
 	eng.Run(eng.Now() + sim.Millisecond)
 
 	want := []string{"plain", "lo100", "hi100", "lo100", "hi100"}

@@ -56,7 +56,7 @@ type Pipe struct {
 // NewPipe creates a unidirectional pipe at rate gbps.
 func NewPipe(eng *sim.Engine, gbps float64, propDelay sim.Time) *Pipe {
 	p := &Pipe{eng: eng, bytesPerNs: GbpsToBytesPerNs(gbps), propDelay: propDelay}
-	p.deliverFn = eng.Bind(p.deliver)
+	p.deliverFn = eng.Bind("ether.deliver", p.deliver)
 	return p
 }
 
@@ -99,11 +99,11 @@ func (p *Pipe) Send(f *Frame) {
 	deliverAt := p.busyUntil + p.propDelay
 	p.inflight.Push(f)
 	if p.keyed {
-		p.eng.AtFnKeyed(deliverAt, "ether.deliver", p.deliverFn, p.keyBase|p.sendSeq)
+		p.eng.AtFnKeyed(deliverAt, p.deliverFn, p.keyBase|p.sendSeq)
 		p.sendSeq++
 		return
 	}
-	p.eng.AtFn(deliverAt, "ether.deliver", p.deliverFn)
+	p.eng.AtFn(deliverAt, p.deliverFn)
 }
 
 func (p *Pipe) deliver() {

@@ -71,7 +71,7 @@ type CDNADriver struct {
 	rxUp sim.FIFO[*ether.Frame]
 
 	txInFn, rxUpFn, virqFn, txBatchFn, rxBatchFn, kickFn sim.Fn
-	hcFn, directFn, rxPioFn                              sim.Fn
+	hcFn, directFn, rxDirectFn, rxPioFn                  sim.Fn
 
 	TxDropped   stats.Counter
 	EnqueueErrs stats.Counter
@@ -110,15 +110,16 @@ func NewCDNADriver(dom *xen.Domain, m *mem.Memory, n *ricenic.NIC, ctx *core.Con
 		inflight: make([]*ether.Frame, RingEntries),
 	}
 	eng := dom.VCPU.Engine()
-	d.txInFn = eng.Bind(d.txEnqueueTask)
-	d.rxUpFn = eng.Bind(d.rxUpTask)
-	d.virqFn = eng.Bind(d.virqTask)
-	d.txBatchFn = eng.Bind(d.txBatchTask)
-	d.rxBatchFn = eng.Bind(d.rxBatchTask)
-	d.kickFn = eng.Bind(d.kickTask)
-	d.hcFn = eng.Bind(d.hypercallTask)
-	d.directFn = eng.Bind(d.directTask)
-	d.rxPioFn = eng.Bind(d.kickRxTask)
+	d.txInFn = eng.Bind("cdna.tx", d.txEnqueueTask)
+	d.rxUpFn = eng.Bind("cdna.rx", d.rxUpTask)
+	d.virqFn = eng.Bind("cdna.virq", d.virqTask)
+	d.txBatchFn = eng.Bind("cdna.txbatch", d.txBatchTask)
+	d.rxBatchFn = eng.Bind("cdna.rxbatch", d.rxBatchTask)
+	d.kickFn = eng.Bind("cdna.pio", d.kickTask)
+	d.hcFn = eng.Bind("hc:cdna_enqueue", d.hypercallTask)
+	d.directFn = eng.Bind("cdna.direct", d.directTask)
+	d.rxDirectFn = eng.Bind("cdna.rxdirect", d.directTask)
+	d.rxPioFn = eng.Bind("cdna.rxpio", d.kickRxTask)
 	d.txPool.init(m, dom.ID)
 	d.rxPool.init(m, dom.ID)
 	n.AttachContext(ctx, func(idx uint32) *ether.Frame { return d.inflight[idx&(RingEntries-1)] })
@@ -175,7 +176,7 @@ func (d *CDNADriver) Start() {
 // StartXmit implements NetDevice.
 func (d *CDNADriver) StartXmit(f *ether.Frame) {
 	d.txIn.Push(f)
-	d.Dom.VCPU.Exec(cpu.CatKernel, ScaleCost(d.Costs.TxPerPkt, f.Size), "cdna.tx", d.txInFn)
+	d.Dom.VCPU.Exec(cpu.CatKernel, ScaleCost(d.Costs.TxPerPkt, f.Size), d.txInFn)
 }
 
 func (d *CDNADriver) txEnqueueTask() {
@@ -209,7 +210,7 @@ func (d *CDNADriver) scheduleTxEnqueue() {
 		return
 	}
 	d.enqTx = true
-	d.Dom.VCPU.Exec(cpu.CatKernel, d.Costs.BatchFixed, "cdna.txbatch", d.txBatchFn)
+	d.Dom.VCPU.Exec(cpu.CatKernel, d.Costs.BatchFixed, d.txBatchFn)
 }
 
 func (d *CDNADriver) txBatchTask() {
@@ -231,18 +232,22 @@ func (d *CDNADriver) txBatchTask() {
 	for i, s := range batch {
 		descs[i] = s.desc
 	}
-	d.issueEnqueue(enqOp{tx: true, batch: batch, descs: descs}, "cdna.direct")
+	d.issueEnqueue(enqOp{tx: true, batch: batch, descs: descs})
 }
 
 // issueEnqueue schedules the charged enqueue call for an op: the direct
 // guest-kernel write (ModeIOMMU / ModeOff) or the validation hypercall.
-func (d *CDNADriver) issueEnqueue(op enqOp, directName string) {
+func (d *CDNADriver) issueEnqueue(op enqOp) {
 	d.enqOps.Push(op)
 	if d.Direct {
-		d.Dom.VCPU.Exec(cpu.CatKernel, sim.Time(len(op.descs))*d.DirectPerDesc, directName, d.directFn)
+		fn := d.rxDirectFn
+		if op.tx {
+			fn = d.directFn
+		}
+		d.Dom.VCPU.Exec(cpu.CatKernel, sim.Time(len(op.descs))*d.DirectPerDesc, fn)
 		return
 	}
-	d.Dom.Hypercall(d.Dom.CDNAEnqueueCost(op.descs), "cdna_enqueue", d.hcFn)
+	d.Dom.Hypercall(d.Dom.CDNAEnqueueCost(op.descs), d.hcFn)
 }
 
 func (d *CDNADriver) opRing(op enqOp) *ring.Ring {
@@ -297,7 +302,7 @@ func (d *CDNADriver) finishEnqueue(op enqOp, n int, err error) {
 		for i := 0; i < n; i++ {
 			d.rxPool.hold(base+uint32(i), op.descs[i].Addr.PFN())
 		}
-		d.Dom.VCPU.Exec(cpu.CatKernel, d.Costs.PIO, "cdna.rxpio", d.rxPioFn)
+		d.Dom.VCPU.Exec(cpu.CatKernel, d.Costs.PIO, d.rxPioFn)
 	}
 	d.putDescs(op.descs)
 }
@@ -307,7 +312,7 @@ func (d *CDNADriver) kickRxTask() {
 }
 
 func (d *CDNADriver) kickTx() {
-	d.Dom.VCPU.Exec(cpu.CatKernel, d.Costs.PIO, "cdna.pio", d.kickFn)
+	d.Dom.VCPU.Exec(cpu.CatKernel, d.Costs.PIO, d.kickFn)
 }
 
 func (d *CDNADriver) kickTask() {
@@ -343,7 +348,7 @@ func (d *CDNADriver) reapTx() {
 // the hypervisor decodes this context's bit from a NIC interrupt bit
 // vector.
 func (d *CDNADriver) OnVirq() {
-	d.Dom.VCPU.Exec(cpu.CatKernel, d.Costs.IrqFixed, "cdna.virq", d.virqFn)
+	d.Dom.VCPU.Exec(cpu.CatKernel, d.Costs.IrqFixed, d.virqFn)
 }
 
 func (d *CDNADriver) virqTask() {
@@ -356,7 +361,7 @@ func (d *CDNADriver) virqTask() {
 	for _, c := range comps {
 		f := c.Frame
 		d.rxUp.Push(f)
-		d.Dom.VCPU.Exec(cpu.CatKernel, ScaleCost(d.Costs.RxPerPkt, f.Size), "cdna.rx", d.rxUpFn)
+		d.Dom.VCPU.Exec(cpu.CatKernel, ScaleCost(d.Costs.RxPerPkt, f.Size), d.rxUpFn)
 	}
 	// Recycle consumed rx buffers and repost the same count.
 	for d.lastRxCons != d.Ctx.RxRing.Cons() {
@@ -384,7 +389,7 @@ func (d *CDNADriver) flushRx() {
 		return
 	}
 	d.enqRx = true
-	d.Dom.VCPU.Exec(cpu.CatKernel, d.Costs.BatchFixed, "cdna.rxbatch", d.rxBatchFn)
+	d.Dom.VCPU.Exec(cpu.CatKernel, d.Costs.BatchFixed, d.rxBatchFn)
 }
 
 func (d *CDNADriver) rxBatchTask() {
@@ -404,24 +409,25 @@ func (d *CDNADriver) rxBatchTask() {
 	for i := 0; i < n; i++ {
 		descs[i] = ring.Desc{Addr: d.rxPool.pop().Base(), Len: ether.HeaderBytes + ether.MTU + 86, Flags: ring.FlagValid}
 	}
-	d.issueEnqueue(enqOp{descs: descs, n: n}, "cdna.rxdirect")
+	d.issueEnqueue(enqOp{descs: descs, n: n})
 }
 
-// --- Misbehaving-driver entry points (fault-injection tests and the
-// protection example; §3.3's threat model) ---
+// --- Misbehaving-driver entry points (fault-injection tests; §3.3's
+// threat model). Each attack is a one-off raw callback, so it binds
+// nothing and traces show its event unnamed. ---
 
 // AttackForeignEnqueue attempts to enqueue a descriptor pointing at
 // another domain's memory; the result arrives on cb.
 func (d *CDNADriver) AttackForeignEnqueue(victim mem.Addr, cb func(error)) {
 	descs := []ring.Desc{{Addr: victim, Len: 1514, Flags: ring.FlagTx}}
 	if d.Direct {
-		d.Dom.VCPU.Exec(cpu.CatKernel, d.DirectPerDesc, "attack.direct", sim.RawFn(func() {
+		d.Dom.VCPU.Exec(cpu.CatKernel, d.DirectPerDesc, sim.RawFn(func() {
 			_, err := d.Prot.DirectEnqueue(d.Dom.ID, d.Ctx.TxRing, descs)
 			cb(err)
 		}))
 		return
 	}
-	d.Dom.Hypercall(d.Dom.CDNAEnqueueCost(descs), "cdna_enqueue", sim.RawFn(func() {
+	d.Dom.Hypercall(d.Dom.CDNAEnqueueCost(descs), sim.RawFn(func() {
 		_, err := d.Dom.CDNAValidate(d.Ctx.TxRing, descs)
 		cb(err)
 	}))
@@ -431,7 +437,7 @@ func (d *CDNADriver) AttackForeignEnqueue(victim mem.Addr, cb func(error)) {
 // slots past the last valid descriptor, exposing stale ring contents —
 // the replay the sequence numbers must catch.
 func (d *CDNADriver) AttackStaleProducer(extra uint32) {
-	d.Dom.VCPU.Exec(cpu.CatKernel, d.Costs.PIO, "attack.pio", sim.RawFn(func() {
+	d.Dom.VCPU.Exec(cpu.CatKernel, d.Costs.PIO, sim.RawFn(func() {
 		d.NIC.PIOWrite(ricenic.MailboxPIOAddr(d.Ctx.ID, ricenic.MboxTxProd), d.Ctx.TxRing.Prod()+extra)
 	}))
 }

@@ -75,11 +75,11 @@ func NewNativeDriver(dom *cpu.Domain, domID mem.DomID, m *mem.Memory, n *intelni
 		Dom: dom, DomID: domID, Mem: m, NIC: n, Costs: costs,
 	}
 	eng := dom.Engine()
-	d.txInFn = eng.Bind(d.txEnqueueTask)
-	d.rxUpFn = eng.Bind(d.rxUpTask)
-	d.irqFn = eng.Bind(d.irqTask)
-	d.kickFn = eng.Bind(d.kickTask)
-	d.rxKickFn = eng.Bind(d.rxKickTask)
+	d.txInFn = eng.Bind("ndrv.tx", d.txEnqueueTask)
+	d.rxUpFn = eng.Bind("ndrv.rx", d.rxUpTask)
+	d.irqFn = eng.Bind("ndrv.irq", d.irqTask)
+	d.kickFn = eng.Bind("ndrv.kick", d.kickTask)
+	d.rxKickFn = eng.Bind("ndrv.rxkick", d.rxKickTask)
 	ringPages := (RingEntries*ring.DefaultLayout.Size + mem.PageSize - 1) / mem.PageSize
 	var err error
 	d.tx, err = ring.New("intel.tx", ring.DefaultLayout, m.AllocRun(domID, ringPages).Base(), RingEntries)
@@ -134,7 +134,7 @@ func (d *NativeDriver) postRxBuffer() bool {
 // batched doorbell.
 func (d *NativeDriver) StartXmit(f *ether.Frame) {
 	d.txIn.Push(f)
-	d.Dom.Exec(cpu.CatKernel, ScaleCost(d.Costs.TxPerPkt, f.Size), "ndrv.tx", d.txInFn)
+	d.Dom.Exec(cpu.CatKernel, ScaleCost(d.Costs.TxPerPkt, f.Size), d.txInFn)
 }
 
 func (d *NativeDriver) txEnqueueTask() {
@@ -156,7 +156,7 @@ func (d *NativeDriver) scheduleKick() {
 		return
 	}
 	d.kickQueued = true
-	d.Dom.Exec(cpu.CatKernel, d.Costs.BatchFixed+d.Costs.PIO, "ndrv.kick", d.kickFn)
+	d.Dom.Exec(cpu.CatKernel, d.Costs.BatchFixed+d.Costs.PIO, d.kickFn)
 }
 
 func (d *NativeDriver) kickTask() {
@@ -206,7 +206,7 @@ func (d *NativeDriver) reapTx() {
 // Xen). It reaps transmit completions, pulls receive completions up the
 // stack, and replenishes receive buffers.
 func (d *NativeDriver) OnInterrupt() {
-	d.Dom.Exec(cpu.CatKernel, d.Costs.IrqFixed, "ndrv.irq", d.irqFn)
+	d.Dom.Exec(cpu.CatKernel, d.Costs.IrqFixed, d.irqFn)
 }
 
 func (d *NativeDriver) irqTask() {
@@ -215,7 +215,7 @@ func (d *NativeDriver) irqTask() {
 	comps := d.NIC.DrainRx()
 	for _, f := range comps {
 		d.rxUp.Push(f)
-		d.Dom.Exec(cpu.CatKernel, ScaleCost(d.Costs.RxPerPkt, f.Size), "ndrv.rx", d.rxUpFn)
+		d.Dom.Exec(cpu.CatKernel, ScaleCost(d.Costs.RxPerPkt, f.Size), d.rxUpFn)
 	}
 	if len(comps) > 0 {
 		d.replenishRx(len(comps))
@@ -245,7 +245,7 @@ func (d *NativeDriver) replenishRx(n int) {
 	}
 	if posted > 0 && !d.rxKickQueued {
 		d.rxKickQueued = true
-		d.Dom.Exec(cpu.CatKernel, d.Costs.PIO, "ndrv.rxkick", d.rxKickFn)
+		d.Dom.Exec(cpu.CatKernel, d.Costs.PIO, d.rxKickFn)
 	}
 }
 

@@ -82,12 +82,16 @@ type Stack struct {
 	// non-promiscuous NIC — not dispatch them up the transport layer.
 	Foreign stats.Counter
 
-	// Segments queued into the kernel's receive path; rxFn (bound once)
-	// pops the segment its task corresponds to. Domain task queues are
+	// Segments queued into the kernel's receive path; rxFn and rxAckFn
+	// (one callback, bound once per name) pop the segment their task
+	// corresponds to. Domain task queues are
 	// FIFO, so push/pop order matches and the per-packet capturing
 	// closure disappears.
-	rxQ  sim.FIFO[*transport.Segment]
-	rxFn sim.Fn
+	rxQ           sim.FIFO[*transport.Segment]
+	rxFn, rxAckFn sim.Fn
+
+	// Names of the tasks that only cost time.
+	flowOpenFn, flowCloseFn, appCopyFn sim.Fn
 }
 
 // NewStack creates a stack on the domain's vCPU.
@@ -96,7 +100,12 @@ func NewStack(dom *cpu.Domain, costs StackCosts) *Stack {
 		costs.UserBatch = 16
 	}
 	s := &Stack{Dom: dom, Costs: costs}
-	s.rxFn = dom.Engine().Bind(s.deliverTask)
+	eng := dom.Engine()
+	s.rxFn = eng.Bind("stack.rx", s.deliverTask)
+	s.rxAckFn = eng.Bind("stack.rxack", s.deliverTask)
+	s.flowOpenFn = eng.Bind("stack.flowopen", nil)
+	s.flowCloseFn = eng.Bind("stack.flowclose", nil)
+	s.appCopyFn = eng.Bind("app.copy", nil)
 	return s
 }
 
@@ -120,7 +129,7 @@ func (s *Stack) AttachDevice(dev NetDevice) {
 // domain (the workload layer's per-flow open hook).
 func (s *Stack) ChargeFlowSetup() {
 	if s.Costs.FlowSetup > 0 {
-		s.Dom.Exec(cpu.CatKernel, s.Costs.FlowSetup, "stack.flowopen", sim.Fn{})
+		s.Dom.Exec(cpu.CatKernel, s.Costs.FlowSetup, s.flowOpenFn)
 	}
 }
 
@@ -128,7 +137,7 @@ func (s *Stack) ChargeFlowSetup() {
 // domain (the workload layer's per-flow close hook).
 func (s *Stack) ChargeFlowTeardown() {
 	if s.Costs.FlowTeardown > 0 {
-		s.Dom.Exec(cpu.CatKernel, s.Costs.FlowTeardown, "stack.flowclose", sim.Fn{})
+		s.Dom.Exec(cpu.CatKernel, s.Costs.FlowTeardown, s.flowCloseFn)
 	}
 }
 
@@ -138,38 +147,39 @@ func (s *Stack) chargeUser() {
 	if s.userAcc >= s.Costs.UserBatch {
 		n := s.userAcc
 		s.userAcc = 0
-		s.Dom.Exec(cpu.CatUser, sim.Time(n)*s.Costs.UserPerData, "app.copy", sim.Fn{})
+		s.Dom.Exec(cpu.CatUser, sim.Time(n)*s.Costs.UserPerData, s.appCopyFn)
 	}
 }
 
 // sender is the per-(device, peer) transmit adapter behind Sender: one
-// segment FIFO plus one task callback bound at creation, so queuing a
-// segment into the kernel allocates no closure.
+// segment FIFO plus the task callback bound at creation, once per name
+// (data, ack), so queuing a segment into the kernel allocates no
+// closure.
 type sender struct {
-	s   *Stack
-	dev NetDevice
-	dst ether.MAC
-	q   sim.FIFO[*transport.Segment]
-	fn  sim.Fn
+	s         *Stack
+	dev       NetDevice
+	dst       ether.MAC
+	q         sim.FIFO[*transport.Segment]
+	fn, ackFn sim.Fn
 }
 
 // Sender returns a transport send function that pushes segments out
 // through dev toward dstMAC, charging stack transmit costs.
 func (s *Stack) Sender(dev NetDevice, dstMAC ether.MAC) func(*transport.Segment) {
 	sn := &sender{s: s, dev: dev, dst: dstMAC}
-	sn.fn = s.Dom.Engine().Bind(sn.xmitTask)
+	eng := s.Dom.Engine()
+	sn.fn = eng.Bind("stack.tx", sn.xmitTask)
+	sn.ackFn = eng.Bind("stack.txack", sn.xmitTask)
 	return sn.send
 }
 
 func (sn *sender) send(seg *transport.Segment) {
-	cost := sn.s.Costs.TxData
-	name := "stack.tx"
+	cost, fn := sn.s.Costs.TxData, sn.fn
 	if seg.Ack {
-		cost = sn.s.Costs.TxAck
-		name = "stack.txack"
+		cost, fn = sn.s.Costs.TxAck, sn.ackFn
 	}
 	sn.q.Push(seg)
-	sn.s.Dom.Exec(cpu.CatKernel, cost, name, sn.fn)
+	sn.s.Dom.Exec(cpu.CatKernel, cost, fn)
 }
 
 func (sn *sender) xmitTask() {
@@ -198,18 +208,16 @@ func (s *Stack) deliver(f *ether.Frame) {
 		f.Release()
 		return // opaque/garbage frame (corruption demos): dropped by the stack
 	}
-	cost := s.Costs.RxData
-	name := "stack.rx"
+	cost, fn := s.Costs.RxData, s.rxFn
 	if seg.Ack {
-		cost = s.Costs.RxAck
-		name = "stack.rxack"
+		cost, fn = s.Costs.RxAck, s.rxAckFn
 	}
 	// The rx queue outlives the frame: retain the segment before the
 	// frame (which owns the payload reference) can be freed.
 	seg.Retain()
 	s.rxQ.Push(seg)
 	f.Release()
-	s.Dom.Exec(cpu.CatKernel, cost, name, s.rxFn)
+	s.Dom.Exec(cpu.CatKernel, cost, fn)
 }
 
 func (s *Stack) deliverTask() {

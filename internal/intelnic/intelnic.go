@@ -69,7 +69,7 @@ type NIC struct {
 // New creates the NIC with its wire attachment.
 func New(eng *sim.Engine, b *bus.Bus, m *mem.Memory, out *ether.Pipe, p Params, mac ether.MAC) *NIC {
 	n := &NIC{Name: "intel", MAC: mac, Params: p}
-	n.writebackDoneFn = eng.Bind(func() {
+	n.writebackDoneFn = eng.Bind("bus.dma:intel.writeback", func() {
 		if n.raiseIRQ != nil {
 			n.raiseIRQ()
 		}
@@ -77,7 +77,7 @@ func New(eng *sim.Engine, b *bus.Bus, m *mem.Memory, out *ether.Pipe, p Params, 
 	n.E = nic.NewEngine(eng, b, m, out, p.Engine)
 	n.Coal = nic.NewCoalescer(eng, p.CoalesceDelay, p.CoalescePkts, func() {
 		// Consumer-index writeback then the physical interrupt.
-		b.DMA(8, "bus.dma:intel.writeback", n.writebackDoneFn)
+		b.DMA(8, n.writebackDoneFn)
 	})
 	n.E.Hooks = nic.Hooks{
 		LookupTx: func(qid int, idx uint32) *ether.Frame {

@@ -140,11 +140,11 @@ type Engine struct {
 // flows.
 func NewEngine(eng *sim.Engine, b *bus.Bus, m *mem.Memory, out *ether.Pipe, p Params) *Engine {
 	e := &Engine{Eng: eng, Bus: b, Mem: m, Out: out, Proc: NewServer(eng), Params: p}
-	e.txProcDoneFn = eng.Bind(e.txProcDone)
-	e.txDmaDoneFn = eng.Bind(e.txDmaDone)
-	e.rxProcDoneFn = eng.Bind(e.rxProcDone)
-	e.rxDmaDoneFn = eng.Bind(e.rxDmaDone)
-	e.pumpStepFn = eng.Bind(e.pumpStep)
+	e.txProcDoneFn = eng.Bind("nicproc:tx", e.txProcDone)
+	e.txDmaDoneFn = eng.Bind("bus.dma:txdata", e.txDmaDone)
+	e.rxProcDoneFn = eng.Bind("nicproc:rx", e.rxProcDone)
+	e.rxDmaDoneFn = eng.Bind("bus.dma:rxdata", e.rxDmaDone)
+	e.pumpStepFn = eng.Bind("nic.pace", e.pumpStep)
 	return e
 }
 
@@ -152,8 +152,8 @@ func NewEngine(eng *sim.Engine, b *bus.Bus, m *mem.Memory, out *ether.Pipe, p Pa
 // queue id.
 func (e *Engine) AddQueue(tx, rx *ring.Ring) int {
 	q := &queue{id: len(e.queues), tx: tx, rx: rx, active: true}
-	q.txDescDoneFn = e.Eng.Bind(func() { e.txDescDone(q) })
-	q.rxDescDoneFn = e.Eng.Bind(func() { e.rxDescDone(q) })
+	q.txDescDoneFn = e.Eng.Bind("bus.dma:txdesc", func() { e.txDescDone(q) })
+	q.rxDescDoneFn = e.Eng.Bind("bus.dma:rxdesc", func() { e.rxDescDone(q) })
 	e.queues = append(e.queues, q)
 	return q.id
 }
@@ -217,7 +217,7 @@ func (e *Engine) fetchTx(q *queue) {
 	q.txFetching = true
 	q.txFetchN = n
 	q.txFetchStart = q.txFetch
-	e.Bus.DMA(n*q.tx.Layout.Size, "bus.dma:txdesc", q.txDescDoneFn)
+	e.Bus.DMA(n*q.tx.Layout.Size, q.txDescDoneFn)
 }
 
 func (e *Engine) txDescDone(q *queue) {
@@ -260,7 +260,7 @@ func (e *Engine) fetchRx(q *queue) {
 	q.rxFetching = true
 	q.rxFetchN = n
 	q.rxFetchStart = q.rxFetch
-	e.Bus.DMA(n*q.rx.Layout.Size, "bus.dma:rxdesc", q.rxDescDoneFn)
+	e.Bus.DMA(n*q.rx.Layout.Size, q.rxDescDoneFn)
 }
 
 func (e *Engine) rxDescDone(q *queue) {
@@ -318,7 +318,7 @@ func (e *Engine) pumpStep() {
 	if e.Out != nil {
 		limit := sim.Time(e.Params.TxWindow) * slot
 		if bl := e.Out.Backlog(); bl > limit {
-			e.Eng.AfterFn(bl-limit, "nic.pace", e.pumpStepFn)
+			e.Eng.AfterFn(bl-limit, e.pumpStepFn)
 			return
 		}
 	}
@@ -335,7 +335,7 @@ func (e *Engine) pumpStep() {
 			e.fetchTx(q)
 		}
 		e.txProcJobs.Push(txJob{q: q, entry: entry})
-		e.Proc.Do(e.Params.ProcTx, "nicproc:tx", e.txProcDoneFn)
+		e.Proc.Do(e.Params.ProcTx, e.txProcDoneFn)
 		return
 	}
 	e.pumping = false
@@ -346,7 +346,7 @@ func (e *Engine) pumpStep() {
 func (e *Engine) txProcDone() {
 	j := e.txProcJobs.Pop()
 	e.txDmaJobs.Push(j)
-	e.Bus.DMA(int(j.entry.desc.Len), "bus.dma:txdata", e.txDmaDoneFn)
+	e.Bus.DMA(int(j.entry.desc.Len), e.txDmaDoneFn)
 }
 
 // txDmaDone: payload is on the NIC; transmit and complete.
@@ -422,7 +422,7 @@ func (e *Engine) deliverRx(q *queue, f *ether.Frame) {
 		e.fetchRx(q)
 	}
 	e.rxProcJobs.Push(rxJob{q: q, f: f, entry: entry})
-	e.Proc.Do(e.Params.ProcRx, "nicproc:rx", e.rxProcDoneFn)
+	e.Proc.Do(e.Params.ProcRx, e.rxProcDoneFn)
 }
 
 // rxProcDone: NIC processing finished; DMA the payload into the posted
@@ -434,7 +434,7 @@ func (e *Engine) rxProcDone() {
 		size = int(j.entry.desc.Len)
 	}
 	e.rxDmaJobs.Push(j)
-	e.Bus.DMA(size, "bus.dma:rxdata", e.rxDmaDoneFn)
+	e.Bus.DMA(size, e.rxDmaDoneFn)
 }
 
 // rxDmaDone: the frame is in host memory; write back the consumer index

@@ -272,8 +272,8 @@ func TestServerFIFO(t *testing.T) {
 	eng := sim.New()
 	s := NewServer(eng)
 	var order []int
-	s.Do(10, "a", sim.RawFn(func() { order = append(order, 1) }))
-	s.Do(10, "b", sim.RawFn(func() { order = append(order, 2) }))
+	s.Do(10, sim.RawFn(func() { order = append(order, 1) }))
+	s.Do(10, sim.RawFn(func() { order = append(order, 2) }))
 	if s.Backlog() != 20 {
 		t.Fatalf("Backlog = %v", s.Backlog())
 	}
@@ -305,7 +305,7 @@ func TestCoalescerTimer(t *testing.T) {
 	eng := sim.New()
 	var fireAt sim.Time
 	c := NewCoalescer(eng, 100*sim.Microsecond, 1000, func() { fireAt = eng.Now() })
-	eng.After(10*sim.Microsecond, "ev", func() { c.Event() })
+	eng.After(10*sim.Microsecond, func() { c.Event() })
 	eng.Run(sim.Millisecond)
 	if fireAt != 110*sim.Microsecond {
 		t.Fatalf("fired at %v, want 110us", fireAt)
@@ -317,8 +317,8 @@ func TestCoalescerTimerNotRearmedBySecondEvent(t *testing.T) {
 	var fireAt sim.Time
 	fires := 0
 	c := NewCoalescer(eng, 100*sim.Microsecond, 1000, func() { fires++; fireAt = eng.Now() })
-	eng.After(10*sim.Microsecond, "e1", func() { c.Event() })
-	eng.After(60*sim.Microsecond, "e2", func() { c.Event() })
+	eng.After(10*sim.Microsecond, func() { c.Event() })
+	eng.After(60*sim.Microsecond, func() { c.Event() })
 	eng.Run(sim.Millisecond)
 	if fires != 1 || fireAt != 110*sim.Microsecond {
 		t.Fatalf("fires=%d at %v; the delay must run from the FIRST pending event", fires, fireAt)

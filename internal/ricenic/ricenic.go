@@ -123,8 +123,8 @@ func New(eng *sim.Engine, b *bus.Bus, m *mem.Memory, out *ether.Pipe, p Params) 
 		return nil, err
 	}
 	n.BitVec = bv
-	n.bitvecDoneFn = eng.Bind(n.bitvecDone)
-	n.decodeDoneFn = eng.Bind(n.decodeDone)
+	n.bitvecDoneFn = eng.Bind("bus.dma:ricenic.bitvec", n.bitvecDone)
+	n.decodeDoneFn = eng.Bind("nicproc:mboxdecode", n.decodeDone)
 	n.E = nic.NewEngine(eng, b, m, out, p.Engine)
 	n.Coal = nic.NewCoalescer(eng, p.CoalesceDelay, p.CoalescePkts, n.fireInterrupt)
 	rxDelay := p.RxCoalesceDelay
@@ -234,7 +234,7 @@ func (n *NIC) fireInterrupt() {
 		return
 	}
 	n.postedVecs.Push(vec)
-	n.bus.DMA(core.PostBytes, "bus.dma:ricenic.bitvec", n.bitvecDoneFn)
+	n.bus.DMA(core.PostBytes, n.bitvecDoneFn)
 }
 
 // bitvecDone runs when a posted bit vector's DMA lands in host memory.
@@ -315,7 +315,7 @@ func (n *NIC) decodeEvents() {
 		return
 	}
 	n.decoding = true
-	n.E.Proc.Do(n.Params.MboxDecode, "nicproc:mboxdecode", n.decodeDoneFn)
+	n.E.Proc.Do(n.Params.MboxDecode, n.decodeDoneFn)
 }
 
 func (n *NIC) decodeDone() {

@@ -6,15 +6,18 @@
 //
 // The engine is the simulator's hot path: every packet the models move
 // costs several events, so the core is built for zero steady-state
-// allocation. Event objects are recycled through a free list and handed
-// out as value-type Handles carrying a generation counter, cancelled
-// events are removed from the queue eagerly, and components that fire
-// repeatedly use a Timer — one persistent event re-armed in place —
-// instead of scheduling fresh events. The event queue is a hierarchical
-// timing wheel (sched_wheel.go) with O(1) amortized schedule, cancel
-// and same-timestamp batch dispatch; it is the only queue, and a
-// sorted-slice oracle in the tests pins its exact (time, sequence)
-// order. See DESIGN.md ("Foundation", "Scheduler").
+// allocation. A scheduled event is fire-and-forget: the schedule calls
+// return nothing, and the Event object goes back to a free list the
+// moment it fires. Components that fire repeatedly, or must take a
+// firing back, use a Timer — one persistent event re-armed or stopped
+// in place. Each event is named once, where its callback is bound
+// (Bind, NewTimer): the engine keeps a label table and an event
+// carries only the label's index, which the flight recorder resolves.
+// The event queue is a hierarchical timing wheel (sched_wheel.go) with
+// O(1) amortized schedule, stop and same-timestamp batch dispatch; it
+// is the only queue, and a sorted-slice oracle in the tests pins its
+// exact (time, sequence) order. See DESIGN.md ("Foundation",
+// "Scheduler").
 package sim
 
 import "fmt"
@@ -48,58 +51,17 @@ func (t Time) String() string {
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
 // Event is a scheduled callback. Events are owned by the Engine's pool
-// (or by a Timer) and referenced externally only through Handles, which
-// carry a generation counter so a reference to a recycled event is
-// detectably stale.
+// (or by a Timer) and never referenced by callers: a pooled event is
+// recycled when it fires, a Timer's is re-keyed or unlinked in place.
 type Event struct {
 	at    Time
 	seq   uint64
-	name  string
 	fn    func()
-	eng   *Engine
 	next  *Event // intrusive wheel-slot list links (nil when unqueued)
 	prev  *Event
-	index int32  // wheel slot (or overflowIdx); -1 when not queued
-	gen   uint32 // bumped on every recycle; stale Handles mismatch
-	timer bool   // owned by a Timer, never returned to the pool
-}
-
-// Handle refers to a scheduled event. The zero Handle is valid and
-// refers to nothing. Handles are values: copying one is free, and a
-// Handle outliving its event is safe — once the event fires or is
-// cancelled and recycled, the generation counter no longer matches and
-// every method degrades to a no-op.
-type Handle struct {
-	ev  *Event
-	gen uint32
-}
-
-// Scheduled reports whether the event is still queued to fire.
-func (h Handle) Scheduled() bool {
-	return h.ev != nil && h.ev.gen == h.gen && h.ev.index >= 0
-}
-
-// When returns the time the event is scheduled to fire, or 0 if the
-// handle is stale.
-func (h Handle) When() Time {
-	if !h.Scheduled() {
-		return 0
-	}
-	return h.ev.at
-}
-
-// Cancel removes the event from the queue and recycles it. Cancelling a
-// fired, already-cancelled, or stale handle is a no-op — in particular,
-// cancelling an old handle to an event that has since been recycled for
-// a different purpose must not (and does not) disturb the new event.
-func (h Handle) Cancel() {
-	ev := h.ev
-	if ev == nil || ev.gen != h.gen || ev.index < 0 {
-		return
-	}
-	e := ev.eng
-	e.q.remove(ev)
-	e.release(ev)
+	index int32 // wheel slot (or overflowIdx); -1 when not queued
+	label int32 // index into the engine's label table (see Fn)
+	timer bool  // owned by a Timer, never returned to the pool
 }
 
 // Engine is the discrete-event simulator core.
@@ -112,9 +74,11 @@ type Engine struct {
 	tracer  *Tracer
 	q       wheelSched // the event queue
 
-	// Registry sizes (fn.go, timer.go): callbacks bound and timers
-	// created during machine construction.
-	binds  int32
+	// The registry (fn.go, timer.go), filled during machine
+	// construction: the label of every named Fn and Timer, in creation
+	// order, and how many callbacks were bound and timers created.
+	labels []string
+	binds  int
 	timers int
 }
 
@@ -132,8 +96,8 @@ func (e *Engine) Now() Time { return e.now }
 // and for sanity-checking experiment complexity).
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of scheduled, uncancelled events. Cancelled
-// events are removed from the queue eagerly, so this is the exact queue
+// Pending returns the number of scheduled events. A stopped Timer is
+// unlinked from the queue eagerly, so this is the exact queue
 // population — O(1), not a scan.
 func (e *Engine) Pending() int { return e.q.len() }
 
@@ -145,39 +109,35 @@ func (e *Engine) alloc() *Event {
 		e.free = e.free[:n-1]
 		return ev
 	}
-	return &Event{eng: e, index: -1}
+	return &Event{index: -1}
 }
 
-// release recycles a fired or cancelled event. Timer-owned events are
-// persistent and never enter the pool.
+// release recycles a fired event. Timer-owned events are persistent and
+// never enter the pool.
 func (e *Engine) release(ev *Event) {
 	if ev.timer {
 		return
 	}
-	ev.gen++
 	ev.fn = nil
-	ev.name = ""
 	e.free = append(e.free, ev)
 }
 
 // At schedules fn to run at absolute time t. Scheduling in the past
 // panics: it always indicates a model bug. The callback is raw (see
 // RawFn): fine for tests and tooling, but model layers schedule bound
-// callbacks through AtFn, which allocate no closure per event.
-func (e *Engine) At(t Time, name string, fn func()) Handle {
-	return e.AtFn(t, name, RawFn(fn))
-}
+// callbacks through AtFn, which allocate no closure per event and name
+// the event.
+func (e *Engine) At(t Time, fn func()) { e.AtFn(t, RawFn(fn)) }
 
 // AtFn schedules a registered callback to run at absolute time t.
-func (e *Engine) AtFn(t Time, name string, fn Fn) Handle {
+func (e *Engine) AtFn(t Time, fn Fn) {
 	if t < e.now {
-		panic(fmt.Sprintf("sim: event %q scheduled at %v before now %v", name, t, e.now))
+		panic(fmt.Sprintf("sim: event %q scheduled at %v before now %v", e.label(fn.id), t, e.now))
 	}
 	e.seq++
 	ev := e.alloc()
-	ev.at, ev.seq, ev.name, ev.fn = t, e.seq, name, fn.f
+	ev.at, ev.seq, ev.fn, ev.label = t, e.seq, fn.f, fn.id
 	e.q.push(ev)
-	return Handle{ev: ev, gen: ev.gen}
 }
 
 // SeqBand is the high sequence bit that separates key-sequenced events
@@ -194,30 +154,27 @@ const SeqBand uint64 = 1 << 62
 // scheduled. Keys must have SeqBand set
 // (checked) and be unique among pending events; the engine counter is
 // not consumed.
-func (e *Engine) AtFnKeyed(t Time, name string, fn Fn, key uint64) Handle {
+func (e *Engine) AtFnKeyed(t Time, fn Fn, key uint64) {
 	if t < e.now {
-		panic(fmt.Sprintf("sim: event %q scheduled at %v before now %v", name, t, e.now))
+		panic(fmt.Sprintf("sim: event %q scheduled at %v before now %v", e.label(fn.id), t, e.now))
 	}
 	if key&SeqBand == 0 {
-		panic(fmt.Sprintf("sim: keyed event %q without SeqBand in key %#x", name, key))
+		panic(fmt.Sprintf("sim: keyed event %q without SeqBand in key %#x", e.label(fn.id), key))
 	}
 	ev := e.alloc()
-	ev.at, ev.seq, ev.name, ev.fn = t, key, name, fn.f
+	ev.at, ev.seq, ev.fn, ev.label = t, key, fn.f, fn.id
 	e.q.push(ev)
-	return Handle{ev: ev, gen: ev.gen}
 }
 
 // After schedules fn to run d nanoseconds from now. Negative d panics.
-func (e *Engine) After(d Time, name string, fn func()) Handle {
-	return e.AfterFn(d, name, RawFn(fn))
-}
+func (e *Engine) After(d Time, fn func()) { e.AfterFn(d, RawFn(fn)) }
 
 // AfterFn schedules a registered callback d nanoseconds from now.
-func (e *Engine) AfterFn(d Time, name string, fn Fn) Handle {
+func (e *Engine) AfterFn(d Time, fn Fn) {
 	if d < 0 {
-		panic(fmt.Sprintf("sim: event %q scheduled with negative delay %v", name, d))
+		panic(fmt.Sprintf("sim: event %q scheduled with negative delay %v", e.label(fn.id), d))
 	}
-	return e.AtFn(e.now+d, name, fn)
+	e.AtFn(e.now+d, fn)
 }
 
 // fire executes the already-dequeued event ev. Pooled events are
@@ -228,7 +185,7 @@ func (e *Engine) fire(ev *Event) {
 	fn := ev.fn
 	e.fired++
 	if e.tracer != nil {
-		e.tracer.record(ev.at, ev.name)
+		e.tracer.record(ev.at, e.label(ev.label))
 	}
 	e.release(ev)
 	if fn != nil {

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTimeString(t *testing.T) {
@@ -32,9 +33,9 @@ func TestTimeSeconds(t *testing.T) {
 func TestEngineOrdering(t *testing.T) {
 	e := New()
 	var order []int
-	e.After(30, "c", func() { order = append(order, 3) })
-	e.After(10, "a", func() { order = append(order, 1) })
-	e.After(20, "b", func() { order = append(order, 2) })
+	e.After(30, func() { order = append(order, 3) })
+	e.After(10, func() { order = append(order, 1) })
+	e.After(20, func() { order = append(order, 2) })
 	e.Run(100)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("events fired out of order: %v", order)
@@ -49,7 +50,7 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(50, "tie", func() { order = append(order, i) })
+		e.At(50, func() { order = append(order, i) })
 	}
 	e.Run(100)
 	for i, v := range order {
@@ -62,7 +63,7 @@ func TestEngineFIFOAtSameTime(t *testing.T) {
 func TestEngineRunBoundaryExclusive(t *testing.T) {
 	e := New()
 	fired := false
-	e.At(100, "edge", func() { fired = true })
+	e.At(100, func() { fired = true })
 	e.Run(100)
 	if fired {
 		t.Fatal("event at the until-boundary must not fire")
@@ -73,50 +74,52 @@ func TestEngineRunBoundaryExclusive(t *testing.T) {
 	}
 }
 
+// TestEngineCancel: a stopped timer is taken out of the queue and
+// never fires; stopping it again is a no-op.
 func TestEngineCancel(t *testing.T) {
 	e := New()
 	fired := false
-	ev := e.After(10, "x", func() { fired = true })
-	if !ev.Scheduled() {
-		t.Fatal("Scheduled() should be true before Cancel")
+	tm := e.NewTimer("x", func() { fired = true })
+	tm.ArmAfter(10)
+	if !tm.Armed() {
+		t.Fatal("Armed() should be true before Stop")
 	}
-	ev.Cancel()
-	if ev.Scheduled() {
-		t.Fatal("Scheduled() should be false after Cancel")
+	tm.Stop()
+	if tm.Armed() {
+		t.Fatal("Armed() should be false after Stop")
 	}
-	ev.Cancel() // double-cancel is a no-op
+	tm.Stop() // double stop is a no-op
 	e.Run(100)
 	if fired {
-		t.Fatal("cancelled event fired")
+		t.Fatal("stopped timer fired")
 	}
 	if e.Fired() != 0 {
 		t.Fatalf("Fired() = %d, want 0", e.Fired())
 	}
 }
 
+// TestEngineCancelMiddleOfQueue stops timers at the head, middle and
+// inside of a queue of ten: the rest fire in order.
 func TestEngineCancelMiddleOfQueue(t *testing.T) {
 	e := New()
 	var order []int
-	handles := make([]Handle, 0, 10)
+	timers := make([]*Timer, 0, 10)
 	for i := 0; i < 10; i++ {
 		i := i
-		handles = append(handles, e.At(Time(10*(i+1)), "ev", func() { order = append(order, i) }))
+		tm := e.NewTimer("ev", func() { order = append(order, i) })
+		tm.Arm(Time(10 * (i + 1)))
+		timers = append(timers, tm)
 	}
-	handles[3].Cancel()
-	handles[7].Cancel()
-	handles[0].Cancel()
+	timers[3].Stop()
+	timers[7].Stop()
+	timers[0].Stop()
 	if e.Pending() != 7 {
 		t.Fatalf("Pending = %d, want 7", e.Pending())
 	}
 	e.Run(Second)
 	want := []int{1, 2, 4, 5, 6, 8, 9}
-	if len(order) != len(want) {
+	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("fired %v, want %v", order, want)
-	}
-	for i, v := range want {
-		if order[i] != v {
-			t.Fatalf("fired %v, want %v", order, want)
-		}
 	}
 }
 
@@ -127,10 +130,10 @@ func TestEngineReschedulingFromCallback(t *testing.T) {
 	tick = func() {
 		count++
 		if count < 5 {
-			e.After(10, "tick", tick)
+			e.After(10, tick)
 		}
 	}
-	e.After(10, "tick", tick)
+	e.After(10, tick)
 	e.Run(Second)
 	if count != 5 {
 		t.Fatalf("count = %d, want 5", count)
@@ -142,14 +145,14 @@ func TestEngineReschedulingFromCallback(t *testing.T) {
 
 func TestEnginePastSchedulingPanics(t *testing.T) {
 	e := New()
-	e.After(100, "later", func() {})
+	e.After(100, func() {})
 	e.Run(200)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past must panic")
 		}
 	}()
-	e.At(50, "past", func() {})
+	e.At(50, func() {})
 }
 
 func TestEngineNegativeDelayPanics(t *testing.T) {
@@ -159,14 +162,14 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 			t.Fatal("negative delay must panic")
 		}
 	}()
-	e.After(-1, "neg", func() {})
+	e.After(-1, func() {})
 }
 
 func TestEngineStep(t *testing.T) {
 	e := New()
 	n := 0
-	e.After(10, "a", func() { n++ })
-	e.After(20, "b", func() { n++ })
+	e.After(10, func() { n++ })
+	e.After(20, func() { n++ })
 	if !e.Step() || n != 1 || e.Now() != 10 {
 		t.Fatalf("first Step: n=%d now=%v", n, e.Now())
 	}
@@ -180,14 +183,15 @@ func TestEngineStep(t *testing.T) {
 
 func TestEnginePending(t *testing.T) {
 	e := New()
-	a := e.After(10, "a", func() {})
-	e.After(20, "b", func() {})
+	a := e.NewTimer("a", func() {})
+	a.ArmAfter(10)
+	e.After(20, func() {})
 	if e.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", e.Pending())
 	}
-	a.Cancel()
+	a.Stop()
 	if e.Pending() != 1 {
-		t.Fatalf("Pending after cancel = %d, want 1", e.Pending())
+		t.Fatalf("Pending after stop = %d, want 1", e.Pending())
 	}
 }
 
@@ -200,10 +204,10 @@ func TestEngineDeterminism(t *testing.T) {
 		gen = func() {
 			stamps = append(stamps, e.Now())
 			if len(stamps) < 50 {
-				e.After(Time(rng.Intn(1000)+1), "gen", gen)
+				e.After(Time(rng.Intn(1000)+1), gen)
 			}
 		}
-		e.After(1, "gen", gen)
+		e.After(1, gen)
 		e.Run(Second)
 		return stamps
 	}
@@ -274,10 +278,10 @@ func TestKeyedEventsOrderAfterCounter(t *testing.T) {
 	e := New()
 	var order []string
 	rec := func(s string) Fn { return RawFn(func() { order = append(order, s) }) }
-	e.AtFnKeyed(10, "k2", rec("k2"), SeqBand|2)
-	e.AtFnKeyed(10, "k1", rec("k1"), SeqBand|1)
-	e.AtFn(10, "c", rec("c"))
-	e.AtFn(5, "early", rec("early"))
+	e.AtFnKeyed(10, rec("k2"), SeqBand|2)
+	e.AtFnKeyed(10, rec("k1"), SeqBand|1)
+	e.AtFn(10, rec("c"))
+	e.AtFn(5, rec("early"))
 	e.Run(100)
 	if want := []string{"early", "c", "k1", "k2"}; !reflect.DeepEqual(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
@@ -287,55 +291,83 @@ func TestKeyedEventsOrderAfterCounter(t *testing.T) {
 			t.Fatal("keyed event without SeqBand did not panic")
 		}
 	}()
-	e.AtFnKeyed(200, "bad", Fn{}, 1)
+	e.AtFnKeyed(200, Fn{}, 1)
 }
 
+// TestFnIdentity pins the registry: each Bind and NewTimer takes the
+// next label, a bound callback counts in Binds, a named Fn without a
+// callback does not, and every event carries its Fn's label.
 func TestFnIdentity(t *testing.T) {
 	e := New()
 	if got := e.Binds(); got != 0 {
 		t.Fatalf("fresh engine Binds = %d", got)
 	}
 	var fired int
-	fn := e.Bind(func() { fired++ })
-	if fn.Nil() || fn.ID() != 1 || e.Binds() != 1 {
-		t.Fatalf("bound fn: nil=%v id=%d binds=%d", fn.Nil(), fn.ID(), e.Binds())
+	fn := e.Bind("a.first", func() { fired++ })
+	if fn.id != 1 || e.Binds() != 1 {
+		t.Fatalf("bound fn: id=%d binds=%d", fn.id, e.Binds())
 	}
-	if second := e.Bind(func() {}); second.ID() != 2 || e.Binds() != 2 {
-		t.Fatalf("second bind: id=%d binds=%d", second.ID(), e.Binds())
+	if second := e.Bind("a.second", func() {}); second.id != 2 || e.Binds() != 2 {
+		t.Fatalf("second bind: id=%d binds=%d", second.id, e.Binds())
 	}
+	cost := e.Bind("a.cost", nil)
+	if cost.f != nil || cost.id != 3 || e.Binds() != 2 {
+		t.Fatalf("cost-only fn: nil=%v id=%d binds=%d", cost.f == nil, cost.id, e.Binds())
+	}
+	cost.Call() // no callback: a no-op
 	fn.Call()
-	e.AfterFn(5, "bound", fn)
+	tr := e.Attach(8)
+	e.AfterFn(5, fn)
+	e.AfterFn(6, cost)
+	e.AfterFn(7, fn.LabeledAs(cost)) // fn's callback, cost's label
+	e.After(8, func() {})            // raw: unnamed
 	e.Run(10)
-	if fired != 2 {
-		t.Fatalf("bound callback fired %d times, want 2 (Call + event)", fired)
+	if fired != 3 {
+		t.Fatalf("bound callback fired %d times, want 3 (Call + two events)", fired)
+	}
+	var names []string
+	for _, te := range tr.Last(8) {
+		names = append(names, te.Name)
+	}
+	if want := []string{"a.first", "a.cost", "a.cost", ""}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("traced names = %q, want %q", names, want)
 	}
 
 	var zero Fn
 	zero.Call() // no-op by contract
-	if !zero.Nil() || zero.ID() != 0 {
-		t.Fatalf("zero Fn: nil=%v id=%d", zero.Nil(), zero.ID())
+	if zero.f != nil || zero.id != 0 || e.label(zero.id) != "" {
+		t.Fatalf("zero Fn: nil=%v id=%d", zero.f == nil, zero.id)
 	}
-	if raw := RawFn(func() {}); raw.ID() != -1 || raw.Nil() {
-		t.Fatalf("raw Fn: id=%d nil=%v", raw.ID(), raw.Nil())
-	}
-	if rawNil := RawFn(nil); !rawNil.Nil() || rawNil.ID() != 0 {
-		t.Fatalf("RawFn(nil): nil=%v id=%d", rawNil.Nil(), rawNil.ID())
+	if raw := RawFn(func() {}); raw.id != 0 || raw.f == nil {
+		t.Fatalf("raw Fn: id=%d nil=%v", raw.id, raw.f == nil)
 	}
 
 	if e.Timers() != 0 {
 		t.Fatalf("Timers = %d", e.Timers())
 	}
-	e.NewTimer("t", func() {})
-	if e.Timers() != 1 {
-		t.Fatalf("Timers = %d after NewTimer", e.Timers())
+	tm := e.NewTimer("a.timer", func() {})
+	if e.Timers() != 1 || tm.ev.label != 4 || e.label(tm.ev.label) != "a.timer" {
+		t.Fatalf("Timers = %d, timer label %d (%q) after NewTimer", e.Timers(), tm.ev.label, e.label(tm.ev.label))
+	}
+	if got, want := e.labels, []string{"a.first", "a.second", "a.cost", "a.timer"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("labels = %q, want %q", got, want)
 	}
 
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Bind(nil) did not panic")
+			t.Fatal("Bind with an empty name did not panic")
 		}
 	}()
-	e.Bind(nil)
+	e.Bind("", func() {})
+}
+
+// TestEventSize pins the pooled event at one 56-byte object: the label
+// index sits where a 16-byte name string was, and no generation
+// counter or engine pointer rides along.
+func TestEventSize(t *testing.T) {
+	if n := unsafe.Sizeof(Event{}); n != 56 {
+		t.Fatalf("Event is %d bytes, want 56", n)
+	}
 }
 
 // TestRNGExpAndPareto: both draws replay from the seed, stay in their

@@ -1,62 +1,71 @@
 package sim
 
-// Fn is a schedulable callback with a registry identity. Model layers
-// bind their callbacks once at construction time with Engine.Bind, so
-// scheduling one allocates no closure. The identity is a small integer
-// assigned in bind order; machine construction is deterministic, so
-// the same config binds the same callbacks in the same order, and the
-// bind count is a structural fingerprint of the machine (see Binds).
+// Fn is a schedulable callback with a name. Model layers bind their
+// callbacks once at construction time with Engine.Bind, so scheduling
+// one allocates no closure and passes no name: the name lives in the
+// engine's label table, and the Fn (and every event scheduled with it)
+// carries only its index. Labels are assigned in creation order;
+// machine construction is deterministic, so the same config binds the
+// same callbacks in the same order, and the bind count is a structural
+// fingerprint of the machine (see Binds).
 //
-// The zero Fn is valid and means "no callback": calling it is a no-op
-// and its ID is 0.
+// The zero Fn is valid and means "no callback, no label": calling it is
+// a no-op.
 type Fn struct {
 	f  func()
-	id int32
+	id int32 // label index: 0 for the zero Fn and raw Fns, >0 when named
 }
-
-// Fn identity classes (the ID space):
-//
-//	 0  — the zero Fn: no callback.
-//	-1  — raw: an unregistered func (tests, attack paths, one-off
-//	      tooling).
-//	>0  — bound: the bind order, counting from 1.
-const rawFnID = -1
 
 // RawFn wraps an unregistered func. Raw callbacks work normally but
-// carry no bind identity; model layers use Engine.Bind.
-func RawFn(f func()) Fn {
-	if f == nil {
-		return Fn{}
+// carry no label, so the flight recorder shows their events unnamed;
+// model layers use Engine.Bind.
+func RawFn(f func()) Fn { return Fn{f: f} }
+
+// Bind registers f under name in the engine's label table and returns
+// its Fn. f may be nil: the Fn then names work that has no completion
+// callback (a CPU task charged for its cost alone), and does not count
+// as a bound callback. Bind must only be called during machine
+// construction (before the simulation runs), and construction must be
+// deterministic — both are what make labels and the bind count stable
+// across machines built from the same configuration.
+func (e *Engine) Bind(name string, f func()) Fn {
+	if f != nil {
+		e.binds++
 	}
-	return Fn{f: f, id: rawFnID}
+	return Fn{f: f, id: e.newLabel(name)}
 }
 
-// Bind registers f in the engine's callback registry and returns its
-// Fn. Bind must only be called during machine construction (before the
-// simulation runs), and construction must be deterministic — both are
-// what make bind IDs stable across machines built from the same
-// configuration.
-func (e *Engine) Bind(f func()) Fn {
-	if f == nil {
-		panic("sim: Bind(nil)")
-	}
-	e.binds++
-	return Fn{f: f, id: e.binds}
-}
+// LabeledAs returns fn's callback under label's name: a layer that runs
+// every caller's work through one completion callback (the CPU's task
+// completion) schedules it so the event is named by the work it
+// completes.
+func (fn Fn) LabeledAs(label Fn) Fn { return Fn{f: fn.f, id: label.id} }
 
 // Binds returns the number of bound callbacks — a cheap structural
 // fingerprint that tells machines built differently apart.
-func (e *Engine) Binds() int { return int(e.binds) }
+func (e *Engine) Binds() int { return e.binds }
 
-// Call invokes the callback; calling the zero Fn is a no-op.
+// Call invokes the callback; calling a Fn without one is a no-op.
 func (fn Fn) Call() {
 	if fn.f != nil {
 		fn.f()
 	}
 }
 
-// Nil reports whether the Fn holds no callback.
-func (fn Fn) Nil() bool { return fn.f == nil }
+// newLabel appends name to the label table and returns its index.
+// Index 0 is the unnamed label of the zero Fn and raw callbacks.
+func (e *Engine) newLabel(name string) int32 {
+	if name == "" {
+		panic("sim: empty event label")
+	}
+	e.labels = append(e.labels, name)
+	return int32(len(e.labels))
+}
 
-// ID returns the registry identity (see the ID-space comment above).
-func (fn Fn) ID() int32 { return fn.id }
+// label returns the name behind a label index ("" for index 0).
+func (e *Engine) label(id int32) string {
+	if id == 0 {
+		return ""
+	}
+	return e.labels[id-1]
+}

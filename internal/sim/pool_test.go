@@ -2,69 +2,15 @@ package sim
 
 import "testing"
 
-// The event pool's safety contract: a Handle taken on an event that has
-// since fired and been recycled for a different purpose must be inert.
-func TestStaleHandleCancelIsNoOp(t *testing.T) {
-	e := New()
-	fired1 := false
-	h1 := e.After(10, "first", func() { fired1 = true })
-	e.Run(20)
-	if !fired1 {
-		t.Fatal("first event did not fire")
-	}
-	if h1.Scheduled() {
-		t.Fatal("fired event still reports Scheduled")
-	}
-	// The pool reuses the recycled Event object for the next schedule.
-	fired2 := false
-	h2 := e.After(10, "second", func() { fired2 = true })
-	// Cancelling the stale handle must not disturb the new event.
-	h1.Cancel()
-	if !h2.Scheduled() {
-		t.Fatal("stale Cancel cancelled a recycled event")
-	}
-	e.Run(100)
-	if !fired2 {
-		t.Fatal("recycled event did not fire")
-	}
-}
-
-func TestStaleHandleAfterCancelAndReuse(t *testing.T) {
-	e := New()
-	h1 := e.After(10, "victim", func() { t.Fatal("cancelled event fired") })
-	h1.Cancel()
-	fired := false
-	h2 := e.After(10, "fresh", func() { fired = true })
-	h1.Cancel() // stale: same Event object, older generation
-	if !h2.Scheduled() {
-		t.Fatal("stale Cancel hit the recycled event")
-	}
-	e.Run(100)
-	if !fired {
-		t.Fatal("recycled event did not fire")
-	}
-}
-
 func TestEventPoolRecycles(t *testing.T) {
 	e := New()
 	fn := func() {}
 	for i := 0; i < 1000; i++ {
-		e.After(1, "ev", fn)
+		e.After(1, fn)
 		e.Step()
 	}
 	if len(e.free) == 0 || len(e.free) > 2 {
 		t.Fatalf("free list holds %d events after a fire loop, want 1-2", len(e.free))
-	}
-}
-
-func TestZeroHandleIsInert(t *testing.T) {
-	var h Handle
-	if h.Scheduled() {
-		t.Fatal("zero Handle reports Scheduled")
-	}
-	h.Cancel() // must not panic
-	if h.When() != 0 {
-		t.Fatal("zero Handle has a When")
 	}
 }
 
@@ -73,10 +19,10 @@ func TestZeroHandleIsInert(t *testing.T) {
 func TestScheduleFireRecycleZeroAllocs(t *testing.T) {
 	e := New()
 	fn := func() {}
-	e.After(1, "warm", fn)
+	e.After(1, fn)
 	e.Step()
 	allocs := testing.AllocsPerRun(1000, func() {
-		e.After(1, "ev", fn)
+		e.After(1, fn)
 		e.Step()
 	})
 	if allocs != 0 {
@@ -84,17 +30,22 @@ func TestScheduleFireRecycleZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestCancelPathZeroAllocs: taking a firing back — Timer.Stop unlinking
+// the event from its wheel slot, next to a standing event — and
+// re-arming it allocate nothing.
 func TestCancelPathZeroAllocs(t *testing.T) {
 	e := New()
-	fn := func() {}
-	e.After(1, "warm", fn)
-	e.Step()
+	e.After(1, func() {})
+	tm := e.NewTimer("t", func() {})
 	allocs := testing.AllocsPerRun(1000, func() {
-		h := e.After(1, "ev", fn)
-		h.Cancel()
+		tm.ArmAfter(1)
+		tm.Stop()
 	})
 	if allocs != 0 {
-		t.Fatalf("schedule→cancel→recycle allocates %.1f/op, want 0", allocs)
+		t.Fatalf("arm→stop allocates %.1f/op, want 0", allocs)
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("Pending = %d, want the standing event only", e.Pending())
 	}
 }
 
@@ -236,7 +187,7 @@ func TestTimerRearmSequencesLikeFreshEvent(t *testing.T) {
 	var order []string
 	tm := e.NewTimer("timer", func() { order = append(order, "timer") })
 	tm.ArmAfter(50)
-	e.At(50, "a", func() { order = append(order, "a") })
+	e.At(50, func() { order = append(order, "a") })
 	tm.ArmAfter(50) // re-arm: now sequences after "a"
 	e.Run(100)
 	if len(order) != 2 || order[0] != "a" || order[1] != "timer" {
@@ -248,7 +199,7 @@ func TestPendingCountsTimers(t *testing.T) {
 	e := New()
 	tm := e.NewTimer("t", func() {})
 	tm.ArmAfter(10)
-	e.After(20, "ev", func() {})
+	e.After(20, func() {})
 	if e.Pending() != 2 {
 		t.Fatalf("Pending = %d, want 2", e.Pending())
 	}
@@ -258,28 +209,41 @@ func TestPendingCountsTimers(t *testing.T) {
 	}
 }
 
-// Heap stress: interleaved schedules, cancels, and timer re-arms must
-// preserve (time, seq) execution order exactly.
+// Queue stress: interleaved schedules, timer stops and timer re-arms
+// must preserve (time, seq) execution order exactly.
 func TestHeapStressWithCancels(t *testing.T) {
 	e := New()
 	rng := NewRNG(1234)
 	var fireTimes []Time
 	record := func() { fireTimes = append(fireTimes, e.Now()) }
-	var handles []Handle
+	timers := make([]*Timer, 64)
+	for i := range timers {
+		timers[i] = e.NewTimer("stress", record)
+	}
+	stopped := 0
 	for i := 0; i < 2000; i++ {
-		switch rng.Intn(3) {
-		case 0, 1:
-			handles = append(handles, e.At(e.Now()+Time(rng.Intn(500)), "s", record))
+		tm := timers[rng.Intn(len(timers))]
+		switch rng.Intn(4) {
+		case 0:
+			e.At(e.Now()+Time(rng.Intn(500)), record)
+		case 1:
+			tm.Arm(e.Now() + Time(rng.Intn(500)))
 		case 2:
-			if len(handles) > 0 {
-				j := rng.Intn(len(handles))
-				handles[j].Cancel()
-				handles = append(handles[:j], handles[j+1:]...)
+			if tm.Armed() {
+				stopped++
 			}
+			tm.Stop()
+		case 3:
+			// Re-arm after a stop: the unlinked event goes back in.
+			tm.Stop()
+			tm.Arm(e.Now() + Time(rng.Intn(500)))
 		}
 		if rng.Intn(4) == 0 {
 			e.Step()
 		}
+	}
+	if stopped == 0 {
+		t.Fatal("stream stopped no armed timer")
 	}
 	e.Run(Second)
 	for i := 1; i < len(fireTimes); i++ {
@@ -301,7 +265,7 @@ func TestTimerArmKeyed(t *testing.T) {
 	tm := e.NewTimer("fault", func() { order = append(order, "timer") })
 	tm.ArmKeyed(20, SeqBand|7)
 	tm.ArmKeyed(10, SeqBand|7) // re-arm an armed timer in place
-	e.At(10, "ev", func() { order = append(order, "ev") })
+	e.At(10, func() { order = append(order, "ev") })
 	e.Run(100)
 	if len(order) != 2 || order[0] != "ev" || order[1] != "timer" {
 		t.Fatalf("order = %v, want [ev timer]", order)

@@ -272,7 +272,7 @@ func TestWheelCascadeBoundary(t *testing.T) {
 	}
 	var got []Time
 	for _, at := range want {
-		e.At(at, "edge", func() { got = append(got, e.Now()) })
+		e.At(at, func() { got = append(got, e.Now()) })
 	}
 	// The same edges again, relative to a clock that has moved off
 	// zero: an event one tick past a rollover of the current epoch
@@ -289,7 +289,7 @@ func TestWheelCascadeBoundary(t *testing.T) {
 		}
 	}
 	for _, at := range want {
-		e.At(at, "edge", func() { got = append(got, e.Now()) })
+		e.At(at, func() { got = append(got, e.Now()) })
 	}
 	e.Run(base * 2)
 	if !slices.Equal(got, want) {
@@ -318,9 +318,10 @@ func TestWheelFarFutureOverflow(t *testing.T) {
 	}
 	var got []Time
 	for _, at := range ats {
-		h := e.At(at, "far", func() { got = append(got, e.Now()) })
-		if wantOver := at >= horizon; (h.ev.index == overflowIdx) != wantOver {
-			t.Fatalf("event at %v filed at index %d; overflow want %v", at, h.ev.index, wantOver)
+		tm := e.NewTimer("far", func() { got = append(got, e.Now()) })
+		tm.Arm(at)
+		if wantOver := at >= horizon; (tm.ev.index == overflowIdx) != wantOver {
+			t.Fatalf("event at %v filed at index %d; overflow want %v", at, tm.ev.index, wantOver)
 		}
 	}
 	// A near chain keeps the wheel busy while the far events wait.
@@ -329,10 +330,10 @@ func TestWheelFarFutureOverflow(t *testing.T) {
 	next = func() {
 		count++
 		if count < 100 {
-			e.After(10*Millisecond, "tick", next)
+			e.After(10*Millisecond, next)
 		}
 	}
-	e.After(10*Millisecond, "tick", next)
+	e.After(10*Millisecond, next)
 	e.Run(3 * horizon)
 	if !slices.Equal(got, ats) {
 		t.Fatalf("far firings %v, want %v", got, ats)
@@ -351,9 +352,10 @@ func TestWheelFootprint(t *testing.T) {
 	}
 }
 
-// TestWheelCancelAfterCascade cancels an event that has been cascaded
-// out of its original upper-level slot but has not fired: the Handle's
-// recorded position must track the event through relocation.
+// TestWheelCancelAfterCascade stops a timer whose event has been
+// cascaded out of its original upper-level slot but has not fired: the
+// event's recorded position must track it through relocation, and the
+// re-armed timer must file afresh and fire once.
 func TestWheelCancelAfterCascade(t *testing.T) {
 	e := New()
 	var got []Time
@@ -362,22 +364,31 @@ func TestWheelCancelAfterCascade(t *testing.T) {
 	// 1 (all have digit 1 at level 1 from time 0). Firing L+70 advances
 	// the clock into the slot and cascades the other two to level 0.
 	const l = wheel0Slots * tick
-	e.At(l+70*tick, "a", rec)
-	h := e.At(l+100*tick, "b", func() { t.Fatal("cancelled event fired") })
-	if h.ev.index != wheel0Slots+1 {
-		t.Fatalf("event filed at index %d, want level-1 slot 1", h.ev.index)
+	e.At(l+70*tick, rec)
+	stopped := true
+	tm := e.NewTimer("b", func() {
+		if stopped {
+			t.Fatal("stopped timer fired")
+		}
+		rec()
+	})
+	tm.Arm(l + 100*tick)
+	if tm.ev.index != wheel0Slots+1 {
+		t.Fatalf("timer filed at index %d, want level-1 slot 1", tm.ev.index)
 	}
-	e.At(l+101*tick, "c", rec)
+	e.At(l+101*tick, rec)
 	e.Run(l + 71*tick) // fire L+70 only; the other two have cascaded
-	if !h.Scheduled() || h.ev.index >= wheel0Slots {
-		t.Fatalf("cascaded event: Scheduled=%v index=%d, want level 0", h.Scheduled(), h.ev.index)
+	if !tm.Armed() || tm.ev.index >= wheel0Slots {
+		t.Fatalf("cascaded timer: Armed=%v index=%d, want level 0", tm.Armed(), tm.ev.index)
 	}
-	h.Cancel()
-	if h.Scheduled() || e.Pending() != 1 {
-		t.Fatalf("after cancel: Scheduled=%v Pending=%d", h.Scheduled(), e.Pending())
+	tm.Stop()
+	if tm.Armed() || e.Pending() != 1 {
+		t.Fatalf("after stop: Armed=%v Pending=%d", tm.Armed(), e.Pending())
 	}
+	stopped = false
+	tm.Arm(l + 200*tick)
 	e.Run(Second)
-	if want := []Time{l + 70*tick, l + 101*tick}; !slices.Equal(got, want) {
+	if want := []Time{l + 70*tick, l + 101*tick, l + 200*tick}; !slices.Equal(got, want) {
 		t.Fatalf("fired %v, want %v", got, want)
 	}
 }
@@ -398,9 +409,9 @@ func TestWheelTimerRearmCurrentSlot(t *testing.T) {
 			tm.Arm(e.Now()) // same timestamp, same slot, mid-drain
 		}
 	})
-	e.At(50, "first", func() { order = append(order, "first") })
+	e.At(50, func() { order = append(order, "first") })
 	tm.Arm(50)
-	e.At(50, "after-timer", func() { order = append(order, "after") })
+	e.At(50, func() { order = append(order, "after") })
 	e.Run(100)
 	if want := []string{"first", "timer", "after", "timer"}; !slices.Equal(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
@@ -420,7 +431,7 @@ func TestWheelCoarseGranularityOrder(t *testing.T) {
 	rng := NewRNG(99)
 	var got []Time
 	for i := 0; i < 500; i++ {
-		e.At(Time(rng.Intn(3_000_000)), "ev", func() { got = append(got, e.Now()) })
+		e.At(Time(rng.Intn(3_000_000)), func() { got = append(got, e.Now()) })
 	}
 	e.Run(4 * Millisecond)
 	if len(got) != 500 {
@@ -437,12 +448,12 @@ func TestWheelCoarseGranularityOrder(t *testing.T) {
 func TestEngineSameTimestampBatchWithInsertions(t *testing.T) {
 	e := New()
 	var order []int
-	e.At(10, "a", func() {
+	e.At(10, func() {
 		order = append(order, 1)
-		e.At(10, "c", func() { order = append(order, 3) })
+		e.At(10, func() { order = append(order, 3) })
 	})
-	e.At(10, "b", func() { order = append(order, 2) })
-	e.At(20, "d", func() { order = append(order, 4) })
+	e.At(10, func() { order = append(order, 2) })
+	e.At(20, func() { order = append(order, 4) })
 	e.Run(100)
 	if want := []int{1, 2, 3, 4}; !slices.Equal(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)

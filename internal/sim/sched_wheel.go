@@ -10,7 +10,7 @@ import "math/bits"
 // slot of upper level l (1-based) spans wheel0Slots·wheelSlots^(l-1)
 // ticks. Events hang off per-slot intrusive doubly-linked lists threaded
 // through the pooled Event's next/prev fields and terminated by nil;
-// each slot is a 16-byte {head, tail} pair, so schedule and cancel are
+// each slot is a 16-byte {head, tail} pair, so schedule and unlink are
 // O(1) pointer splices with zero allocation. Occupancy bitmaps make
 // "find the next non-empty slot" a TrailingZeros64 per level: one word
 // per upper level, and for level 0 a summary word over 64 words, so the

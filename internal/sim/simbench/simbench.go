@@ -1,11 +1,10 @@
 // Package simbench holds the engine micro-benchmark bodies in one
-// place, shared by `go test -bench` (internal/sim and the repository
+// place, shared by `go test -bench` (this package and the repository
 // root) and by perfbench's probe, so every harness measures the same
 // loops. It is a separate package so internal/sim itself never imports
 // testing. The loops that must not allocate also have op constructors
-// (NewScheduleFireDepth64, NewSpreadDepth512, NewCancelHeavy,
-// NewRTOChurn), which the package's tests run under
-// testing.AllocsPerRun.
+// (NewScheduleFireDepth64, NewSpreadDepth512, NewRTOChurn), which the
+// package's tests run under testing.AllocsPerRun.
 //
 // Reference point: the seed engine (heap-allocated events through
 // container/heap) measured ~81 ns and 1 alloc per schedule→fire on the
@@ -26,7 +25,7 @@ func ScheduleFire(b *testing.B) {
 	fn := func() {}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.After(10, "ev", fn)
+		e.After(10, fn)
 		e.Step()
 	}
 }
@@ -39,7 +38,7 @@ func ScheduleFireClosure(b *testing.B) {
 	n := 0
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e.After(10, "ev", func() { n += i })
+		e.After(10, func() { n += i })
 		e.Step()
 	}
 }
@@ -54,10 +53,10 @@ func NewScheduleFireDepth64() func() {
 	e := sim.New()
 	fn := func() {}
 	for i := 0; i < 64; i++ {
-		e.After(sim.Time(1000+i), "standing", fn)
+		e.After(sim.Time(1000+i), fn)
 	}
 	return func() {
-		e.After(10, "ev", fn)
+		e.After(10, fn)
 		e.Step()
 	}
 }
@@ -79,11 +78,11 @@ func NewSpreadDepth512() func() {
 		return sim.Microsecond + sim.Time(rng.Intn(int(99*sim.Microsecond)+1))
 	}
 	for i := 0; i < 512; i++ {
-		e.After(delay(), "spread", fn)
+		e.After(delay(), fn)
 	}
 	return func() {
 		e.Step()
-		e.After(delay(), "spread", fn)
+		e.After(delay(), fn)
 	}
 }
 
@@ -98,38 +97,6 @@ func TimerRearm(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Step()
-	}
-}
-
-// Cancel measures schedule→cancel→recycle (the rto-style churn pattern
-// before timers; still used for one-shot aborts).
-func Cancel(b *testing.B) {
-	e := sim.New()
-	fn := func() {}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		h := e.After(10, "ev", fn)
-		h.Cancel()
-	}
-}
-
-// CancelHeavy measures cancellation under a standing load: 64 queued
-// events spread over the near future while one-shot events are
-// scheduled and aborted. The heap pays an O(log n) re-sift per cancel
-// here; the wheel unlinks in O(1).
-func CancelHeavy(b *testing.B) { run(b, NewCancelHeavy()) }
-
-// NewCancelHeavy queues the standing load and returns one op: schedule
-// a one-shot event and cancel it.
-func NewCancelHeavy() func() {
-	e := sim.New()
-	fn := func() {}
-	for i := 0; i < 64; i++ {
-		e.After(sim.Time(100_000+i*1000), "standing", fn)
-	}
-	return func() {
-		h := e.After(50, "ev", fn)
-		h.Cancel()
 	}
 }
 

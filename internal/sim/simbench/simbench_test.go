@@ -11,13 +11,11 @@ func BenchmarkScheduleFireClosure(b *testing.B) { ScheduleFireClosure(b) }
 func BenchmarkScheduleFireDepth64(b *testing.B) { ScheduleFireDepth64(b) }
 func BenchmarkSpreadDepth512(b *testing.B)      { SpreadDepth512(b) }
 func BenchmarkTimerRearm(b *testing.B)          { TimerRearm(b) }
-func BenchmarkCancel(b *testing.B)              { Cancel(b) }
-func BenchmarkCancelHeavy(b *testing.B)         { CancelHeavy(b) }
 func BenchmarkRTOChurn(b *testing.B)            { RTOChurn(b) }
 
 // The loaded-queue rows must stay allocation-free once warm (AllocsPerRun
 // runs each op once before counting), like the bare schedule→fire,
-// cancel and re-arm loops internal/sim gates.
+// stop and re-arm loops internal/sim gates.
 func TestLoadedQueueOpsZeroAlloc(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -25,7 +23,6 @@ func TestLoadedQueueOpsZeroAlloc(t *testing.T) {
 	}{
 		{"schedule_fire_depth64", NewScheduleFireDepth64()},
 		{"spread_depth512", NewSpreadDepth512()},
-		{"cancel_heavy", NewCancelHeavy()},
 		{"rto_churn", NewRTOChurn()},
 	} {
 		if allocs := testing.AllocsPerRun(1000, c.op); allocs != 0 {

@@ -6,23 +6,24 @@ package sim
 // ticks — hold one Timer instead of scheduling a fresh closure per
 // firing, so the steady state allocates nothing.
 //
-// Arming an already-armed timer moves it (the old firing is superseded),
-// exactly like Cancel-then-reschedule but without queue churn: the event
-// is re-keyed where it sits. Each re-arm consumes a fresh sequence
-// number, so ties against other events resolve as if the timer had just
-// been scheduled — semantics identical to the fresh-event pattern it
-// replaces, which is what keeps the refactor byte-deterministic.
+// A Timer is also the only way to take a scheduled firing back: Stop
+// unlinks it from the queue. Arming an already-armed timer moves it
+// (the old firing is superseded) without queue churn: the event is
+// re-keyed where it sits. Each re-arm consumes a fresh sequence number,
+// so ties against other events resolve as if the timer had just been
+// scheduled — the same order a fresh event would take.
 type Timer struct {
 	eng *Engine
 	ev  Event
 }
 
-// NewTimer creates a timer that runs fn when it fires. The callback is
-// fixed for the timer's lifetime; per-firing state belongs on the
-// component the callback is a method of. The timer starts unarmed.
+// NewTimer creates a timer that runs fn when it fires, its firings
+// named name in the label table (see Bind). The callback is fixed for
+// the timer's lifetime; per-firing state belongs on the component the
+// callback is a method of. The timer starts unarmed.
 func (e *Engine) NewTimer(name string, fn func()) *Timer {
 	t := &Timer{eng: e}
-	t.ev = Event{eng: e, name: name, fn: fn, index: -1, timer: true}
+	t.ev = Event{fn: fn, index: -1, label: e.newLabel(name), timer: true}
 	e.timers++
 	return t
 }
@@ -35,7 +36,7 @@ func (e *Engine) Timers() int { return e.timers }
 func (t *Timer) Arm(at Time) {
 	e := t.eng
 	if at < e.now {
-		panic("sim: timer " + t.ev.name + " armed in the past")
+		panic("sim: timer " + t.eng.label(t.ev.label) + " armed in the past")
 	}
 	e.seq++
 	t.ev.at, t.ev.seq = at, e.seq
@@ -49,7 +50,7 @@ func (t *Timer) Arm(at Time) {
 // ArmAfter schedules (or reschedules) the timer d nanoseconds from now.
 func (t *Timer) ArmAfter(d Time) {
 	if d < 0 {
-		panic("sim: timer " + t.ev.name + " armed with negative delay")
+		panic("sim: timer " + t.eng.label(t.ev.label) + " armed with negative delay")
 	}
 	t.Arm(t.eng.now + d)
 }
@@ -62,10 +63,10 @@ func (t *Timer) ArmAfter(d Time) {
 func (t *Timer) ArmKeyed(at Time, key uint64) {
 	e := t.eng
 	if at < e.now {
-		panic("sim: timer " + t.ev.name + " armed in the past")
+		panic("sim: timer " + t.eng.label(t.ev.label) + " armed in the past")
 	}
 	if key&SeqBand == 0 {
-		panic("sim: timer " + t.ev.name + " armed with keyless sequence")
+		panic("sim: timer " + t.eng.label(t.ev.label) + " armed with keyless sequence")
 	}
 	t.ev.at, t.ev.seq = at, key
 	if t.ev.index >= 0 {

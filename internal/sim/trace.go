@@ -1,6 +1,8 @@
 package sim
 
-// TraceEntry is one fired event in the engine's trace ring.
+// TraceEntry is one fired event in the engine's trace ring: when it
+// fired and the label its callback was bound under ("" for a raw
+// callback).
 type TraceEntry struct {
 	At   Time
 	Name string
@@ -24,14 +26,6 @@ func (e *Engine) Attach(n int) *Tracer {
 	e.tracer = &Tracer{buf: make([]TraceEntry, 0, n)}
 	return e.tracer
 }
-
-// Detach removes the tracer.
-func (e *Engine) Detach() { e.tracer = nil }
-
-// Traced reports whether a tracer is attached. Hot paths use it to
-// skip building decorated event names (a per-event string allocation)
-// when nobody is recording them.
-func (e *Engine) Traced() bool { return e.tracer != nil }
 
 func (tr *Tracer) record(at Time, name string) {
 	tr.count++

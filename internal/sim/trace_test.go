@@ -6,7 +6,7 @@ func TestTracerRecordsFiredEvents(t *testing.T) {
 	e := New()
 	tr := e.Attach(4)
 	for i := 0; i < 3; i++ {
-		e.After(Time(10*(i+1)), "ev", func() {})
+		e.After(Time(10*(i+1)), func() {})
 	}
 	e.Run(Second)
 	if tr.Count() != 3 {
@@ -22,7 +22,7 @@ func TestTracerRingWraps(t *testing.T) {
 	e := New()
 	tr := e.Attach(4)
 	for i := 1; i <= 10; i++ {
-		e.After(Time(i), "ev", func() {})
+		e.After(Time(i), func() {})
 	}
 	e.Run(Second)
 	if tr.Count() != 10 {
@@ -46,25 +46,13 @@ func TestTracerRingWraps(t *testing.T) {
 func TestTracerCancelledEventsNotRecorded(t *testing.T) {
 	e := New()
 	tr := e.Attach(8)
-	ev := e.After(10, "cancelled", func() {})
-	ev.Cancel()
-	e.After(20, "kept", func() {})
+	tm := e.NewTimer("stopped", func() {})
+	tm.ArmAfter(10)
+	tm.Stop()
+	e.After(20, func() {})
 	e.Run(Second)
 	if tr.Count() != 1 {
-		t.Fatalf("Count = %d, cancelled event recorded", tr.Count())
-	}
-}
-
-func TestDetachStopsRecording(t *testing.T) {
-	e := New()
-	tr := e.Attach(8)
-	e.After(10, "a", func() {})
-	e.Run(15)
-	e.Detach()
-	e.After(10, "b", func() {})
-	e.Run(Second)
-	if tr.Count() != 1 {
-		t.Fatalf("Count = %d after detach", tr.Count())
+		t.Fatalf("Count = %d, stopped timer recorded", tr.Count())
 	}
 }
 
@@ -79,20 +67,24 @@ func TestTracerDefaultCapacity(t *testing.T) {
 func TestTracerStep(t *testing.T) {
 	e := New()
 	tr := e.Attach(4)
-	e.After(5, "s", func() {})
+	e.After(5, func() {})
 	e.Step()
 	if tr.Count() != 1 {
 		t.Fatal("Step not traced")
 	}
 }
 
-func TestTraced(t *testing.T) {
+// TestTracerNamesEvents: the recorder names each firing by the label
+// of the Fn or Timer that scheduled it.
+func TestTracerNamesEvents(t *testing.T) {
 	e := New()
-	if e.Traced() {
-		t.Fatal("fresh engine reports a tracer")
-	}
-	e.Attach(4)
-	if !e.Traced() {
-		t.Fatal("Attach did not install a tracer")
+	tr := e.Attach(4)
+	tm := e.NewTimer("layer.timer", func() {})
+	e.AfterFn(10, e.Bind("layer.bound", func() {}))
+	tm.ArmAfter(20)
+	e.Run(Second)
+	last := tr.Last(2)
+	if len(last) != 2 || last[0].Name != "layer.bound" || last[1].Name != "layer.timer" {
+		t.Fatalf("Last(2) = %v, want layer.bound then layer.timer", last)
 	}
 }

@@ -87,7 +87,7 @@ func (p Profile) Sum() float64 {
 }
 
 // Table renders rows of labelled columns as an aligned text table; it is
-// the common output path for cmd/cdnatables and the examples.
+// the common output path for cmd/cdnatables.
 type Table struct {
 	Header []string
 	Rows   [][]string

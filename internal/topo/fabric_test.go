@@ -185,7 +185,7 @@ func TestFabricInvariantsProperty(t *testing.T) {
 				f := &ether.Frame{Src: r.macs[src], Dst: r.macs[dst], Size: 200 + rng.Intn(1300), Payload: i}
 				at += sim.Time(rng.Intn(6000))
 				ii, ff := src, f
-				r.eng.At(at, "test.offer", func() { r.ups[ii].Send(ff) })
+				r.eng.At(at, func() { r.ups[ii].Send(ff) })
 			}
 			r.eng.Run(at + sim.Second)
 			r.drain()
@@ -271,7 +271,7 @@ func TestFabricECMPDeterminism(t *testing.T) {
 			f := &ether.Frame{Src: r.macs[src], Dst: r.macs[dst], Size: 300 + rng.Intn(1000), Payload: i}
 			at += sim.Time(rng.Intn(20000))
 			ii, ff := src, f
-			r.eng.At(at, "test.offer", func() { r.ups[ii].Send(ff) })
+			r.eng.At(at, func() { r.ups[ii].Send(ff) })
 		}
 		r.eng.Run(at + sim.Second)
 		r.drain()

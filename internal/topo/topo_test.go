@@ -212,7 +212,7 @@ func TestSwitchVsBridgeDifferential(t *testing.T) {
 			for _, ev := range sched {
 				at += ev.gap
 				ev := ev
-				eng.At(at, "test.input", func() { sw.Input(ev.in, ev.f) })
+				eng.At(at, func() { sw.Input(ev.in, ev.f) })
 			}
 			eng.Run(at + sim.Second)
 
@@ -273,7 +273,7 @@ func TestSwitchFabricInvariantsProperty(t *testing.T) {
 				f := &ether.Frame{Src: r.macs[src], Dst: r.macs[dst], Size: 200 + rng.Intn(1300), Payload: i}
 				at += sim.Time(rng.Intn(6000)) // ~3us mean gap < 12us line slot: overload
 				ii, ff := src, f
-				r.eng.At(at, "test.offer", func() { r.ups[ii].Send(ff) })
+				r.eng.At(at, func() { r.ups[ii].Send(ff) })
 			}
 			r.eng.Run(at + sim.Second)
 			r.drain()

@@ -22,13 +22,13 @@ func (w *directWire) dataPath(c *Conn) func(*Segment) {
 		if w.dropEvery > 0 && w.sent%w.dropEvery == 0 {
 			return // dropped on the floor
 		}
-		w.eng.After(w.delay, "wire.data", func() { Dispatch(s) })
+		w.eng.After(w.delay, func() { Dispatch(s) })
 	}
 }
 
 func (w *directWire) ackPath(c *Conn) func(*Segment) {
 	return func(s *Segment) {
-		w.eng.After(w.delay, "wire.ack", func() { Dispatch(s) })
+		w.eng.After(w.delay, func() { Dispatch(s) })
 	}
 }
 

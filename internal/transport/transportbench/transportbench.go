@@ -24,14 +24,14 @@ func Segment(b *testing.B) {
 	c := transport.NewConn(eng, 0, transport.DefaultSegSize, 32)
 	c.SetPool(pool)
 	var wire sim.FIFO[*transport.Segment]
-	deliver := eng.Bind(func() {
+	deliver := eng.Bind("wire", func() {
 		s := wire.Pop()
 		transport.Dispatch(s)
 		s.Release()
 	})
 	send := func(s *transport.Segment) {
 		wire.Push(s)
-		eng.AfterFn(10*sim.Microsecond, "wire", deliver)
+		eng.AfterFn(10*sim.Microsecond, deliver)
 	}
 	c.AttachSender(send)
 	c.AttachReceiver(send)

@@ -137,26 +137,26 @@ func (g *Generator) Add(ep Endpoint) error {
 	e.head = *e.rng
 	switch g.spec.Kind {
 	case Bulk:
-		e.startFn = g.eng.Bind(ep.Fwd.Start)
+		e.startFn = g.eng.Bind("conn.start", ep.Fwd.Start)
 	case RequestResponse:
 		e.timer = g.eng.NewTimer("workload.think", e.issue)
-		e.startFn = g.eng.Bind(e.issue)
+		e.startFn = g.eng.Bind("workload.issue", e.issue)
 		ep.Fwd.OnMark = e.serve
 		ep.Rev.OnMark = e.onResponse
 	case Churn:
 		e.timer = g.eng.NewTimer("workload.gap", e.openFlow)
-		e.startFn = g.eng.Bind(e.openFlow)
+		e.startFn = g.eng.Bind("workload.flow", e.openFlow)
 		ep.Fwd.OnSendComplete = e.onFlowDone
 	case Burst:
 		e.timer = g.eng.NewTimer("workload.burst", e.togglePhase)
-		e.startFn = g.eng.Bind(e.startBurst)
+		e.startFn = g.eng.Bind("conn.start", e.startBurst)
 	case Poisson, Pareto:
 		e.timer = g.eng.NewTimer("workload.arrival", e.onArrival)
-		e.startFn = g.eng.Bind(e.startOpenLoop)
+		e.startFn = g.eng.Bind("workload.arrival", e.startOpenLoop)
 		ep.Fwd.OnSendComplete = e.onOpenFlowDone
 	case Trace:
 		e.timer = g.eng.NewTimer("workload.arrival", e.onTraceArrival)
-		e.startFn = g.eng.Bind(e.startTrace)
+		e.startFn = g.eng.Bind("workload.arrival", e.startTrace)
 		ep.Fwd.OnSendComplete = e.onOpenFlowDone
 	}
 	g.eps = append(g.eps, e)
@@ -172,20 +172,9 @@ func (g *Generator) Launch(warmup sim.Time) {
 	if g.spec.Kind == Trace {
 		g.traceSkipped = assignTrace(g.trace, g.eps)
 	}
-	var name string
-	switch g.spec.Kind {
-	case Bulk, Burst:
-		name = "conn.start"
-	case RequestResponse:
-		name = "workload.issue"
-	case Churn:
-		name = "workload.flow"
-	case Poisson, Pareto, Trace:
-		name = "workload.arrival"
-	}
 	n := len(g.eps)
 	for i, e := range g.eps {
-		g.eng.AtFn(launchAt(warmup, i, n), name, e.startFn)
+		g.eng.AtFn(launchAt(warmup, i, n), e.startFn)
 	}
 }
 

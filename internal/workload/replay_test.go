@@ -144,7 +144,7 @@ func runReplayDiff(t *testing.T, spec Spec, seed uint64) {
 				done()
 				return
 			}
-			eng.After(sim.Time(delays.Intn(3000))*sim.Microsecond, "test.done", done)
+			eng.After(sim.Time(delays.Intn(3000))*sim.Microsecond, done)
 		}
 	}
 	g.Launch(warmup)

@@ -14,10 +14,10 @@ import (
 func loop(eng *sim.Engine, window int) *transport.Conn {
 	c := transport.NewConn(eng, 0, transport.DefaultSegSize, window)
 	c.AttachSender(func(s *transport.Segment) {
-		eng.After(10*sim.Microsecond, "wire.data", func() { transport.Dispatch(s) })
+		eng.After(10*sim.Microsecond, func() { transport.Dispatch(s) })
 	})
 	c.AttachReceiver(func(s *transport.Segment) {
-		eng.After(10*sim.Microsecond, "wire.ack", func() { transport.Dispatch(s) })
+		eng.After(10*sim.Microsecond, func() { transport.Dispatch(s) })
 	})
 	return c
 }

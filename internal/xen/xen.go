@@ -87,7 +87,7 @@ type Hypervisor struct {
 // mode configures the CDNA engine; pure Xen setups simply never use it.
 func New(eng *sim.Engine, c *cpu.CPU, m *mem.Memory, p Params, mode core.Mode) *Hypervisor {
 	h := &Hypervisor{Eng: eng, CPU: c, Mem: m, Params: p, nextDomID: mem.Dom0}
-	h.faultFn = eng.Bind(h.serviceFault)
+	h.faultFn = eng.Bind("cdna.fault", h.serviceFault)
 	h.Prot = core.NewProtection(m, mode)
 	h.CtxMgr = core.NewContextManager(h.Prot)
 	return h
@@ -119,14 +119,10 @@ func (h *Hypervisor) Domains() []*Domain { return h.domains }
 
 // Hypercall runs fn in the domain's context with the given cost charged
 // to the hypervisor category (on top of the fixed hypercall base cost).
-// The hc: flight-recorder prefix is only rendered when someone is
-// recording, keeping the per-hypercall path allocation-free (the same
-// convention internal/cpu uses for task names).
-func (d *Domain) Hypercall(extra sim.Time, name string, fn sim.Fn) {
-	if d.hyp.Eng.Traced() {
-		name = "hc:" + name
-	}
-	d.VCPU.Exec(cpu.CatHyp, d.hyp.Params.HypercallBase+extra, name, fn)
+// The event carries fn's label; callers bind hypercall callbacks under
+// an "hc:" name.
+func (d *Domain) Hypercall(extra sim.Time, fn sim.Fn) {
+	d.VCPU.Exec(cpu.CatHyp, d.hyp.Params.HypercallBase+extra, fn)
 }
 
 // EventChannel is a Xen event channel bound to a handler in a target
@@ -139,11 +135,10 @@ type EventChannel struct {
 	handler func()
 	pending bool
 
-	// Delivery/send callbacks and the rendered virq event name, built
-	// once at NewChannel so Notify allocates nothing per interrupt.
+	// Delivery/send callbacks, bound once at NewChannel so Notify
+	// allocates nothing per interrupt.
 	deliverFn sim.Fn
 	notifyFn  sim.Fn
-	virqName  string
 
 	Notifies stats.Counter // send attempts
 	Merged   stats.Counter // sends coalesced onto a pending event
@@ -151,9 +146,9 @@ type EventChannel struct {
 
 // NewChannel creates an event channel delivering to handler in target.
 func (h *Hypervisor) NewChannel(target *Domain, name string, handler func()) *EventChannel {
-	ch := &EventChannel{Name: name, target: target, handler: handler, virqName: "virq:" + name}
-	ch.deliverFn = h.Eng.Bind(ch.deliver)
-	ch.notifyFn = h.Eng.Bind(ch.Notify)
+	ch := &EventChannel{Name: name, target: target, handler: handler}
+	ch.deliverFn = h.Eng.Bind("virq:"+name, ch.deliver)
+	ch.notifyFn = h.Eng.Bind("evtchn_send", ch.Notify)
 	return ch
 }
 
@@ -169,7 +164,7 @@ func (ch *EventChannel) Notify() {
 	ch.pending = true
 	d := ch.target
 	d.Virqs.Inc()
-	d.VCPU.ExecFront(cpu.CatKernel, d.hyp.Params.VirqDeliver, ch.virqName, ch.deliverFn)
+	d.VCPU.ExecFront(cpu.CatKernel, d.hyp.Params.VirqDeliver, ch.deliverFn)
 }
 
 func (ch *EventChannel) deliver() {
@@ -181,27 +176,26 @@ func (ch *EventChannel) deliver() {
 // hypercall): the sender is charged VirqSend in hypervisor category,
 // then the notification is delivered.
 func (ch *EventChannel) NotifyFromGuest(sender *Domain) {
-	sender.VCPU.Exec(cpu.CatHyp, sender.hyp.Params.VirqSend, "evtchn_send", ch.notifyFn)
+	sender.VCPU.Exec(cpu.CatHyp, sender.hyp.Params.VirqSend, ch.notifyFn)
 }
 
 // IRQLine is a physical interrupt routed through the hypervisor.
 type IRQLine struct {
-	Name    string
 	hyp     *Hypervisor
 	handler sim.Fn // runs in ISR (hypervisor) context
 }
 
 // NewIRQ allocates an interrupt line whose handler runs in the
-// hypervisor's ISR context.
+// hypervisor's ISR context, its events named "irq:" + name.
 func (h *Hypervisor) NewIRQ(name string, handler func()) *IRQLine {
-	return &IRQLine{Name: "irq:" + name, hyp: h, handler: h.Eng.Bind(handler)}
+	return &IRQLine{hyp: h, handler: h.Eng.Bind("irq:"+name, handler)}
 }
 
 // Raise fields the physical interrupt: the hypervisor's ISR runs at the
 // next task boundary and invokes the handler.
 func (l *IRQLine) Raise() {
 	l.hyp.PhysIRQs.Inc()
-	l.hyp.CPU.ExecISR(l.hyp.Params.ISRCost, l.Name, l.handler)
+	l.hyp.CPU.ExecISR(l.hyp.Params.ISRCost, l.handler)
 }
 
 // StartTimers begins periodic timer ticks: a hypervisor timer ISR plus a
@@ -210,11 +204,12 @@ func (l *IRQLine) Raise() {
 // CDNA rows is exactly this kind of non-networking activity. The tick
 // is one sim.Timer re-armed in place for the life of the run.
 func (h *Hypervisor) StartTimers() {
+	isr, tick := h.Eng.Bind("timer", nil), h.Eng.Bind("tick", nil)
 	var tm *sim.Timer
 	tm = h.Eng.NewTimer("timer.tick", func() {
-		h.CPU.ExecISR(h.Params.TickISR, "timer", sim.Fn{})
+		h.CPU.ExecISR(h.Params.TickISR, isr)
 		for _, d := range h.domains {
-			d.VCPU.Exec(cpu.CatKernel, h.Params.TickCost, "tick", sim.Fn{})
+			d.VCPU.Exec(cpu.CatKernel, h.Params.TickCost, tick)
 		}
 		tm.ArmAfter(h.Params.TickPeriod)
 	})
@@ -226,7 +221,7 @@ func (h *Hypervisor) StartTimers() {
 // CDNAEnqueueCost is the charged cost of a cdna_enqueue hypercall for a
 // descriptor batch (§3.3): it scales with the number of descriptors and
 // the pages they span. The guest driver issues the hypercall itself —
-// d.Hypercall(cost, "cdna_enqueue", fn) with its own bound callback —
+// d.Hypercall(cost, fn) with its own bound callback —
 // so the pending operation lives in the driver's queue instead of a
 // per-call capturing closure.
 func (d *Domain) CDNAEnqueueCost(descs []ring.Desc) sim.Time {
@@ -270,7 +265,7 @@ type BitVecDecoder struct {
 // bit-vector queue.
 func (h *Hypervisor) NewBitVecDecoder(q *core.BitVectorQueue, channels []*EventChannel) *BitVecDecoder {
 	d := &BitVecDecoder{hyp: h, q: q, channels: channels}
-	d.decodeFn = h.Eng.Bind(d.decode)
+	d.decodeFn = h.Eng.Bind("cdna.bitvec", d.decode)
 	return d
 }
 
@@ -288,7 +283,7 @@ func (d *BitVecDecoder) HandleIRQ() {
 		return
 	}
 	d.pend.Push(bits)
-	d.hyp.CPU.ExecISR(d.hyp.Params.BitvecBase+sim.Time(n)*d.hyp.Params.BitvecPerCtx, "cdna.bitvec", d.decodeFn)
+	d.hyp.CPU.ExecISR(d.hyp.Params.BitvecBase+sim.Time(n)*d.hyp.Params.BitvecPerCtx, d.decodeFn)
 }
 
 func (d *BitVecDecoder) decode() {
@@ -312,7 +307,7 @@ func (h *Hypervisor) HandleFault(cm *core.ContextManager, f *core.Fault) {
 	}
 	h.Faults.Inc()
 	h.pendFaults.Push(faultOp{cm: cm, f: f})
-	h.CPU.ExecISR(h.Params.ISRCost, "cdna.fault", h.faultFn)
+	h.CPU.ExecISR(h.Params.ISRCost, h.faultFn)
 }
 
 func (h *Hypervisor) serviceFault() {

@@ -37,7 +37,7 @@ func TestHypercallChargedToHypervisor(t *testing.T) {
 	g := h.NewDomain("g", cpu.KindGuest)
 	h.CPU.StartWindow()
 	ran := false
-	g.Hypercall(sim.Microsecond, "test", sim.RawFn(func() { ran = true }))
+	g.Hypercall(sim.Microsecond, sim.RawFn(func() { ran = true }))
 	eng.Run(sim.Millisecond)
 	h.CPU.EndWindow()
 	if !ran {
@@ -85,7 +85,7 @@ func TestNotifyFromGuestChargesSender(t *testing.T) {
 	d0 := h.NewDomain("driver", cpu.KindDriver)
 	ch := h.NewChannel(d0, "back", func() {})
 	h.CPU.StartWindow()
-	g.VCPU.Exec(cpu.CatKernel, sim.Microsecond, "work", sim.RawFn(func() {
+	g.VCPU.Exec(cpu.CatKernel, sim.Microsecond, sim.RawFn(func() {
 		ch.NotifyFromGuest(g)
 	}))
 	eng.Run(sim.Millisecond)
@@ -139,7 +139,7 @@ func TestCDNAEnqueueHypercall(t *testing.T) {
 	descs := []ring.Desc{{Addr: buf.Base(), Len: 1514}}
 	var gotN int
 	var gotErr error
-	g.Hypercall(g.CDNAEnqueueCost(descs), "cdna_enqueue", sim.RawFn(func() {
+	g.Hypercall(g.CDNAEnqueueCost(descs), sim.RawFn(func() {
 		gotN, gotErr = g.CDNAValidate(r, descs)
 	}))
 	eng.Run(sim.Millisecond)
@@ -161,7 +161,7 @@ func TestCDNAEnqueueRejectsForeign(t *testing.T) {
 	buf := h.Mem.AllocOne(victim.ID)
 	descs := []ring.Desc{{Addr: buf.Base(), Len: 1514}}
 	var gotErr error
-	g.Hypercall(g.CDNAEnqueueCost(descs), "cdna_enqueue", sim.RawFn(func() {
+	g.Hypercall(g.CDNAEnqueueCost(descs), sim.RawFn(func() {
 		_, gotErr = g.CDNAValidate(r, descs)
 	}))
 	eng.Run(sim.Millisecond)
