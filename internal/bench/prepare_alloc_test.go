@@ -27,11 +27,11 @@ func prepareAllocBytes(t *testing.T, cfg Config) uint64 {
 }
 
 // TestPrepareAllocBudget gates the bytes one machine assembly allocates.
-// Most of a CDNA machine is its buffer pools' page-table entries, so
-// this catches a page table that regrows pointers or copies on growth,
-// or buffer pools that go back to slices of frame numbers. The 24-guest
-// budget is the measured 3.00 MB plus 5%. It must not run in parallel:
-// TotalAlloc is process-wide.
+// A CDNA machine's buffer pools put ~147k pages in the page table, so
+// this catches a page table that builds entries for untouched pages,
+// regrows pointers or copies on growth, or buffer pools that go back to
+// slices of frame numbers. The 24-guest budget is the measured 1.42 MB
+// plus 5%. It must not run in parallel: TotalAlloc is process-wide.
 func TestPrepareAllocBudget(t *testing.T) {
 	const mb = 1e6
 	for _, tc := range []struct {
@@ -39,7 +39,7 @@ func TestPrepareAllocBudget(t *testing.T) {
 		budget uint64
 	}{
 		{1, 1 * mb},
-		{24, 3.15 * mb},
+		{24, 1.49 * mb},
 	} {
 		cfg := DefaultConfig(ModeCDNA, NICRice, Tx)
 		cfg.Guests = tc.guests
@@ -77,14 +77,15 @@ func retainedHeapBytes(t *testing.T, cfg Config) uint64 {
 }
 
 // TestRetainedHeapBudget gates what a many-guest CDNA machine keeps
-// live after a Quick() window: its page table, rings, buffer pools (16-bit
-// page offsets) and per-context protection state (one pin word per
+// live after a Quick() window: its page table (built only for the
+// chunks whose pages changed), rings, buffer pools (16-bit page
+// offsets) and per-context protection state (one pin word per
 // outstanding descriptor, no pooled start-up descriptor image). The
-// budget is the measured 6.68 MB plus 5%. It must not run in parallel:
+// budget is the measured 5.51 MB plus 5%. It must not run in parallel:
 // the live heap is process-wide.
 func TestRetainedHeapBudget(t *testing.T) {
 	const mb = 1e6
-	const budget = 7.0 * mb
+	const budget = 5.8 * mb
 	cfg := Quick().apply(DefaultConfig(ModeCDNA, NICRice, Tx))
 	cfg.Guests = 24
 	cfg.ConnsPerGuestPerNIC = 0

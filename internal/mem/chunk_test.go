@@ -215,10 +215,14 @@ func TestHotPathsAllocateNothing(t *testing.T) {
 	addr := firstOfChunk1.Base() - 8
 	m.Write(addr, []byte{1, 2, 3, 4})
 	dst := make([]byte, 16)
+	run := m.AllocRun(guestA, 3*chunkPages) // run+chunkPages lies in a fresh chunk
+	freshAddr := (run + chunkPages).Base() - 8
 	for name, f := range map[string]func(){
-		"Get/Put":    func() { m.Get(firstOfChunk1); m.Put(firstOfChunk1) },
-		"RangeOwned": func() { m.RangeOwned(guestA, addr, 16) },
-		"ReadInto":   func() { m.ReadInto(addr, dst) },
+		"RangeOwned fresh": func() { m.RangeOwned(guestA, freshAddr, 16) },
+		"ReadInto fresh":   func() { m.ReadInto(freshAddr, dst) },
+		"Get/Put":          func() { m.Get(firstOfChunk1); m.Put(firstOfChunk1) },
+		"RangeOwned":       func() { m.RangeOwned(guestA, addr, 16) },
+		"ReadInto":         func() { m.ReadInto(addr, dst) },
 		"ReadInto unwritten": func() {
 			m.ReadInto(firstOfChunk1.Base()+PageSize-8, dst)
 		},

@@ -17,12 +17,16 @@
 // hardware without an IOMMU, which is the attack surface CDNA's
 // descriptor validation exists to close.
 //
-// The page table holds one entry per allocated frame — tens of
-// thousands on a many-guest machine, almost all of them never-written
-// buffer pages. Entries carry no pointers and live in fixed-size chunks,
-// so the garbage collector neither scans the table nor copies it as it
-// grows; the few pages that are ever written (descriptor rings, bit
-// vectors) keep their bytes in a separate side table.
+// The page table is built only where a page changes. A many-guest
+// machine allocates tens of thousands of buffer pages, and most of them
+// are never pinned, written, flipped or freed in a run. The table is
+// split into fixed-size chunks of pointer-free entries. A whole chunk
+// inside one AllocRun stays "fresh", recorded as its owner alone, until
+// one of its pages first changes; the read paths see a fresh chunk's
+// pages as owned, unpinned and never written. So the garbage collector
+// neither scans the table nor copies it as it grows, and the few pages
+// that are ever written (descriptor rings, bit vectors) keep their
+// bytes in a separate side table.
 package mem
 
 import (
@@ -74,10 +78,13 @@ var (
 )
 
 // Page-table chunk geometry. Entries live in fixed-size chunks that are
-// allocated when the table first reaches them, so growing the table
-// never copies an entry and an empty Memory holds no chunk at all.
+// allocated when one of their pages first changes, so growing the table
+// never copies an entry and an empty Memory holds no chunk at all. A
+// chunk is 64 pages (768 bytes): smaller chunks build fewer untouched
+// entries around each touched page, larger ones fewer chunk headers,
+// and 64 measured the least machine-assembly allocation (DESIGN.md).
 const (
-	chunkShift = 10
+	chunkShift = 6
 	chunkPages = 1 << chunkShift
 	chunkMask  = chunkPages - 1
 )
@@ -106,21 +113,23 @@ func ownerOf(dom DomID) int16 {
 // pageChunk is one fixed-size block of the page table.
 type pageChunk [chunkPages]page
 
-// Memory is the machine's physical memory. Fresh frame numbers are
+// fresh is the entry of every page in a fresh chunk: owned by owner,
+// unpinned, never written, not freed and not hypervisor-exclusive.
+func fresh(owner int16) page { return page{owner: owner} }
+
+// Memory is the machine's physical memory. New frame numbers are
 // handed out sequentially, so the page table is indexed by PFN: a
 // lookup on the DMA hot path (descriptor reads, payload writes,
 // ownership validation) is a shift and a mask into pointer-free chunks,
 // not a hash probe, and iteration order is inherently deterministic.
 type Memory struct {
-	chunks []*pageChunk // entry i is chunks[i>>chunkShift][i&chunkMask]
-	npages PFN          // table length and next fresh frame; entry 0 is never allocated
-	data   [][]byte     // contents of written pages, PageSize each
+	// Entry i is chunks[i>>chunkShift][i&chunkMask]. A nil chunk is
+	// fresh: every page in it reads as fresh(owners[i>>chunkShift]).
+	chunks []*pageChunk
+	owners []int16  // owner of each fresh chunk; unused once it is built
+	npages PFN      // table length and next new frame; entry 0 is never allocated
+	data   [][]byte // contents of written pages, PageSize each
 	freeQ  []PFN
-
-	// devWrites counts DMA-written bytes per owning domain (slice index
-	// DomID+1, so DomInvalid owners land in slot 0); diagnostics for
-	// the protection-off corruption demo.
-	devWrites []uint64
 }
 
 // New returns an empty physical memory. PFN 0 is never allocated, so
@@ -129,33 +138,42 @@ func New() *Memory {
 	return &Memory{npages: 1}
 }
 
-// DeviceWritten returns how many bytes devices (DMA) have written into
-// pages owned by dom.
-func (m *Memory) DeviceWritten(dom DomID) uint64 {
-	if i := int(dom) + 1; i >= 0 && i < len(m.devWrites) {
-		return m.devWrites[i]
+// peek returns the entry for pfn by value, reading a fresh chunk
+// without building it; ok is false if pfn was never allocated. Every
+// read path goes through peek.
+func (m *Memory) peek(pfn PFN) (pg page, ok bool) {
+	if pfn == 0 || pfn >= m.npages {
+		return page{}, false
 	}
-	return 0
+	c := m.chunks[pfn>>chunkShift]
+	if c == nil {
+		return fresh(m.owners[pfn>>chunkShift]), true
+	}
+	return c[pfn&chunkMask], true
 }
 
-// countDeviceWrite charges n DMA-written bytes to owner dom.
-func (m *Memory) countDeviceWrite(dom DomID, n int) {
-	i := int(dom) + 1
-	if i < 0 {
-		return
-	}
-	for i >= len(m.devWrites) {
-		m.devWrites = append(m.devWrites, 0)
-	}
-	m.devWrites[i] += uint64(n)
-}
-
-// lookup returns the page for pfn, or nil if it was never allocated.
+// lookup returns the page for pfn, building its chunk if it is fresh,
+// or nil if it was never allocated. Every mutator goes through lookup.
 func (m *Memory) lookup(pfn PFN) *page {
 	if pfn == 0 || pfn >= m.npages {
 		return nil
 	}
-	return &m.chunks[pfn>>chunkShift][pfn&chunkMask]
+	c := m.chunks[pfn>>chunkShift]
+	if c == nil {
+		c = m.build(pfn >> chunkShift)
+	}
+	return &c[pfn&chunkMask]
+}
+
+// build materializes fresh chunk i as entries, the first time one of
+// its pages changes.
+func (m *Memory) build(i PFN) *pageChunk {
+	c := new(pageChunk)
+	for j := range c {
+		c[j] = fresh(m.owners[i])
+	}
+	m.chunks[i] = c
+	return c
 }
 
 // appendPage adds a zero entry at the end of the page table, allocating
@@ -164,6 +182,7 @@ func (m *Memory) appendPage() *page {
 	i := m.npages
 	if int(i>>chunkShift) == len(m.chunks) {
 		m.chunks = append(m.chunks, new(pageChunk))
+		m.owners = append(m.owners, 0)
 	}
 	m.npages++
 	return &m.chunks[i>>chunkShift][i&chunkMask]
@@ -206,16 +225,25 @@ func (m *Memory) Alloc(dom DomID, n int) []PFN {
 }
 
 // AllocRun allocates n contiguous frames owned by dom and returns the
-// first. The frames are always fresh, never recycled ones, so [first,
+// first. The frames are always new, never recycled ones, so [first,
 // first+n) is one run that a descriptor ring or a buffer pool can
-// address by its base; no slice of frame numbers is built.
+// address by its base; no slice of frame numbers is built. Each whole,
+// aligned chunk inside the run is recorded by its owner alone and
+// built only when one of its pages changes; the partial chunks at
+// either end are built page by page.
 func (m *Memory) AllocRun(dom DomID, n int) PFN {
 	if n < 1 {
 		panic(fmt.Sprintf("mem: AllocRun of %d frames", n))
 	}
 	owner := ownerOf(dom)
 	first := m.npages
-	for range n {
+	for end := first + PFN(n); m.npages < end; {
+		if m.npages&chunkMask == 0 && end-m.npages >= chunkPages {
+			m.chunks = append(m.chunks, nil)
+			m.owners = append(m.owners, owner)
+			m.npages += chunkPages
+			continue
+		}
 		m.appendPage().owner = owner
 	}
 	return first
@@ -249,8 +277,8 @@ func (m *Memory) Free(dom DomID, pfn PFN) error {
 
 // Owner returns the owning domain, or DomInvalid for unknown/freed pages.
 func (m *Memory) Owner(pfn PFN) DomID {
-	pg := m.lookup(pfn)
-	if pg == nil {
+	pg, ok := m.peek(pfn)
+	if !ok {
 		return DomInvalid
 	}
 	return DomID(pg.owner)
@@ -286,10 +314,8 @@ func (m *Memory) Put(pfn PFN) error {
 
 // Refs returns the current reference count.
 func (m *Memory) Refs(pfn PFN) int {
-	if pg := m.lookup(pfn); pg != nil {
-		return int(pg.ref)
-	}
-	return 0
+	pg, _ := m.peek(pfn)
+	return int(pg.ref)
 }
 
 // Transfer moves ownership of a page from one domain to another (the page
@@ -324,8 +350,8 @@ func (m *Memory) SetHypExclusive(pfn PFN, on bool) error {
 
 // HypExclusive reports whether the page is hypervisor-exclusive.
 func (m *Memory) HypExclusive(pfn PFN) bool {
-	pg := m.lookup(pfn)
-	return pg != nil && pg.hypOnly
+	pg, _ := m.peek(pfn)
+	return pg.hypOnly
 }
 
 // RangeOwned reports whether every byte of [addr, addr+n) lies in pages
@@ -338,8 +364,8 @@ func (m *Memory) RangeOwned(dom DomID, addr Addr, n int) bool {
 		return false
 	}
 	for pfn := first; pfn < first+PFN(count); pfn++ {
-		pg := m.lookup(pfn)
-		if pg == nil || DomID(pg.owner) != dom || pg.freed {
+		pg, ok := m.peek(pfn)
+		if !ok || DomID(pg.owner) != dom || pg.freed {
 			return false
 		}
 	}
@@ -373,30 +399,18 @@ func RangeSpan(addr Addr, n int) (PFN, int) {
 	return first, int(last-first) + 1
 }
 
-func (m *Memory) pageFor(a Addr) (*page, error) {
-	pg := m.lookup(a.PFN())
-	if pg == nil {
-		return nil, fmt.Errorf("%w: pfn %d", ErrNoPage, a.PFN())
-	}
-	return pg, nil
-}
+// errNoPage wraps ErrNoPage with the frame that has no entry.
+func errNoPage(a Addr) error { return fmt.Errorf("%w: pfn %d", ErrNoPage, a.PFN()) }
 
 // Write stores bytes at addr with no permission checks: this is the
 // device/DMA path (hardware without an IOMMU can write anywhere).
 func (m *Memory) Write(addr Addr, b []byte) error {
-	return m.writeRaw(addr, b, true)
-}
-
-func (m *Memory) writeRaw(addr Addr, b []byte, device bool) error {
 	for len(b) > 0 {
-		pg, err := m.pageFor(addr)
-		if err != nil {
-			return err
+		pg := m.lookup(addr.PFN())
+		if pg == nil {
+			return errNoPage(addr)
 		}
 		n := copy(m.pageData(pg)[addr.Offset():], b)
-		if device {
-			m.countDeviceWrite(DomID(pg.owner), n)
-		}
 		b = b[n:]
 		addr += Addr(n)
 	}
@@ -414,8 +428,8 @@ func (m *Memory) WriteAs(dom DomID, addr Addr, b []byte) error {
 		last = first
 	}
 	for pfn := first; pfn <= last; pfn++ {
-		pg := m.lookup(pfn)
-		if pg == nil {
+		pg, ok := m.peek(pfn)
+		if !ok {
 			return ErrNoPage
 		}
 		if dom != DomHyp {
@@ -427,7 +441,7 @@ func (m *Memory) WriteAs(dom DomID, addr Addr, b []byte) error {
 			}
 		}
 	}
-	return m.writeRaw(addr, b, false)
+	return m.Write(addr, b)
 }
 
 // Read copies n bytes starting at addr (device path, unchecked).
@@ -444,9 +458,9 @@ func (m *Memory) Read(addr Addr, n int) ([]byte, error) {
 // polls) pass a reusable buffer so steady-state reads allocate nothing.
 func (m *Memory) ReadInto(addr Addr, dst []byte) error {
 	for len(dst) > 0 {
-		pg, err := m.pageFor(addr)
-		if err != nil {
-			return err
+		pg, ok := m.peek(addr.PFN())
+		if !ok {
+			return errNoPage(addr)
 		}
 		off := addr.Offset()
 		var c int
@@ -466,7 +480,7 @@ func (m *Memory) ReadInto(addr Addr, dst []byte) error {
 func (m *Memory) Pages(dom DomID) int {
 	n := 0
 	for pfn := PFN(1); pfn < m.npages; pfn++ {
-		if pg := m.lookup(pfn); DomID(pg.owner) == dom && !pg.freed {
+		if pg, _ := m.peek(pfn); DomID(pg.owner) == dom && !pg.freed {
 			n++
 		}
 	}

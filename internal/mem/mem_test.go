@@ -324,15 +324,6 @@ func TestAddrHelpers(t *testing.T) {
 	}
 }
 
-func TestDeviceWriteCounter(t *testing.T) {
-	m := New()
-	p := m.AllocOne(guestA)
-	m.Write(p.Base(), make([]byte, 100))
-	if m.DeviceWritten(guestA) != 100 {
-		t.Fatalf("DeviceWrites = %d", m.DeviceWritten(guestA))
-	}
-}
-
 // Property: refcounts never go negative and a pinned+freed page is never
 // handed out, across random operation sequences.
 func TestRefcountProperty(t *testing.T) {

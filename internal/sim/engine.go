@@ -75,11 +75,13 @@ type Engine struct {
 	q       wheelSched // the event queue
 
 	// The registry (fn.go, timer.go), filled during machine
-	// construction: the label of every named Fn and Timer, in creation
-	// order, and how many callbacks were bound and timers created.
-	labels []string
-	binds  int
-	timers int
+	// construction: each distinct label of a named Fn or Timer once, in
+	// first-use order, its index by name, and how many callbacks were
+	// bound and timers created.
+	labels  []string
+	labelID map[string]int32
+	binds   int
+	timers  int
 }
 
 // New returns an Engine with the clock at zero.

@@ -294,9 +294,10 @@ func TestKeyedEventsOrderAfterCounter(t *testing.T) {
 	e.AtFnKeyed(200, Fn{}, 1)
 }
 
-// TestFnIdentity pins the registry: each Bind and NewTimer takes the
-// next label, a bound callback counts in Binds, a named Fn without a
-// callback does not, and every event carries its Fn's label.
+// TestFnIdentity pins the registry: each new name bound by Bind or
+// NewTimer takes the next label and a repeated name reuses its label, a
+// bound callback counts in Binds, a named Fn without a callback does
+// not, and every event carries its Fn's label.
 func TestFnIdentity(t *testing.T) {
 	e := New()
 	if got := e.Binds(); got != 0 {
@@ -348,6 +349,14 @@ func TestFnIdentity(t *testing.T) {
 	tm := e.NewTimer("a.timer", func() {})
 	if e.Timers() != 1 || tm.ev.label != 4 || e.label(tm.ev.label) != "a.timer" {
 		t.Fatalf("Timers = %d, timer label %d (%q) after NewTimer", e.Timers(), tm.ev.label, e.label(tm.ev.label))
+	}
+	// A repeated name shares its first index: it counts as a bind or a
+	// timer again but adds no label.
+	if again := e.Bind("a.first", func() {}); again.id != fn.id || e.Binds() != 3 {
+		t.Fatalf("rebound name: id=%d (first %d) binds=%d", again.id, fn.id, e.Binds())
+	}
+	if tm2 := e.NewTimer("a.second", func() {}); tm2.ev.label != 2 || e.Timers() != 2 {
+		t.Fatalf("timer under a bound name: label %d, Timers = %d", tm2.ev.label, e.Timers())
 	}
 	if got, want := e.labels, []string{"a.first", "a.second", "a.cost", "a.timer"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("labels = %q, want %q", got, want)

@@ -4,7 +4,8 @@ package sim
 // callbacks once at construction time with Engine.Bind, so scheduling
 // one allocates no closure and passes no name: the name lives in the
 // engine's label table, and the Fn (and every event scheduled with it)
-// carries only its index. Labels are assigned in creation order;
+// carries only its index. A name takes the next index the first time
+// it is bound and keeps it, so callbacks bound under one name share it;
 // machine construction is deterministic, so the same config binds the
 // same callbacks in the same order, and the bind count is a structural
 // fingerprint of the machine (see Binds).
@@ -52,14 +53,24 @@ func (fn Fn) Call() {
 	}
 }
 
-// newLabel appends name to the label table and returns its index.
-// Index 0 is the unnamed label of the zero Fn and raw callbacks.
+// newLabel returns name's index in the label table, adding the name
+// the first time it is used, so every Fn and Timer bound under one name
+// shares one index. Index 0 is the unnamed label of the zero Fn and raw
+// callbacks.
 func (e *Engine) newLabel(name string) int32 {
 	if name == "" {
 		panic("sim: empty event label")
 	}
+	if id, ok := e.labelID[name]; ok {
+		return id
+	}
+	if e.labelID == nil {
+		e.labelID = make(map[string]int32)
+	}
 	e.labels = append(e.labels, name)
-	return int32(len(e.labels))
+	id := int32(len(e.labels))
+	e.labelID[name] = id
+	return id
 }
 
 // label returns the name behind a label index ("" for index 0).

@@ -152,11 +152,11 @@ func (g *Generator) Add(ep Endpoint) error {
 		e.startFn = g.eng.Bind("conn.start", e.startBurst)
 	case Poisson, Pareto:
 		e.timer = g.eng.NewTimer("workload.arrival", e.onArrival)
-		e.startFn = g.eng.Bind("workload.arrival", e.startOpenLoop)
+		e.startFn = g.eng.Bind("workload.launch", e.startOpenLoop)
 		ep.Fwd.OnSendComplete = e.onOpenFlowDone
 	case Trace:
 		e.timer = g.eng.NewTimer("workload.arrival", e.onTraceArrival)
-		e.startFn = g.eng.Bind("workload.arrival", e.startTrace)
+		e.startFn = g.eng.Bind("workload.launch", e.startTrace)
 		ep.Fwd.OnSendComplete = e.onOpenFlowDone
 	}
 	g.eps = append(g.eps, e)
