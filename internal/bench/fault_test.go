@@ -32,7 +32,7 @@ func TestMidRunForeignEnqueueRejected(t *testing.T) {
 	attacker := m.Drivers[0]
 	victimDom := m.Hyp.Domains()[2] // dom0, guest1, guest2
 	m.Eng.Run(50 * sim.Millisecond)
-	page := m.Mem.AllocOne(victimDom.ID)
+	page := m.Mem.AllocRun(victimDom.ID, 1)
 	var got error
 	attacker.AttackForeignEnqueue(page.Base(), func(err error) { got = err })
 	m.Eng.Run(80 * sim.Millisecond)

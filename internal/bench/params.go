@@ -73,10 +73,13 @@ type Calibration struct {
 //   - Xen/Intel guest OS at 40.7% of 138.3k ⇒ ~2.94 us/pkt: TSO stack
 //     (≈0.75) + netfront (≈1.40) + ack path; driver domain at 36.5% ⇒
 //     ~2.64 us/pkt across netback, bridge and the native driver.
-//   - Hypervisor: flips ≈0.6 us each on the PV path; CDNA validation
-//     ≈0.30 us/descriptor (≈0.18 descriptor + ≈0.12 page) so that
-//     disabling protection recovers ≈8% of the CPU, matching Table 4's
-//     hyp 10.2%→1.9% and idle +9.6%.
+//   - Hypervisor: netback's page flips are charged to it as cost alone
+//     (Back.FlipPerPkt, Back.FlipRxPerPkt): ≈0.95 us per transmit grant
+//     and ≈2.2 us per received page, the remap plus its TLB shootdown;
+//     a small received frame is copied instead, for half the transmit
+//     cost. CDNA validation ≈0.30 us/descriptor (≈0.18 descriptor +
+//     ≈0.12 page) so that disabling protection recovers ≈8% of the
+//     CPU, matching Table 4's hyp 10.2%→1.9% and idle +9.6%.
 //   - Interrupt coalescing: Intel ≈125 us (≈7.4–11k intr/s at the
 //     paper's rates), RiceNIC ≈140 us across two NICs (≈13.7k guest
 //     intr/s under CDNA).
@@ -98,7 +101,6 @@ func Default() Calibration {
 			HypercallBase: us(0.55),
 			CDNAPerDesc:   us(0.18),
 			CDNAPerPage:   us(0.12),
-			FlipCost:      us(0.85),
 			TickPeriod:    10 * sim.Millisecond,
 			TickCost:      us(2),
 			TickISR:       us(0.5),

@@ -10,7 +10,7 @@ import (
 func newBV(t *testing.T, entries int) (*mem.Memory, *BitVectorQueue) {
 	t.Helper()
 	m := mem.New()
-	base := m.AllocOne(mem.DomHyp).Base()
+	base := m.AllocRun(mem.DomHyp, 1).Base()
 	q, err := NewBitVectorQueue(m, base, entries)
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestBitVecWrapsAround(t *testing.T) {
 
 func TestBitVecRequiresHypMemory(t *testing.T) {
 	m := mem.New()
-	base := m.AllocOne(guestA).Base()
+	base := m.AllocRun(guestA, 1).Base()
 	if _, err := NewBitVectorQueue(m, base, 8); err != ErrForeignMemory {
 		t.Fatalf("err = %v, want ErrForeignMemory", err)
 	}
@@ -116,7 +116,7 @@ func TestBitVecRequiresHypMemory(t *testing.T) {
 
 func TestBitVecNonPowerOfTwo(t *testing.T) {
 	m := mem.New()
-	base := m.AllocOne(mem.DomHyp).Base()
+	base := m.AllocRun(mem.DomHyp, 1).Base()
 	if _, err := NewBitVectorQueue(m, base, 6); err == nil {
 		t.Fatal("non-power-of-two entries accepted")
 	}
@@ -127,7 +127,7 @@ func TestBitVecNonPowerOfTwo(t *testing.T) {
 func TestBitVecNoLostUpdatesProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		m := mem.New()
-		base := m.AllocOne(mem.DomHyp).Base()
+		base := m.AllocRun(mem.DomHyp, 1).Base()
 		q, _ := NewBitVectorQueue(m, base, 4)
 		accumulated := uint32(0) // bits sent in
 		drained := uint32(0)     // bits seen by host

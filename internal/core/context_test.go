@@ -17,11 +17,11 @@ func newCM(t *testing.T) (*mem.Memory, *Protection, *ContextManager) {
 
 func mkRings(t *testing.T, m *mem.Memory, dom mem.DomID) (*ring.Ring, *ring.Ring) {
 	t.Helper()
-	tx, err := ring.New("tx", ring.DefaultLayout, m.AllocOne(dom).Base(), 64)
+	tx, err := ring.New("tx", ring.DefaultLayout, m.AllocRun(dom, 1).Base(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rx, err := ring.New("rx", ring.DefaultLayout, m.AllocOne(dom).Base(), 64)
+	rx, err := ring.New("rx", ring.DefaultLayout, m.AllocRun(dom, 1).Base(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestAssignRegisterFailureRollsBack(t *testing.T) {
 	tx, _ := mkRings(t, m, guestA)
 	// rx ring owned by another domain: second registration fails and the
 	// first must be rolled back.
-	rxForeign, _ := ring.New("rx", ring.DefaultLayout, m.AllocOne(guestB).Base(), 64)
+	rxForeign, _ := ring.New("rx", ring.DefaultLayout, m.AllocRun(guestB, 1).Base(), 64)
 	if _, err := cm.Assign(guestA, ether.MakeMAC(1, 1), tx, rxForeign); err == nil {
 		t.Fatal("assign with foreign rx ring accepted")
 	}

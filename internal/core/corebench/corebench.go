@@ -42,14 +42,14 @@ func NewGuestDMA() (func() error, error) {
 	const guest = mem.Dom0 + 1
 	m := mem.New()
 	p := core.NewProtection(m, core.ModeHypercall)
-	r, err := ring.New("tx", ring.DefaultLayout, m.AllocOne(guest).Base(), 256)
+	r, err := ring.New("tx", ring.DefaultLayout, m.AllocRun(guest, 1).Base(), 256)
 	if err != nil {
 		return nil, err
 	}
 	if err := p.RegisterRing(guest, r, 1<<16); err != nil {
 		return nil, err
 	}
-	buf := m.AllocOne(guest).Base()
+	buf := m.AllocRun(guest, 1).Base()
 	descs := [1]ring.Desc{{Addr: buf, Len: 1514, Flags: ring.FlagTx}}
 	enq := func() error {
 		if _, err := p.Enqueue(guest, r, descs[:]); err != nil {

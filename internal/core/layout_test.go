@@ -22,7 +22,7 @@ var vendorLayout = ring.Layout{Size: 24, FlagsOff: 0, LenOff: 2, AddrOff: 8, Seq
 
 func TestGenericLayoutThroughProtection(t *testing.T) {
 	m := mem.New()
-	base := m.AllocOne(guestA).Base()
+	base := m.AllocRun(guestA, 1).Base()
 	r, err := ring.New("vendor.tx", vendorLayout, base, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -35,7 +35,7 @@ func TestGenericLayoutThroughProtection(t *testing.T) {
 
 	const vendorPrivateFlags = 0xa5c3
 	for i := 0; i < 100; i++ {
-		buf := m.AllocOne(guestA)
+		buf := m.AllocRun(guestA, 1)
 		d := ring.Desc{Addr: buf.Base(), Len: 1514, Flags: vendorPrivateFlags &^ ring.FlagValid}
 		if _, err := p.Enqueue(guestA, r, []ring.Desc{d}); err != nil {
 			t.Fatalf("enqueue %d: %v", i, err)
@@ -61,7 +61,7 @@ func TestGenericLayoutThroughProtection(t *testing.T) {
 	}
 	// The vendor layout changes nothing about ownership: a descriptor
 	// naming another domain's page is still refused.
-	victim := m.AllocOne(guestA + 1)
+	victim := m.AllocRun(guestA+1, 1)
 	if n, err := p.Enqueue(guestA, r, []ring.Desc{{Addr: victim.Base(), Len: 1514}}); err != ErrForeignMemory || n != 0 {
 		t.Fatalf("foreign descriptor through the vendor layout: Enqueue = %d, %v; want 0, ErrForeignMemory", n, err)
 	}
@@ -69,14 +69,14 @@ func TestGenericLayoutThroughProtection(t *testing.T) {
 
 func TestGenericLayoutStaleDetection(t *testing.T) {
 	m := mem.New()
-	base := m.AllocOne(guestA).Base()
+	base := m.AllocRun(guestA, 1).Base()
 	r, _ := ring.New("vendor.tx", vendorLayout, base, 8)
 	p := NewProtection(m, ModeHypercall)
 	p.RegisterRing(guestA, r, 16)
 	checker := NewSeqChecker(16)
 	// Fill one lap.
 	for i := 0; i < 8; i++ {
-		buf := m.AllocOne(guestA)
+		buf := m.AllocRun(guestA, 1)
 		p.Enqueue(guestA, r, []ring.Desc{{Addr: buf.Base(), Len: 100}})
 		d, _ := r.ReadDesc(m, uint32(i))
 		if !checker.Check(d.Seq) {
@@ -97,7 +97,7 @@ func TestLayoutWithoutSeqFieldRejectsNothing(t *testing.T) {
 	// unavailable (this is why CDNA NICs need the field).
 	noSeq := ring.Layout{Size: 16, AddrOff: 0, LenOff: 8, FlagsOff: 10, SeqOff: -1}
 	m := mem.New()
-	base := m.AllocOne(guestA).Base()
+	base := m.AllocRun(guestA, 1).Base()
 	r, err := ring.New("legacy.tx", noSeq, base, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestLayoutWithoutSeqFieldRejectsNothing(t *testing.T) {
 	if err := p.RegisterRing(guestA, r, 32); err != nil {
 		t.Fatal(err)
 	}
-	buf := m.AllocOne(guestA)
+	buf := m.AllocRun(guestA, 1)
 	if _, err := p.Enqueue(guestA, r, []ring.Desc{{Addr: buf.Base(), Len: 64}}); err != nil {
 		t.Fatal(err)
 	}

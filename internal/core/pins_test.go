@@ -89,7 +89,7 @@ func TestProtectionPinsProperty(t *testing.T) {
 		if region[regionPages-1] != region[0]+regionPages-1 {
 			t.Fatal("non-contiguous allocation")
 		}
-		foreign := m.AllocOne(guestB)
+		foreign := m.AllocRun(guestB, 1)
 		refs := map[mem.PFN]int{}
 		var pins []modelPin
 		reap := func() {

@@ -124,8 +124,9 @@ func (p *Protection) RegisterRing(owner mem.DomID, r *ring.Ring, seqSpace uint32
 		return ErrForeignMemory
 	}
 	if p.Mode == ModeHypercall {
-		for _, pfn := range mem.RangePFNs(r.Base, r.Bytes()) {
-			if err := p.Mem.SetHypExclusive(pfn, true); err != nil {
+		first, n := mem.RangeSpan(r.Base, r.Bytes())
+		for i := range mem.PFN(n) {
+			if err := p.Mem.SetHypExclusive(first+i, true); err != nil {
 				return err
 			}
 		}
@@ -146,8 +147,9 @@ func (p *Protection) UnregisterRing(r *ring.Ring) {
 	}
 	st.active = false
 	if p.Mode == ModeHypercall {
-		for _, pfn := range mem.RangePFNs(r.Base, r.Bytes()) {
-			p.Mem.SetHypExclusive(pfn, false)
+		first, n := mem.RangeSpan(r.Base, r.Bytes())
+		for i := range mem.PFN(n) {
+			p.Mem.SetHypExclusive(first+i, false)
 		}
 	}
 	delete(p.rings, r)

@@ -15,7 +15,7 @@ const (
 func newProt(t *testing.T, mode Mode) (*mem.Memory, *Protection, *ring.Ring) {
 	t.Helper()
 	m := mem.New()
-	base := m.AllocOne(guestA).Base()
+	base := m.Alloc(guestA, 1)[0].Base()
 	r, err := ring.New("tx", ring.DefaultLayout, base, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +28,7 @@ func newProt(t *testing.T, mode Mode) (*mem.Memory, *Protection, *ring.Ring) {
 }
 
 func buf(m *mem.Memory, dom mem.DomID) ring.Desc {
-	pfn := m.AllocOne(dom)
+	pfn := m.Alloc(dom, 1)[0]
 	return ring.Desc{Addr: pfn.Base(), Len: 1514, Flags: ring.FlagTx}
 }
 
@@ -135,7 +135,7 @@ func TestFreeDuringDMADelaysReallocation(t *testing.T) {
 	if err := m.Free(guestA, d.Addr.PFN()); err != nil {
 		t.Fatal(err)
 	}
-	if q := m.AllocOne(guestB); q == d.Addr.PFN() {
+	if q := m.Alloc(guestB, 1)[0]; q == d.Addr.PFN() {
 		t.Fatal("page reallocated while DMA outstanding")
 	}
 	// NIC consumes the descriptor; the next enqueue lazily reaps.
@@ -150,7 +150,7 @@ func TestFreeDuringDMADelaysReallocation(t *testing.T) {
 	if m.Refs(d.Addr.PFN()) != 0 {
 		t.Fatal("pin not dropped after reap")
 	}
-	if q := m.AllocOne(guestB); q != d.Addr.PFN() {
+	if q := m.Alloc(guestB, 1)[0]; q != d.Addr.PFN() {
 		t.Fatal("page should be reusable after reap")
 	}
 }
@@ -214,7 +214,7 @@ func TestUnregisterReleasesEverything(t *testing.T) {
 
 func TestRegisterRingForeignMemory(t *testing.T) {
 	m := mem.New()
-	base := m.AllocOne(guestB).Base()
+	base := m.Alloc(guestB, 1)[0].Base()
 	r, _ := ring.New("tx", ring.DefaultLayout, base, 64)
 	p := NewProtection(m, ModeHypercall)
 	if err := p.RegisterRing(guestA, r, 128); err != ErrForeignMemory {

@@ -398,7 +398,7 @@ func TestCDNADriverDirectMode(t *testing.T) {
 func TestCDNADriverForeignAttackRejected(t *testing.T) {
 	r := newCDNARig(t, core.ModeHypercall)
 	victim := r.hyp.NewDomain("victim", cpu.KindGuest)
-	page := r.hyp.Mem.AllocOne(victim.ID)
+	page := r.hyp.Mem.AllocRun(victim.ID, 1)
 	var got error
 	r.drv.AttackForeignEnqueue(page.Base(), func(err error) { got = err })
 	r.eng.Run(10 * sim.Millisecond)

@@ -29,11 +29,11 @@ func newRig(t *testing.T) *rig {
 	pipe.Connect(ether.PortFunc(func(f *ether.Frame) { r.out = append(r.out, f) }))
 	r.n = New(r.eng, b, r.m, pipe, DefaultParams(), ether.MakeMAC(1, 0))
 	var err error
-	r.tx, err = ring.New("tx", ring.DefaultLayout, r.m.AllocOne(owner).Base(), 128)
+	r.tx, err = ring.New("tx", ring.DefaultLayout, r.m.AllocRun(owner, 1).Base(), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.rx, err = ring.New("rx", ring.DefaultLayout, r.m.AllocOne(owner).Base(), 128)
+	r.rx, err = ring.New("rx", ring.DefaultLayout, r.m.AllocRun(owner, 1).Base(), 128)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func (r *rig) postTx(t *testing.T, frames map[uint32]*ether.Frame, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		idx := r.tx.Prod()
-		d := ring.Desc{Addr: r.m.AllocOne(owner).Base(), Len: 1514, Flags: ring.FlagTx}
+		d := ring.Desc{Addr: r.m.AllocRun(owner, 1).Base(), Len: 1514, Flags: ring.FlagTx}
 		if err := r.tx.WriteDesc(r.m, owner, idx, d); err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func (r *rig) postTx(t *testing.T, frames map[uint32]*ether.Frame, n int) {
 func (r *rig) postRx(t *testing.T, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		d := ring.Desc{Addr: r.m.AllocOne(owner).Base(), Len: 1600}
+		d := ring.Desc{Addr: r.m.AllocRun(owner, 1).Base(), Len: 1600}
 		if err := r.rx.WriteDesc(r.m, owner, r.rx.Prod(), d); err != nil {
 			t.Fatal(err)
 		}

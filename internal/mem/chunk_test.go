@@ -44,14 +44,12 @@ func TestPageEntryHasNoPointers(t *testing.T) {
 
 // TestOwnerOutsideEntryRangePanics: a page entry stores its owner in
 // 16 bits, so a domain it cannot hold is refused loudly at Alloc and
-// Transfer rather than wrapped onto another domain's pages.
+// AllocRun rather than wrapped onto another domain's pages.
 func TestOwnerOutsideEntryRangePanics(t *testing.T) {
 	m := New()
-	p := m.AllocOne(guestA)
 	for name, f := range map[string]func(){
 		"Alloc":    func() { m.Alloc(DomID(1<<15), 1) },
-		"AllocRun": func() { m.AllocRun(DomID(1<<15), 2) },
-		"Transfer": func() { m.Transfer(p, guestA, DomID(-1<<15-1)) },
+		"AllocRun": func() { m.AllocRun(DomID(-1<<15-1), 2) },
 	} {
 		func() {
 			defer func() {
@@ -62,11 +60,8 @@ func TestOwnerOutsideEntryRangePanics(t *testing.T) {
 			f()
 		}()
 	}
-	if got := m.Owner(p); got != guestA {
-		t.Fatalf("refused Transfer changed the owner to %d", got)
-	}
 	top := DomID(1<<15 - 1)
-	if q := m.AllocOne(top); m.Owner(q) != top {
+	if q := m.Alloc(top, 1)[0]; m.Owner(q) != top {
 		t.Fatalf("largest domain reads back as %d", m.Owner(q))
 	}
 }
@@ -79,7 +74,7 @@ func TestNewAllocatesNoChunk(t *testing.T) {
 	if m.npages != 1 {
 		t.Fatalf("fresh table: %d entries", m.npages)
 	}
-	m.AllocOne(guestA)
+	m.Alloc(guestA, 1)
 	if len(m.chunks) != 1 {
 		t.Fatalf("first Alloc left %d chunks, want 1", len(m.chunks))
 	}
@@ -87,7 +82,7 @@ func TestNewAllocatesNoChunk(t *testing.T) {
 	if len(m.chunks) != 1 {
 		t.Fatalf("a full first chunk holds %d chunks, want 1", len(m.chunks))
 	}
-	m.AllocOne(guestA)
+	m.Alloc(guestA, 1)
 	if len(m.chunks) != 2 {
 		t.Fatalf("crossing the boundary left %d chunks, want 2", len(m.chunks))
 	}
@@ -129,14 +124,13 @@ func TestChunkBoundaryPageOps(t *testing.T) {
 // owner.
 func TestEveryFrameHasItsOwnEntry(t *testing.T) {
 	m := New()
-	pfns := m.Alloc(guestA, 3*chunkPages)
 	owner := func(p PFN) DomID { return guestA + 1 + DomID(p) }
-	for _, p := range pfns {
-		if err := m.Transfer(p, guestA, owner(p)); err != nil {
-			t.Fatalf("transfer page %d: %v", p, err)
+	for p := PFN(1); p <= 3*chunkPages; p++ {
+		if got := m.AllocRun(owner(p), 1); got != p {
+			t.Fatalf("frame %d allocated as %d", p, got)
 		}
 	}
-	for _, p := range pfns {
+	for p := PFN(1); p <= 3*chunkPages; p++ {
 		entry := m.chunks[int(p)/chunkPages][int(p)%chunkPages]
 		if m.Owner(p) != owner(p) || DomID(entry.owner) != owner(p) {
 			t.Fatalf("page %d: owner %d, chunk entry owner %d, want %d", p, m.Owner(p), entry.owner, owner(p))
@@ -167,11 +161,11 @@ func TestChunkBoundaryRanges(t *testing.T) {
 	if err := m.WriteAs(guestA, addr, make([]byte, 16)); err != ErrHypExclusive {
 		t.Fatalf("err = %v, want ErrHypExclusive", err)
 	}
-	if err := m.Transfer(firstOfChunk1, guestA, guestB); err != nil {
+	if err := m.Free(guestA, firstOfChunk1); err != nil {
 		t.Fatal(err)
 	}
 	if m.RangeOwned(guestA, addr, 16) {
-		t.Fatal("range owned although its second page moved to another domain")
+		t.Fatal("range owned although its second page was freed")
 	}
 	if err := m.WriteAs(guestA, addr, make([]byte, 16)); err != ErrNotOwner {
 		t.Fatalf("err = %v, want ErrNotOwner", err)
@@ -193,7 +187,7 @@ func TestChunkBoundaryReuseZeroes(t *testing.T) {
 	}
 	written := len(m.data)
 	for _, want := range []PFN{lastOfChunk0, firstOfChunk1} { // FIFO reuse
-		q := m.AllocOne(guestB)
+		q := m.Alloc(guestB, 1)[0]
 		if q != want {
 			t.Fatalf("reallocated %d, want %d", q, want)
 		}

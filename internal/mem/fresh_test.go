@@ -106,20 +106,6 @@ func (m *pageModel) put(pfn PFN) error {
 	return nil
 }
 
-func (m *pageModel) transfer(pfn PFN, from, to DomID) error {
-	pg := m.page(pfn)
-	switch {
-	case pg == nil:
-		return ErrNoPage
-	case pg.owner != from:
-		return ErrNotOwner
-	case pg.ref != 0:
-		return ErrPageBusy
-	}
-	pg.owner = to
-	return nil
-}
-
 func (m *pageModel) setHyp(pfn PFN, on bool) error {
 	pg := m.page(pfn)
 	if pg == nil {
@@ -235,7 +221,6 @@ const (
 	opFree              // dom, pfn
 	opGet               // pfn
 	opPut               // pfn
-	opTransfer          // pfn, from, to
 	opSetHyp            // pfn, on
 	opWrite             // pfn, off, len (up to two pages)
 	opWriteAs           // dom, pfn, off, len
@@ -379,13 +364,6 @@ func runPageTable(t *testing.T, ops []byte) {
 				same(step, "Put", m.Put(pfn), ref.put(pfn))
 			}
 			frame = pfn
-		case opTransfer:
-			pfn, from, to := r.pfn(np), r.dom(), r.dom()
-			if !r.ok {
-				return
-			}
-			same(step, "Transfer", m.Transfer(pfn, from, to), ref.transfer(pfn, from, to))
-			frame = pfn
 		case opSetHyp:
 			pfn, on := r.pfn(np), r.uint(1)&1 == 1
 			if !r.ok {
@@ -441,12 +419,11 @@ func pfn3(p PFN) []byte { return []byte{byte(p >> 16), byte(p >> 8), byte(p)} }
 func FuzzPageTable(f *testing.F) {
 	g := byte(2) // fuzzDoms index of guestA
 	seeds := [][]byte{
-		// A 200-frame run leaves chunks 1 and 2 fresh; pin, flip,
-		// write, fence and free a page in each, then read them back.
+		// A 200-frame run leaves chunks 1 and 2 fresh; pin, write,
+		// fence and free a page in each, then read them back.
 		slices.Concat(
 			[]byte{opAllocRun, g, 0, 200},
 			[]byte{opGet}, pfn3(70),
-			[]byte{opTransfer}, pfn3(130), []byte{g, 3},
 			[]byte{opSetHyp}, pfn3(140), []byte{1},
 			[]byte{opWriteAs, g}, pfn3(127), []byte{0x0f, 0xf0, 0x02, 0x00},
 			[]byte{opFree, g}, pfn3(150),
@@ -506,11 +483,12 @@ func built(m *Memory) int {
 	return n
 }
 
-// TestReadsLeaveChunksFresh: reads and refused writes build nothing; the
-// first change to a page builds its chunk alone.
+// TestReadsLeaveChunksFresh: reads and refused operations (a foreign
+// write, an unpinned Put, a foreign Free) build nothing; the first
+// change to a page builds its chunk alone.
 func TestReadsLeaveChunksFresh(t *testing.T) {
 	m := New()
-	m.AllocOne(guestB)
+	m.Alloc(guestB, 1)
 	first := m.AllocRun(guestA, 4*chunkPages)
 	if got := built(m); got != 2 { // the partial chunks at either end
 		t.Fatalf("run built %d chunks, want 2", got)
@@ -525,6 +503,12 @@ func TestReadsLeaveChunksFresh(t *testing.T) {
 	m.Pages(guestA)
 	if err := m.WriteAs(guestB, p.Base(), []byte{1}); err != ErrNotOwner {
 		t.Fatalf("foreign WriteAs: %v", err)
+	}
+	if err := m.Put(p); err != ErrZeroRef {
+		t.Fatalf("Put of an unpinned page: %v", err)
+	}
+	if err := m.Free(guestB, p); err != ErrNotOwner {
+		t.Fatalf("foreign Free: %v", err)
 	}
 	if got := built(m); got != 2 {
 		t.Fatalf("reads left %d chunks built, want 2", got)

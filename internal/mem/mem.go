@@ -3,8 +3,7 @@
 // the memory-safety substrate the CDNA protection mechanisms (paper §3.3)
 // rely on:
 //
-//   - every page has an owning domain; ownership can be transferred
-//     ("page flipping", used by Xen's front-end/back-end path);
+//   - every page has an owning domain;
 //   - pages carry a reference count; a freed page is not returned to the
 //     allocator while its refcount is non-zero, which is how the
 //     hypervisor prevents reallocation during an in-flight DMA;
@@ -19,7 +18,7 @@
 //
 // The page table is built only where a page changes. A many-guest
 // machine allocates tens of thousands of buffer pages, and most of them
-// are never pinned, written, flipped or freed in a run. The table is
+// are never pinned, written or freed in a run. The table is
 // split into fixed-size chunks of pointer-free entries. A whole chunk
 // inside one AllocRun stays "fresh", recorded as its owner alone, until
 // one of its pages first changes; the read paths see a fresh chunk's
@@ -71,7 +70,6 @@ func (p PFN) Base() Addr { return Addr(p) << PageShift }
 var (
 	ErrNotOwner     = errors.New("mem: caller does not own page")
 	ErrNoPage       = errors.New("mem: no such page")
-	ErrPageBusy     = errors.New("mem: page has outstanding references")
 	ErrHypExclusive = errors.New("mem: page is hypervisor-exclusive for writing")
 	ErrZeroRef      = errors.New("mem: refcount underflow")
 	ErrFreed        = errors.New("mem: page already freed")
@@ -92,7 +90,7 @@ const (
 // page is one 12-byte page-table entry. It holds no pointers, so the
 // garbage collector never scans the table: the bytes of a written page
 // live in Memory.data, indexed by the entry. The owner is stored as an
-// int16; Alloc and Transfer refuse a domain outside that range.
+// int16; Alloc and AllocRun refuse a domain outside that range.
 type page struct {
 	ref     int32
 	data    int32 // 1-based index into Memory.data; 0 = never written
@@ -153,7 +151,9 @@ func (m *Memory) peek(pfn PFN) (pg page, ok bool) {
 }
 
 // lookup returns the page for pfn, building its chunk if it is fresh,
-// or nil if it was never allocated. Every mutator goes through lookup.
+// or nil if it was never allocated. Every mutator goes through lookup;
+// one that can refuse (Put, Free) checks through peek first, so a
+// refused operation builds nothing.
 func (m *Memory) lookup(pfn PFN) *page {
 	if pfn == 0 || pfn >= m.npages {
 		return nil
@@ -249,24 +249,20 @@ func (m *Memory) AllocRun(dom DomID, n int) PFN {
 	return first
 }
 
-// AllocOne allocates a single page.
-func (m *Memory) AllocOne(dom DomID) PFN { return m.Alloc(dom, 1)[0] }
-
 // Free releases a page back to the allocator. The caller must own the
 // page. If the page has outstanding references (an in-flight DMA), the
 // page is marked freed but is not reallocated until the last reference
 // is dropped — the §3.3 reallocation-delay guarantee.
 func (m *Memory) Free(dom DomID, pfn PFN) error {
-	pg := m.lookup(pfn)
-	if pg == nil {
+	switch pg, ok := m.peek(pfn); {
+	case !ok:
 		return ErrNoPage
-	}
-	if pg.freed {
+	case pg.freed:
 		return ErrFreed
-	}
-	if DomID(pg.owner) != dom && dom != DomHyp {
+	case DomID(pg.owner) != dom && dom != DomHyp:
 		return ErrNotOwner
 	}
+	pg := m.lookup(pfn)
 	pg.freed = true
 	pg.owner = int16(DomInvalid)
 	if pg.ref == 0 {
@@ -298,13 +294,13 @@ func (m *Memory) Get(pfn PFN) error {
 // Put decrements the reference count. When a freed page's count reaches
 // zero it finally returns to the allocator.
 func (m *Memory) Put(pfn PFN) error {
-	pg := m.lookup(pfn)
-	if pg == nil {
+	switch pg, ok := m.peek(pfn); {
+	case !ok:
 		return ErrNoPage
-	}
-	if pg.ref == 0 {
+	case pg.ref == 0:
 		return ErrZeroRef
 	}
+	pg := m.lookup(pfn)
 	pg.ref--
 	if pg.ref == 0 && pg.freed {
 		m.freeQ = append(m.freeQ, pfn)
@@ -316,25 +312,6 @@ func (m *Memory) Put(pfn PFN) error {
 func (m *Memory) Refs(pfn PFN) int {
 	pg, _ := m.peek(pfn)
 	return int(pg.ref)
-}
-
-// Transfer moves ownership of a page from one domain to another (the page
-// flip used by the Xen network path). It fails while references are
-// outstanding, because the pinned page may be a DMA target.
-func (m *Memory) Transfer(pfn PFN, from, to DomID) error {
-	owner := ownerOf(to)
-	pg := m.lookup(pfn)
-	if pg == nil {
-		return ErrNoPage
-	}
-	if DomID(pg.owner) != from {
-		return ErrNotOwner
-	}
-	if pg.ref != 0 {
-		return ErrPageBusy
-	}
-	pg.owner = owner
-	return nil
 }
 
 // SetHypExclusive marks or clears hypervisor-exclusive write access on a
@@ -372,25 +349,9 @@ func (m *Memory) RangeOwned(dom DomID, addr Addr, n int) bool {
 	return true
 }
 
-// RangePFNs returns the frames spanned by [addr, addr+n).
-func RangePFNs(addr Addr, n int) []PFN {
-	first, count := RangeSpan(addr, n)
-	if count == 0 {
-		return nil
-	}
-	out := make([]PFN, count)
-	for i := range out {
-		out[i] = first + PFN(i)
-	}
-	return out
-}
-
 // RangeSpan returns the first frame and the frame count spanned by
-// [addr, addr+n). Spans are contiguous by construction, so (first,
-// count) carries the same information as RangePFNs without allocating —
-// the per-descriptor hot paths (pinning, enqueue-cost accounting) use
-// this form. An empty range, or one that wraps past the top of the
-// address space, spans no frames.
+// [addr, addr+n). An empty range, or one that wraps past the top of
+// the address space, spans no frames.
 func RangeSpan(addr Addr, n int) (PFN, int) {
 	if n <= 0 || uint64(n)-1 > math.MaxUint64-uint64(addr) {
 		return 0, 0

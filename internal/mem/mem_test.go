@@ -40,14 +40,14 @@ func TestAllocRunSkipsFreedFrames(t *testing.T) {
 	if !m.RangeOwned(guestB, first.Base(), 3*PageSize) || m.Pages(guestB) != 3 {
 		t.Fatalf("run %d+3 is not wholly guestB's", first)
 	}
-	if q := m.AllocOne(guestB); q != a[1] {
+	if q := m.Alloc(guestB, 1)[0]; q != a[1] {
 		t.Fatalf("Alloc after the run took %d, want the freed frame %d", q, a[1])
 	}
 }
 
 func TestPFNZeroNeverAllocated(t *testing.T) {
 	m := New()
-	p := m.AllocOne(guestA)
+	p := m.Alloc(guestA, 1)[0]
 	if p == 0 {
 		t.Fatal("PFN 0 must never be allocated (Addr 0 is reserved invalid)")
 	}
@@ -55,14 +55,14 @@ func TestPFNZeroNeverAllocated(t *testing.T) {
 
 func TestFreeAndReuse(t *testing.T) {
 	m := New()
-	p := m.AllocOne(guestA)
+	p := m.Alloc(guestA, 1)[0]
 	if err := m.Free(guestA, p); err != nil {
 		t.Fatal(err)
 	}
 	if m.Owner(p) != DomInvalid {
 		t.Fatal("freed page retains owner")
 	}
-	q := m.AllocOne(guestB)
+	q := m.Alloc(guestB, 1)[0]
 	if q != p {
 		t.Fatalf("free page not reused: got %d want %d", q, p)
 	}
@@ -73,7 +73,7 @@ func TestFreeAndReuse(t *testing.T) {
 
 func TestFreeWrongOwner(t *testing.T) {
 	m := New()
-	p := m.AllocOne(guestA)
+	p := m.Alloc(guestA, 1)[0]
 	if err := m.Free(guestB, p); err != ErrNotOwner {
 		t.Fatalf("err = %v, want ErrNotOwner", err)
 	}
@@ -81,7 +81,7 @@ func TestFreeWrongOwner(t *testing.T) {
 
 func TestDoubleFree(t *testing.T) {
 	m := New()
-	p := m.AllocOne(guestA)
+	p := m.Alloc(guestA, 1)[0]
 	if err := m.Free(guestA, p); err != nil {
 		t.Fatal(err)
 	}
@@ -95,21 +95,21 @@ func TestDoubleFree(t *testing.T) {
 // until the reference is dropped.
 func TestNoReallocationWhilePinned(t *testing.T) {
 	m := New()
-	p := m.AllocOne(guestA)
+	p := m.Alloc(guestA, 1)[0]
 	if err := m.Get(p); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Free(guestA, p); err != nil {
 		t.Fatal(err)
 	}
-	q := m.AllocOne(guestB)
+	q := m.Alloc(guestB, 1)[0]
 	if q == p {
 		t.Fatal("pinned page was reallocated")
 	}
 	if err := m.Put(p); err != nil {
 		t.Fatal(err)
 	}
-	r := m.AllocOne(guestB)
+	r := m.Alloc(guestB, 1)[0]
 	if r != p {
 		t.Fatalf("unpinned freed page should now be reusable: got %d want %d", r, p)
 	}
@@ -117,38 +117,15 @@ func TestNoReallocationWhilePinned(t *testing.T) {
 
 func TestPutUnderflow(t *testing.T) {
 	m := New()
-	p := m.AllocOne(guestA)
+	p := m.Alloc(guestA, 1)[0]
 	if err := m.Put(p); err != ErrZeroRef {
 		t.Fatalf("err = %v, want ErrZeroRef", err)
 	}
 }
 
-func TestTransfer(t *testing.T) {
-	m := New()
-	p := m.AllocOne(guestA)
-	if err := m.Transfer(p, guestA, Dom0); err != nil {
-		t.Fatal(err)
-	}
-	if m.Owner(p) != Dom0 {
-		t.Fatal("transfer did not change owner")
-	}
-	if err := m.Transfer(p, guestA, guestB); err != ErrNotOwner {
-		t.Fatalf("err = %v, want ErrNotOwner", err)
-	}
-}
-
-func TestTransferPinnedFails(t *testing.T) {
-	m := New()
-	p := m.AllocOne(guestA)
-	m.Get(p)
-	if err := m.Transfer(p, guestA, Dom0); err != ErrPageBusy {
-		t.Fatalf("err = %v, want ErrPageBusy", err)
-	}
-}
-
 func TestReadWriteRoundTrip(t *testing.T) {
 	m := New()
-	p := m.AllocOne(guestA)
+	p := m.Alloc(guestA, 1)[0]
 	addr := p.Base() + 100
 	want := []byte("hello, descriptor ring")
 	if err := m.Write(addr, want); err != nil {
@@ -165,7 +142,7 @@ func TestReadWriteRoundTrip(t *testing.T) {
 
 func TestReadUntouchedPageIsZero(t *testing.T) {
 	m := New()
-	p := m.AllocOne(guestA)
+	p := m.Alloc(guestA, 1)[0]
 	got, err := m.Read(p.Base(), 16)
 	if err != nil {
 		t.Fatal(err)
@@ -196,10 +173,10 @@ func TestWriteCrossesPages(t *testing.T) {
 
 func TestReuseZeroesData(t *testing.T) {
 	m := New()
-	p := m.AllocOne(guestA)
+	p := m.Alloc(guestA, 1)[0]
 	m.Write(p.Base(), []byte{0xde, 0xad})
 	m.Free(guestA, p)
-	q := m.AllocOne(guestB)
+	q := m.Alloc(guestB, 1)[0]
 	if q != p {
 		t.Skip("allocator did not reuse the page")
 	}
@@ -211,7 +188,7 @@ func TestReuseZeroesData(t *testing.T) {
 
 func TestWriteAsOwnership(t *testing.T) {
 	m := New()
-	p := m.AllocOne(guestA)
+	p := m.Alloc(guestA, 1)[0]
 	if err := m.WriteAs(guestB, p.Base(), []byte{1}); err != ErrNotOwner {
 		t.Fatalf("cross-domain CPU write err = %v, want ErrNotOwner", err)
 	}
@@ -225,7 +202,7 @@ func TestWriteAsOwnership(t *testing.T) {
 
 func TestHypExclusiveRing(t *testing.T) {
 	m := New()
-	p := m.AllocOne(guestA)
+	p := m.Alloc(guestA, 1)[0]
 	if err := m.SetHypExclusive(p, true); err != nil {
 		t.Fatal(err)
 	}
@@ -246,8 +223,8 @@ func TestHypExclusiveRing(t *testing.T) {
 
 func TestRangeOwned(t *testing.T) {
 	m := New()
-	a := m.AllocOne(guestA)
-	b := m.AllocOne(guestB)
+	a := m.Alloc(guestA, 1)[0]
+	b := m.Alloc(guestB, 1)[0]
 	if !m.RangeOwned(guestA, a.Base(), PageSize) {
 		t.Fatal("own page should be owned")
 	}
@@ -273,7 +250,7 @@ func TestRangeOwned(t *testing.T) {
 func TestRangeWrapsAddressSpace(t *testing.T) {
 	m := New()
 	for range 4 {
-		m.AllocOne(guestA) // low frames the wrapped range would reach
+		m.Alloc(guestA, 1) // low frames the wrapped range would reach
 	}
 	top := Addr(math.MaxUint64 - PageSize + 1)
 	for _, tc := range []struct {
@@ -291,9 +268,6 @@ func TestRangeWrapsAddressSpace(t *testing.T) {
 		if first, n := RangeSpan(tc.addr, tc.n); first != 0 || n != 0 {
 			t.Errorf("RangeSpan(%#x, %d) = %d, %d; want 0, 0", uint64(tc.addr), tc.n, first, n)
 		}
-		if RangePFNs(tc.addr, tc.n) != nil {
-			t.Errorf("RangePFNs(%#x, %d) is not empty", uint64(tc.addr), tc.n)
-		}
 	}
 	// A range ending exactly at the top does not wrap.
 	if first, n := RangeSpan(top, PageSize); first != top.PFN() || n != 1 {
@@ -304,13 +278,12 @@ func TestRangeWrapsAddressSpace(t *testing.T) {
 	}
 }
 
-func TestRangePFNs(t *testing.T) {
-	got := RangePFNs(Addr(PageSize-1), 2)
-	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Fatalf("RangePFNs = %v", got)
+func TestRangeSpan(t *testing.T) {
+	if first, n := RangeSpan(Addr(PageSize-1), 2); first != 0 || n != 2 {
+		t.Fatalf("RangeSpan = %d, %d; want 0, 2", first, n)
 	}
-	if RangePFNs(0, 0) != nil {
-		t.Fatal("empty range should return nil")
+	if first, n := RangeSpan(0, 0); first != 0 || n != 0 {
+		t.Fatalf("empty range spans %d, %d", first, n)
 	}
 }
 
@@ -329,7 +302,7 @@ func TestAddrHelpers(t *testing.T) {
 func TestRefcountProperty(t *testing.T) {
 	f := func(ops []uint8) bool {
 		m := New()
-		p := m.AllocOne(guestA)
+		p := m.Alloc(guestA, 1)[0]
 		refs := 0
 		freed := false
 		for _, op := range ops {
@@ -361,7 +334,7 @@ func TestRefcountProperty(t *testing.T) {
 				return false
 			}
 			if freed && refs > 0 {
-				if q := m.AllocOne(guestB); q == p {
+				if q := m.Alloc(guestB, 1)[0]; q == p {
 					return false
 				}
 			}

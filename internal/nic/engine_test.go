@@ -32,11 +32,11 @@ func newRig(t *testing.T) *rig {
 	out.Connect(ether.PortFunc(func(f *ether.Frame) { r.sent = append(r.sent, f) }))
 	r.e = NewEngine(eng, b, m, out, DefaultParams())
 	var err error
-	r.tx, err = ring.New("tx", ring.DefaultLayout, m.AllocOne(guest).Base(), 256)
+	r.tx, err = ring.New("tx", ring.DefaultLayout, m.AllocRun(guest, 1).Base(), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r.rx, err = ring.New("rx", ring.DefaultLayout, m.AllocOne(guest).Base(), 256)
+	r.rx, err = ring.New("rx", ring.DefaultLayout, m.AllocRun(guest, 1).Base(), 256)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func (r *rig) postTx(t *testing.T, frames map[uint32]*ether.Frame, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		idx := r.tx.Prod()
-		buf := r.m.AllocOne(guest)
+		buf := r.m.AllocRun(guest, 1)
 		d := ring.Desc{Addr: buf.Base(), Len: 1514, Flags: ring.FlagTx | ring.FlagValid}
 		if err := r.tx.WriteDesc(r.m, guest, idx, d); err != nil {
 			t.Fatal(err)
@@ -68,7 +68,7 @@ func (r *rig) postRx(t *testing.T, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		idx := r.rx.Prod()
-		buf := r.m.AllocOne(guest)
+		buf := r.m.AllocRun(guest, 1)
 		d := ring.Desc{Addr: buf.Base(), Len: 1514, Flags: ring.FlagValid}
 		if err := r.rx.WriteDesc(r.m, guest, idx, d); err != nil {
 			t.Fatal(err)
@@ -174,7 +174,7 @@ func TestSeqCheckFaultFreezesQueue(t *testing.T) {
 	}
 	// Write three descriptors with seqs 0, 1, 7 (7 is wrong).
 	for i, seq := range []uint32{0, 1, 7} {
-		buf := r.m.AllocOne(guest)
+		buf := r.m.AllocRun(guest, 1)
 		d := ring.Desc{Addr: buf.Base(), Len: 100, Seq: seq}
 		r.tx.WriteDesc(r.m, guest, uint32(i), d)
 		r.tx.Publish(1)
@@ -222,7 +222,7 @@ func TestStaleDescriptorWithoutSeqCheckTransmitsGarbage(t *testing.T) {
 	// the vulnerability §3.3 closes.
 	r := newRig(t)
 	r.e.Hooks = Hooks{LookupTx: func(qid int, idx uint32) *ether.Frame { return nil }}
-	buf := r.m.AllocOne(guest)
+	buf := r.m.AllocRun(guest, 1)
 	d := ring.Desc{Addr: buf.Base(), Len: 777}
 	r.tx.WriteDesc(r.m, guest, 0, d)
 	// Forge: kick producer=1 without publishing through the ring API.
@@ -247,11 +247,11 @@ func TestMultiQueueFairness(t *testing.T) {
 	}))
 	const nQ = 4
 	for qi := 0; qi < nQ; qi++ {
-		tx, _ := ring.New("tx", ring.DefaultLayout, m.AllocOne(guest).Base(), 256)
-		rx, _ := ring.New("rx", ring.DefaultLayout, m.AllocOne(guest).Base(), 256)
+		tx, _ := ring.New("tx", ring.DefaultLayout, m.AllocRun(guest, 1).Base(), 256)
+		rx, _ := ring.New("rx", ring.DefaultLayout, m.AllocRun(guest, 1).Base(), 256)
 		qid := e.AddQueue(tx, rx)
 		for i := 0; i < 100; i++ {
-			buf := m.AllocOne(guest)
+			buf := m.AllocRun(guest, 1)
 			d := ring.Desc{Addr: buf.Base(), Len: 1514}
 			tx.WriteDesc(m, guest, uint32(i), d)
 			tx.Publish(1)

@@ -31,11 +31,11 @@ func TxPipeline(b *testing.B) {
 	out := ether.NewPipe(eng, 1.0, 0)
 	out.Connect(ether.PortFunc(func(f *ether.Frame) { f.Release() }))
 	e := nic.NewEngine(eng, bs, m, out, nic.DefaultParams())
-	tx, err := ring.New("tx", ring.DefaultLayout, m.AllocOne(guest).Base(), 256)
+	tx, err := ring.New("tx", ring.DefaultLayout, m.AllocRun(guest, 1).Base(), 256)
 	if err != nil {
 		b.Fatal(err)
 	}
-	rx, err := ring.New("rx", ring.DefaultLayout, m.AllocOne(guest).Base(), 256)
+	rx, err := ring.New("rx", ring.DefaultLayout, m.AllocRun(guest, 1).Base(), 256)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TxPipeline(b *testing.B) {
 	e.Hooks = nic.Hooks{
 		LookupTx: func(q int, idx uint32) *ether.Frame { return slots[idx%256] },
 	}
-	buf := m.AllocOne(guest).Base()
+	buf := m.AllocRun(guest, 1).Base()
 	src, dst := ether.MakeMAC(1, 1), ether.MakeMAC(9, 9)
 	drain := func() { eng.Run(eng.Now() + 10*sim.Second) }
 	post := func() {

@@ -97,7 +97,7 @@ func (r *rig) enqueuePIO(t *testing.T, frames map[uint32]*ether.Frame, n int) {
 	descs := make([]ring.Desc, n)
 	base := r.ctxA.TxRing.Prod()
 	for i := range descs {
-		buf := r.m.AllocOne(guestA)
+		buf := r.m.AllocRun(guestA, 1)
 		descs[i] = ring.Desc{Addr: buf.Base(), Len: 1514, Flags: ring.FlagTx}
 		frames[base+uint32(i)] = &ether.Frame{Src: r.ctxA.MAC, Size: 1514}
 	}

@@ -147,11 +147,11 @@ func newRig(t *testing.T, p Params) *rig {
 	r.cm = core.NewContextManager(r.prot)
 	r.cm.OnRevoke = func(c *core.Context) { r.n.DetachContext(c.ID) }
 	mk := func(dom mem.DomID, mac ether.MAC) *core.Context {
-		tx, err := ring.New("tx", ring.DefaultLayout, r.m.AllocOne(dom).Base(), 64)
+		tx, err := ring.New("tx", ring.DefaultLayout, r.m.AllocRun(dom, 1).Base(), 64)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rx, err := ring.New("rx", ring.DefaultLayout, r.m.AllocOne(dom).Base(), 64)
+		rx, err := ring.New("rx", ring.DefaultLayout, r.m.AllocRun(dom, 1).Base(), 64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func (r *rig) enqueue(t *testing.T, ctx *core.Context, dom mem.DomID, frames map
 	descs := make([]ring.Desc, n)
 	base := ctx.TxRing.Prod()
 	for i := range descs {
-		buf := r.m.AllocOne(dom)
+		buf := r.m.AllocRun(dom, 1)
 		descs[i] = ring.Desc{Addr: buf.Base(), Len: 1514, Flags: ring.FlagTx}
 		if frames != nil {
 			frames[base+uint32(i)] = &ether.Frame{Src: ctx.MAC, Size: 1514}
@@ -246,7 +246,7 @@ func TestRxDemuxByMAC(t *testing.T) {
 	}{{r.ctxA, guestA}, {r.ctxB, guestB}} {
 		descs := make([]ring.Desc, 8)
 		for i := range descs {
-			descs[i] = ring.Desc{Addr: r.m.AllocOne(pair.dom).Base(), Len: 1600}
+			descs[i] = ring.Desc{Addr: r.m.AllocRun(pair.dom, 1).Base(), Len: 1600}
 		}
 		if _, err := r.prot.Enqueue(pair.dom, pair.ctx.RxRing, descs); err != nil {
 			t.Fatal(err)
@@ -282,7 +282,7 @@ func TestPromiscuousContext(t *testing.T) {
 	r.n.AttachContext(r.ctxA, nil)
 	descs := make([]ring.Desc, 4)
 	for i := range descs {
-		descs[i] = ring.Desc{Addr: r.m.AllocOne(guestA).Base(), Len: 1600}
+		descs[i] = ring.Desc{Addr: r.m.AllocRun(guestA, 1).Base(), Len: 1600}
 	}
 	r.prot.Enqueue(guestA, r.ctxA.RxRing, descs)
 	r.n.MailboxWrite(r.ctxA.ID, MboxRxProd, r.ctxA.RxRing.Prod())

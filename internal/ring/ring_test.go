@@ -77,7 +77,7 @@ func TestLayoutWithoutSeq(t *testing.T) {
 
 func TestNewRejectsNonPowerOfTwo(t *testing.T) {
 	m := mem.New()
-	base := m.AllocOne(guest).Base()
+	base := m.AllocRun(guest, 1).Base()
 	for _, n := range []int{0, -1, 3, 100} {
 		if _, err := New("x", DefaultLayout, base, n); err == nil {
 			t.Errorf("entries=%d accepted", n)
@@ -147,8 +147,9 @@ func TestWriteReadDescThroughMemory(t *testing.T) {
 
 func TestHypExclusiveRingWrite(t *testing.T) {
 	m, r := newRing(t, 8)
-	for _, pfn := range mem.RangePFNs(r.Base, r.Bytes()) {
-		m.SetHypExclusive(pfn, true)
+	first, n := mem.RangeSpan(r.Base, r.Bytes())
+	for i := range mem.PFN(n) {
+		m.SetHypExclusive(first+i, true)
 	}
 	d := Desc{Addr: 0x1000, Len: 64, Seq: 1}
 	if err := r.WriteDesc(m, guest, 0, d); err != mem.ErrHypExclusive {
@@ -164,7 +165,7 @@ func TestHypExclusiveRingWrite(t *testing.T) {
 func TestRingIndexInvariant(t *testing.T) {
 	f := func(ops []uint8) bool {
 		m := mem.New()
-		base := m.AllocOne(guest).Base()
+		base := m.AllocRun(guest, 1).Base()
 		r, _ := New("p", DefaultLayout, base, 16)
 		for _, op := range ops {
 			n := int(op&7) + 1

@@ -458,9 +458,6 @@ func (p *Port) Depth() int { return p.q.Len() }
 // last StartWindow (or since creation).
 func (p *Port) MaxDepth() int { return p.maxDepth }
 
-// Out returns the port's downstream pipe (for delivery accounting).
-func (p *Port) Out() *ether.Pipe { return p.out }
-
 // StartWindow resets the switch's windowed counters (total and
 // per-port, including the egress-depth high-water marks), so warmup
 // traffic is excluded from reported drop rates and queue depths.

@@ -38,7 +38,6 @@ type Params struct {
 	HypercallBase sim.Time // fixed cost of any hypercall
 	CDNAPerDesc   sim.Time // descriptor validation + seq stamp + ring write
 	CDNAPerPage   sim.Time // ownership check + refcount per page
-	FlipCost      sim.Time // page flip (grant transfer) per packet
 	TickPeriod    sim.Time // domain timer tick period (100 Hz)
 	TickCost      sim.Time // guest kernel cost per tick
 	TickISR       sim.Time // hypervisor timer ISR per tick
@@ -55,7 +54,6 @@ func DefaultParams() Params {
 		HypercallBase: 550 * sim.Nanosecond,
 		CDNAPerDesc:   180 * sim.Nanosecond,
 		CDNAPerPage:   120 * sim.Nanosecond,
-		FlipCost:      600 * sim.Nanosecond,
 		TickPeriod:    10 * sim.Millisecond,
 		TickCost:      2 * sim.Microsecond,
 		TickISR:       500 * sim.Nanosecond,

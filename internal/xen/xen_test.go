@@ -130,12 +130,12 @@ func TestTimersTick(t *testing.T) {
 func TestCDNAEnqueueHypercall(t *testing.T) {
 	eng, h := newHyp(t)
 	g := h.NewDomain("g", cpu.KindGuest)
-	base := h.Mem.AllocOne(g.ID).Base()
+	base := h.Mem.AllocRun(g.ID, 1).Base()
 	r, _ := ring.New("tx", ring.DefaultLayout, base, 64)
 	if err := h.Prot.RegisterRing(g.ID, r, 128); err != nil {
 		t.Fatal(err)
 	}
-	buf := h.Mem.AllocOne(g.ID)
+	buf := h.Mem.AllocRun(g.ID, 1)
 	descs := []ring.Desc{{Addr: buf.Base(), Len: 1514}}
 	var gotN int
 	var gotErr error
@@ -155,10 +155,10 @@ func TestCDNAEnqueueRejectsForeign(t *testing.T) {
 	eng, h := newHyp(t)
 	g := h.NewDomain("g", cpu.KindGuest)
 	victim := h.NewDomain("victim", cpu.KindGuest)
-	base := h.Mem.AllocOne(g.ID).Base()
+	base := h.Mem.AllocRun(g.ID, 1).Base()
 	r, _ := ring.New("tx", ring.DefaultLayout, base, 64)
 	h.Prot.RegisterRing(g.ID, r, 128)
-	buf := h.Mem.AllocOne(victim.ID)
+	buf := h.Mem.AllocRun(victim.ID, 1)
 	descs := []ring.Desc{{Addr: buf.Base(), Len: 1514}}
 	var gotErr error
 	g.Hypercall(g.CDNAEnqueueCost(descs), sim.RawFn(func() {
@@ -174,7 +174,7 @@ func TestHandleBitVectorIRQ(t *testing.T) {
 	eng, h := newHyp(t)
 	g1 := h.NewDomain("g1", cpu.KindGuest)
 	g2 := h.NewDomain("g2", cpu.KindGuest)
-	bvBase := h.Mem.AllocOne(mem.DomHyp).Base()
+	bvBase := h.Mem.AllocRun(mem.DomHyp, 1).Base()
 	q, err := core.NewBitVectorQueue(h.Mem, bvBase, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -201,8 +201,8 @@ func TestHandleBitVectorIRQ(t *testing.T) {
 func TestHandleFaultRevokesContext(t *testing.T) {
 	eng, h := newHyp(t)
 	g := h.NewDomain("g", cpu.KindGuest)
-	tx, _ := ring.New("tx", ring.DefaultLayout, h.Mem.AllocOne(g.ID).Base(), 64)
-	rx, _ := ring.New("rx", ring.DefaultLayout, h.Mem.AllocOne(g.ID).Base(), 64)
+	tx, _ := ring.New("tx", ring.DefaultLayout, h.Mem.AllocRun(g.ID, 1).Base(), 64)
+	rx, _ := ring.New("rx", ring.DefaultLayout, h.Mem.AllocRun(g.ID, 1).Base(), 64)
 	ctx, err := h.CtxMgr.Assign(g.ID, ether.MakeMAC(1, 1), tx, rx)
 	if err != nil {
 		t.Fatal(err)
